@@ -255,6 +255,8 @@ def cmd_words(args, config: RunConfig) -> int:
 
 
 def cmd_orbit(args, config: RunConfig) -> int:
+    if args.length < 0:
+        raise ConfigError("--length must be nonnegative")
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     x = args.point
@@ -414,6 +416,8 @@ def cmd_check(args, config: RunConfig) -> int:
     if not prefixes:
         raise ConfigError("no prefixes given (--prefix or --prefix-file)")
     depth = args.depth if args.depth is not None else config.refinement_depth
+    if depth < 0:
+        raise ConfigError("--depth must be nonnegative")
     cap = args.cap if args.cap is not None else config.return_time_cap
     targets = [
         _check_one(p, depth, args.order, cap, config, selected) for p in prefixes
@@ -430,6 +434,8 @@ def cmd_check(args, config: RunConfig) -> int:
 
 
 def cmd_experiment(args, config: RunConfig) -> int:
+    if args.kind in ("two-measure", "birkhoff") and args.length < 1:
+        raise ConfigError("--length must be positive")
     if args.kind in ("xi", "twm", "eigen", "two-measure"):
         pq = _resolve_pq(args)
     if args.kind == "xi":

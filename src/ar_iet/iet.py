@@ -15,11 +15,19 @@ direct construction; the two agree up to a rotation of the origin.
 All coordinates are exact rationals.  Intervals are half-open [left, right):
 closed on the left, open on the right, so interval endpoints are legal orbit
 points and the maps are total on their domains.
+
+Inner loops run on an integer view of the map (`Ar9Map.lattice`): every piece
+end and offset lies on one lattice (1/D)Z, and so does every coordinate of
+the induced maps, since an Arnoux-Rauzy step only subtracts.  Pushing an
+interval is then a bisection over integer left ends.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import OutOfDomain
@@ -114,6 +122,73 @@ def _piece_layout(t: Triple):
     return domain, image
 
 
+def _merge(pairs) -> tuple[tuple[int, int], ...]:
+    """Sort integer intervals, drop empty ones and join touching ones."""
+    merged: list[tuple[int, int]] = []
+    for left, right in sorted(pairs):
+        if right <= left:
+            continue
+        if merged and merged[-1][1] == left:
+            merged[-1] = (merged[-1][0], right)
+        else:
+            merged.append((left, right))
+    return tuple(merged)
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """A nine-piece map scaled by D: the domain pieces' integer ends, letters
+    and offsets, sorted by left end."""
+
+    D: int
+    lefts: tuple[int, ...]
+    rights: tuple[int, ...]
+    letters: tuple[str, ...]
+    offsets: tuple[int, ...]
+
+    def refined(self, denominator: int) -> "Lattice":
+        """The same map on the coarsest refinement of this lattice that holds
+        the rationals of the given denominator."""
+        s = denominator // math.gcd(self.D, denominator)
+        if s == 1:
+            return self
+        return Lattice(self.D * s, tuple(v * s for v in self.lefts),
+                       tuple(v * s for v in self.rights), self.letters,
+                       tuple(v * s for v in self.offsets))
+
+    def coordinate(self, x: Fraction) -> int:
+        """x times D; x must lie on the lattice."""
+        q, r = divmod(self.D, x.denominator)
+        if r:
+            raise RuntimeError(f"{x} is not on the lattice (1/{self.D})Z")
+        return x.numerator * q
+
+    def union(self, letters: str) -> tuple[tuple[int, int], ...]:
+        """The merged union of the named pieces."""
+        return _merge((left, right) for left, right, ch
+                      in zip(self.lefts, self.rights, self.letters) if ch in letters)
+
+    def interval(self, left: int, right: int) -> Interval:
+        return Interval(Fraction(left, self.D), Fraction(right, self.D))
+
+    def push(self, left: int, right: int) -> tuple[str, int]:
+        """Letter and offset of the piece that holds [left, right).
+
+        Raises OutOfDomain when left lies in a gap or outside the domain and
+        RuntimeError when the interval straddles the end of its piece.
+        """
+        i = bisect_right(self.lefts, left) - 1
+        if i < 0 or left >= self.rights[i]:
+            x = Fraction(left, self.D)
+            raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+        if right > self.rights[i]:
+            raise RuntimeError(
+                f"interval {self.interval(left, right)} straddles the boundary "
+                f"of piece {self.letters[i]}"
+            )
+        return self.letters[i], self.offsets[i]
+
+
 @dataclass(frozen=True)
 class Ar9Map:
     """Nine-piece translation map on three disjoint intervals."""
@@ -136,11 +211,34 @@ class Ar9Map:
     def support(self) -> tuple[Interval, ...]:
         return tuple(sorted(self.role_blocks))
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The integer view, built on first use and kept with the map."""
+        letters = sorted(A9, key=lambda ch: self.domain[ch])
+        D = math.lcm(*(v.denominator for ch in A9
+                       for v in (*self.domain[ch], self.offsets[ch])))
+
+        def scale(v: Fraction) -> int:
+            return v.numerator * (D // v.denominator)
+
+        return Lattice(
+            D,
+            tuple(scale(self.domain[ch].left) for ch in letters),
+            tuple(scale(self.domain[ch].right) for ch in letters),
+            tuple(letters),
+            tuple(scale(self.offsets[ch]) for ch in letters),
+        )
+
     def letter_of(self, x: Fraction) -> str:
-        for ch in A9:
-            if self.domain[ch].contains(x):
-                return ch
-        raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+        # the piece ends are integers on the lattice, so floor(xD) lies in the
+        # same piece as xD
+        lat = self.lattice
+        k = x.numerator * lat.D // x.denominator
+        try:
+            return lat.push(k, k + 1)[0]
+        except OutOfDomain:
+            raise OutOfDomain(f"{x} lies in a gap or outside the domain",
+                              point=str(x)) from None
 
 
 def ar9_from_placements(
@@ -176,17 +274,18 @@ def ar9_from_placements(
             dpieces = tuple(reversed(dpieces))
             ipieces = tuple(reversed(ipieces))
         x = placements[role]
-        for ch, length in dpieces:
-            domain[ch] = Interval(x, x + length)
-            x += length
-        assert x == blocks[role].right
-        x = placements[role]
-        for ch, length in ipieces:
-            image[ch] = Interval(x, x + length)
-            x += length
-        assert x == blocks[role].right
+        for pieces, target in ((dpieces, domain), (ipieces, image)):
+            x = placements[role]
+            for ch, length in pieces:
+                target[ch] = Interval(x, x + length)
+                x += length
+            if x != blocks[role].right:
+                raise RuntimeError(f"pieces of block {role} end at {x}, "
+                                   f"not at {blocks[role].right}")
+    for ch in A9:
+        if image[ch].length != domain[ch].length:
+            raise RuntimeError(f"piece {ch} and its image differ in length")
     offsets = {ch: image[ch].left - domain[ch].left for ch in A9}
-    assert all(image[ch].length == domain[ch].length for ch in A9)
     return Ar9Map(t, order, placements, domain, image, offsets)
 
 
@@ -241,10 +340,14 @@ def trajectory(
     nine: letters 1..9 by domain piece; three: the same word projected
     letterwise onto a, b, c.
     """
+    lat = m.lattice.refined(x.denominator)
+    push = lat.push
+    p = lat.coordinate(x)
     out = []
     for _ in range(n):
-        x, ch = ar9_apply(m, x)
+        ch, offset = push(p, p + 1)
         out.append(ch)
+        p += offset
     word = "".join(out)
     if partition == "three":
         return project(word, "A3")

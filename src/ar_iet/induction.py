@@ -17,6 +17,7 @@ geometric systems are glued together.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from .iet import Ar9Map, Interval, OrderTag, ar9_from_placements
 from .words import A9, sigma9
 
 DEFAULT_RETURN_CAP = 8
+
+J_A = "1234"  # the letters of the pieces whose union J_a the map is induced on
 
 _BASE_TRANSITION = {
     Sym.I: {"first": "third", "second": "first", "third": "second"},
@@ -55,23 +58,12 @@ def _ja_spans(m: Ar9Map) -> tuple[Interval, Interval, Interval]:
     return m.domain["1"], m.role_blocks[1], m.domain["4"]
 
 
-def _merge(intervals) -> tuple[Interval, ...]:
-    pieces = sorted(intervals)
-    merged: list[Interval] = []
-    for p in pieces:
-        if merged and merged[-1].right == p.left:
-            merged[-1] = Interval(merged[-1].left, p.right)
-        else:
-            merged.append(p)
-    return tuple(merged)
-
-
-def _position(piece: Interval, regions: tuple[Interval, ...]) -> str:
+def _position(left: int, right: int, regions) -> str:
     """inside / outside / straddling the union of disjoint sorted regions."""
-    for r in regions:
-        if r.left <= piece.left and piece.right <= r.right:
+    for r_left, r_right in regions:
+        if r_left <= left and right <= r_right:
             return "inside"
-    if all(piece.right <= r.left or r.right <= piece.left for r in regions):
+    if all(right <= r_left or r_right <= left for r_left, r_right in regions):
         return "outside"
     return "straddling"
 
@@ -86,23 +78,22 @@ def first_return(
     discontinuity or returns only partially (both indicate the piece was not
     a block of the induced partition) and ReturnTimeCapExceeded past cap.
     """
-    regions = _merge(_ja_spans(m))
+    lat = m.lattice.refined(math.lcm(piece.left.denominator, piece.right.denominator))
+    regions = lat.union(J_A)
+    left, right = lat.coordinate(piece.left), lat.coordinate(piece.right)
     word: list[str] = []
-    cur = piece
     for _ in range(cap):
-        ch = m.letter_of(cur.left)
-        if cur.right > m.domain[ch].right:
-            raise RuntimeError(
-                f"interval {cur} straddles the boundary of piece {ch}"
-            )
+        ch, offset = lat.push(left, right)
         word.append(ch)
-        cur = cur.translate(m.offsets[ch])
-        pos = _position(cur, regions)
+        left += offset
+        right += offset
+        pos = _position(left, right, regions)
         if pos == "inside":
-            return cur, "".join(word)
+            return lat.interval(left, right), "".join(word)
         if pos == "straddling":
             raise RuntimeError(
-                f"interval {cur} returns to J_a only partially after {word}"
+                f"interval {lat.interval(left, right)} returns to J_a only "
+                f"partially after {word}"
             )
     raise ReturnTimeCapExceeded(
         f"no return to J_a within {cap} steps for {piece}",

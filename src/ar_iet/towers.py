@@ -14,29 +14,54 @@ intervals respectively.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import OutOfDomain
-from .iet import Ar9Map, Interval, OrderTag
+from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
 from .induction import InductionStage
 from .words import A9, heights_by_matrix, letter_height
 
 A3_MEMBERS = {"a": "1234", "b": "567", "c": "89"}
 
 Pieces = tuple[Interval, ...]
+IntPieces = tuple[tuple[int, int], ...]
 
 
-def _merge(intervals) -> Pieces:
-    pieces = sorted(p for p in intervals if p.length > 0)
-    merged: list[Interval] = []
-    for p in pieces:
-        if merged and merged[-1].right == p.left:
-            merged[-1] = Interval(merged[-1].left, p.right)
-        else:
-            merged.append(p)
-    return tuple(merged)
+class LatticeLevels(Sequence):
+    """Tower levels held as integer pieces on the lattice (1/D)Z.
+
+    Reading a level gives its Fraction intervals; the checks below take the
+    integers as they are.
+    """
+
+    __slots__ = ("D", "ints")
+
+    def __init__(self, D: int, ints: tuple[IntPieces, ...]):
+        self.D = D
+        self.ints = ints
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return LatticeLevels(self.D, self.ints[j])
+        D = self.D
+        return tuple(Interval(Fraction(l, D), Fraction(r, D)) for l, r in self.ints[j])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, LatticeLevels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -47,7 +72,7 @@ class Tower:
     stage: int
     base: Pieces
     height: int
-    levels: tuple[Pieces, ...]
+    levels: Sequence[Pieces]
     word: str | None = None  # nine-letter towers: letters read along levels
 
     def measure(self) -> Fraction:
@@ -78,35 +103,63 @@ def towers_at_stage(
     stage_map = m0 if k == 0 else stages[k - 1].map
     prefix = tuple(s.case for s in stages[:k])
     hv = heights_by_matrix(prefix)[-1]
+    lat = m0.lattice.refined(stage_map.lattice.D)
+    push = lat.push
     nine: dict[str, Tower] = {}
     for ch in A9:
         height = letter_height(ch, hv)
-        cur = stage_map.domain[ch]
+        base = stage_map.domain[ch]
+        left, right = lat.coordinate(base.left), lat.coordinate(base.right)
         levels = []
         letters = []
-        for j in range(height):
-            here = m0.letter_of(cur.left)
-            if cur.right > m0.domain[here].right:
-                raise RuntimeError(
-                    f"level {j} of tower {ch} straddles piece {here}"
-                )
-            levels.append((cur,))
-            letters.append(here)
-            if j + 1 < height:
-                cur = cur.translate(m0.offsets[here])
-        nine[ch] = Tower(ch, k, (stage_map.domain[ch],), height, tuple(levels),
+        try:
+            for j in range(height):
+                here, offset = push(left, right)
+                levels.append(((left, right),))
+                letters.append(here)
+                left += offset
+                right += offset
+        except RuntimeError as e:
+            raise RuntimeError(f"level {j} of tower {ch}: {e}") from None
+        nine[ch] = Tower(ch, k, (base,), height, LatticeLevels(lat.D, tuple(levels)),
                          "".join(letters))
     three: dict[str, Tower] = {}
     for letter, members in A3_MEMBERS.items():
         height = nine[members[0]].height
-        assert all(nine[ch].height == height for ch in members)
-        levels = tuple(
-            _merge(p for ch in members for p in nine[ch].levels[j])
-            for j in range(height)
+        if any(nine[ch].height != height for ch in members):
+            raise RuntimeError(f"towers {', '.join(members)} differ in height")
+        rows = zip(*(nine[ch].levels.ints for ch in members))
+        levels = LatticeLevels(
+            lat.D, tuple(_merge(p for level in row for p in level) for row in rows)
         )
-        base = _merge(p for ch in members for p in nine[ch].base)
-        three[letter] = Tower(letter, k, base, height, levels)
+        three[letter] = Tower(letter, k, levels[0], height, levels)
     return TowerFamily(k, stage_map.order, nine, three, m0)
+
+
+def _on_lattice(f: TowerFamily) -> tuple[Lattice, dict[str, Sequence[IntPieces]]]:
+    """The levels the family holds, as integer pieces on one lattice.
+
+    The base map's lattice is refined until it holds every level.  Levels
+    built by towers_at_stage on that lattice pass through as they are; any
+    other sequence of Interval levels is rescaled once.
+    """
+    towers = {**f.nine, **f.three}
+    D = math.lcm(*(
+        t.levels.D if isinstance(t.levels, LatticeLevels)
+        else math.lcm(*(v.denominator for level in t.levels for p in level for v in p))
+        for t in towers.values()
+    ))
+    lat = f.base_map.lattice.refined(D)
+    columns = {}
+    for label, t in towers.items():
+        if isinstance(t.levels, LatticeLevels) and t.levels.D == lat.D:
+            columns[label] = t.levels.ints
+        else:
+            columns[label] = tuple(
+                tuple((lat.coordinate(p.left), lat.coordinate(p.right)) for p in level)
+                for level in t.levels
+            )
+    return lat, columns
 
 
 @dataclass(frozen=True)
@@ -119,16 +172,16 @@ class PartitionReport:
 
 def partition_check(f: TowerFamily) -> PartitionReport:
     """All levels of the nine towers tile the full space exactly."""
-    pieces = sorted(
-        p for t in f.nine.values() for level in t.levels for p in level
-    )
-    support = _merge(f.base_map.role_blocks)
-    total = sum((p.length for p in pieces), Fraction(0))
-    expected = sum((s.length for s in support), Fraction(0))
+    lat, columns = _on_lattice(f)
+    pieces = sorted(p for ch in A9 for level in columns[ch] for p in level)
+    support = lat.union(A9)
+    total = Fraction(sum(r - l for l, r in pieces), lat.D)
+    expected = Fraction(sum(r - l for l, r in support), lat.D)
     for prev, nxt in zip(pieces, pieces[1:]):
-        if nxt.left < prev.right:
-            return PartitionReport(False, total, expected,
-                                   f"levels {prev} and {nxt} overlap")
+        if nxt[0] < prev[1]:
+            return PartitionReport(
+                False, total, expected,
+                f"levels {lat.interval(*prev)} and {lat.interval(*nxt)} overlap")
     if _merge(pieces) != support:
         return PartitionReport(False, total, expected,
                                "union of levels differs from the space")
@@ -148,26 +201,24 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     """Levels of towers 2|3, 5|6, 8|9 at equal height are adjacent, with
     2, 5, 8 on the left exactly when the stage order is not reversed."""
     reversed_ = f.order.reversed
+    lat, columns = _on_lattice(f)
     violations: list[str] = []
     for lo, hi in ADJACENT_PAIRS:
-        t_lo, t_hi = f.nine[lo], f.nine[hi]
-        for j in range(min(t_lo.height, t_hi.height)):
-            (p_lo,), (p_hi,) = t_lo.levels[j], t_hi.levels[j]
+        for j, ((p_lo,), (p_hi,)) in enumerate(zip(columns[lo], columns[hi])):
             left, right = (p_hi, p_lo) if reversed_ else (p_lo, p_hi)
-            if left.right != right.left:
+            if left[1] != right[0]:
                 violations.append(
-                    f"level {j} of towers {lo},{hi}: {p_lo} vs {p_hi} "
-                    f"not adjacent with {lo} {'right' if reversed_ else 'left'}most"
+                    f"level {j} of towers {lo},{hi}: {lat.interval(*p_lo)} vs "
+                    f"{lat.interval(*p_hi)} not adjacent with {lo} "
+                    f"{'right' if reversed_ else 'left'}most"
                 )
     return AdjacencyReport(not violations, tuple(violations))
 
 
 def level_component_counts(f: TowerFamily) -> dict[str, int]:
     """Largest number of intervals in any level of each projected tower."""
-    return {
-        letter: max(len(level) for level in tower.levels)
-        for letter, tower in f.three.items()
-    }
+    _, columns = _on_lattice(f)
+    return {letter: max(map(len, columns[letter])) for letter in f.three}
 
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:

@@ -182,6 +182,20 @@ def test_check_without_prefixes_is_usage_error(capsys):
     assert "no prefixes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--partition", "--prefix", "111", "--depth", "-1"),
+    ("check", "--coding", "--prefix", "111", "--depth", "-1"),
+    ("orbit", "--triple", "7,4,2", "--point", "6", "--length", "-3"),
+    ("experiment", "--birkhoff", "--triple", "7,4,2", "--length", "0"),
+    ("experiment", "--two-measure", "--ks", "1,1", "--rules", "11", "--length", "0"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ar-iet: ") and err.count("\n") == 1
+
+
 # --- experiment --------------------------------------------------------------
 
 def test_experiment_xi_tribonacci(capsys):

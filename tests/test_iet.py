@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ar_iet.iet as iet
 from ar_iet.errors import Inadmissible, OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple, triple
 from ar_iet.iet import (
@@ -308,3 +309,26 @@ def test_ar6_apply_reduces_mod_length():
     c = build_ar6_canonical(triple(7, 4, 2))
     y, label = ar6_apply(c, F(26))
     assert (y, label) == (F(20), 0)
+
+
+def _lengthen_first_domain_piece(layout):
+    domain, image = layout
+    (ch, length), *rest = domain[0]
+    return (((ch, length + 1), *rest), *domain[1:]), image
+
+
+def _swap_first_image_lengths(layout):
+    domain, image = layout
+    (c1, l1), (c2, l2), *rest = image[0]
+    return domain, (((c1, l2), (c2, l1), *rest), *image[1:])
+
+
+@pytest.mark.parametrize("breakage,message", [
+    (_lengthen_first_domain_piece, "pieces of block 0 end at"),
+    (_swap_first_image_lengths, "piece 1 and its image differ in length"),
+])
+def test_broken_piece_layout_raises(monkeypatch, breakage, message):
+    real = iet._piece_layout
+    monkeypatch.setattr(iet, "_piece_layout", lambda t: breakage(real(t)))
+    with pytest.raises(RuntimeError, match=message):
+        build_ar9(triple(7, 4, 2))

@@ -103,6 +103,50 @@ def test_partition_check_negative_control():
     assert not partition_check(f).ok
 
 
+def test_partition_check_names_the_first_overlap():
+    _, _, f = family_for((I, I), 2)
+    copy = dataclasses.replace(f.nine["2"], levels=f.nine["1"].levels)
+    f = dataclasses.replace(f, nine={**f.nine, "2": copy})
+    report = partition_check(f)
+    assert not report.ok
+    first = min(p for level in f.nine["1"].levels for p in level)
+    assert report.defect == f"levels {first} and {first} overlap"
+
+
+def test_adjacency_check_negative_control():
+    _, _, f = family_for((I, I), 2)
+    tower = f.nine["3"]
+    levels = list(tower.levels)
+    (p,) = levels[1]
+    levels[1] = (Interval(p.left + F(1, 997), p.right + F(1, 997)),)
+    broken = dataclasses.replace(tower, levels=tuple(levels))
+    f = dataclasses.replace(f, nine={**f.nine, "3": broken})
+    report = adjacency_check(f)
+    assert not report.ok
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("level 1 of towers 2,3: ")
+
+
+def test_straddling_base_negative_control():
+    m0, stages, _ = family_for((I, I), 1)
+    # 7 and 8 are neighbours in the first block of the first order
+    straddling = Interval(m0.domain["7"].left, m0.domain["8"].right)
+    stage = stages[0]
+    bad_map = dataclasses.replace(stage.map, domain={**stage.map.domain, "1": straddling})
+    with pytest.raises(RuntimeError, match="level 0 of tower 1: .* straddles"):
+        towers_at_stage(m0, [dataclasses.replace(stage, map=bad_map)], 1)
+
+
+def test_unequal_member_heights_raise(monkeypatch):
+    import ar_iet.towers as towers
+
+    real = towers.letter_height
+    monkeypatch.setattr(towers, "letter_height",
+                        lambda ch, hv: real(ch, hv) + (ch == "2"))
+    with pytest.raises(RuntimeError, match="differ in height"):
+        family_for((I, I), 1)
+
+
 def test_adjacency_stage0_first_order():
     m0 = build_ar9(triple(7, 4, 2))
     f = towers_at_stage(m0, [], 0)
