@@ -22,13 +22,15 @@ Conventions for a partial-quotient sequence (k_1, rule_1), ..., (k_N, rule_N):
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
-from .iet import Ar9Map, Interval, build_ar9, trajectory
+from .iet import Ar9Map, Interval, _merge, build_ar9, trajectory
 from .induction import iterate_induction
 from .towers import A3_MEMBERS
 from .words import A9, multiplicative_heights
@@ -237,6 +239,8 @@ def eigenvalue_scan(
     the floor, and rejected_at reports the first of them.  theta = 0 always
     survives.
     """
+    if persistence < 1:
+        raise ValueError(f"persistence must be positive, got {persistence}")
     theta = Fraction(theta)
     if floor is None:
         floor = Fraction(1, 2 * theta.denominator)
@@ -337,40 +341,6 @@ def two_measure_experiment(
 Pieces = tuple[Interval, ...]
 
 
-def _merge(intervals: Iterable[Interval]) -> Pieces:
-    pieces = sorted(p for p in intervals if p.length > 0)
-    merged: list[Interval] = []
-    for p in pieces:
-        if merged and merged[-1].right >= p.left:
-            merged[-1] = Interval(merged[-1].left, max(merged[-1].right, p.right))
-        else:
-            merged.append(p)
-    return tuple(merged)
-
-
-def _intersect_piece(pieces: Pieces, box: Interval) -> list[Interval]:
-    out = []
-    for p in pieces:
-        left = max(p.left, box.left)
-        right = min(p.right, box.right)
-        if left < right:
-            out.append(Interval(left, right))
-    return out
-
-
-def _preimage(m: Ar9Map, pieces: Pieces) -> Pieces:
-    """Exact T^{-1} of a union of intervals: pull back through each image piece."""
-    out: list[Interval] = []
-    for ch in A9:
-        for part in _intersect_piece(pieces, m.image[ch]):
-            out.append(part.translate(-m.offsets[ch]))
-    return _merge(out)
-
-
-def _letter_set(m: Ar9Map, letter: str) -> Pieces:
-    return _merge(m.domain[ch] for ch in A3_MEMBERS[letter])
-
-
 @dataclass(frozen=True)
 class PreimageReport:
     target: str
@@ -383,20 +353,37 @@ def preimage_clusters(m: Ar9Map, target: str) -> PreimageReport:
     """The set of points whose three-letter coding starts with `target`,
     as merged intervals, via exact backward refinement.
 
+    Each step runs on the map's integer lattice: the current intervals are
+    cut by the image pieces of the next letter's class and translated back,
+    which pulls them back under T and restricts them to that letter at once.
+
     Raises NotAFactor when the refinement empties: the word never occurs.
     """
     if not target or set(target) - set("abc"):
         raise ValueError(f"target must be a nonempty word over abc: {target!r}")
-    current = _letter_set(m, target[-1])
-    for ch in reversed(target[:-1]):
-        pulled = _preimage(m, current)
-        current = _merge(p for box in _letter_set(m, ch)
-                         for p in _intersect_piece(pulled, box))
+    lat = m.lattice
+    images = {
+        letter: [(left + off, right + off, off) for left, right, ch, off
+                 in zip(lat.lefts, lat.rights, lat.letters, lat.offsets)
+                 if ch in members]
+        for letter, members in A3_MEMBERS.items()
+    }
+    current = lat.union(A3_MEMBERS[target[-1]])
+    for letter in reversed(target[:-1]):
+        parts = []
+        for lo, hi, off in images[letter]:
+            k = bisect_right(current, lo, key=itemgetter(1))
+            while k < len(current) and current[k][0] < hi:
+                left, right = current[k]
+                parts.append((max(left, lo) - off, min(right, hi) - off))
+                k += 1
+        current = _merge(parts)
     if not current:
         raise NotAFactor(f"{target!r} is not a factor of the coding language",
                          target=target)
+    witnesses = tuple(lat.interval(left, right) for left, right in current)
     return PreimageReport(
-        target=target, depth=len(target), count=len(current), witnesses=current
+        target=target, depth=len(target), count=len(witnesses), witnesses=witnesses
     )
 
 

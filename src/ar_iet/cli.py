@@ -285,6 +285,8 @@ def cmd_induct(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     steps = args.steps if args.steps is not None else config.refinement_depth
+    if steps < 0:
+        raise ConfigError("--steps must be nonnegative")
     cap = args.cap if args.cap is not None else config.return_time_cap
     stages = iterate_induction(m, steps, cap=cap)
     parents = [m] + [s.map for s in stages[:-1]]
@@ -311,7 +313,13 @@ def cmd_induct(args, config: RunConfig) -> int:
     return 0
 
 
+def _require_stage(args) -> None:
+    if args.stage is not None and args.stage < 0:
+        raise ConfigError("--stage must be nonnegative")
+
+
 def cmd_towers(args, config: RunConfig) -> int:
+    _require_stage(args)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     cap = args.cap if args.cap is not None else config.return_time_cap
@@ -436,6 +444,8 @@ def cmd_check(args, config: RunConfig) -> int:
 def cmd_experiment(args, config: RunConfig) -> int:
     if args.kind in ("two-measure", "birkhoff") and args.length < 1:
         raise ConfigError("--length must be positive")
+    if args.kind == "eigen" and args.persistence < 1:
+        raise ConfigError("--persistence must be positive")
     if args.kind in ("xi", "twm", "eigen", "two-measure"):
         pq = _resolve_pq(args)
     if args.kind == "xi":
@@ -483,10 +493,10 @@ def cmd_experiment(args, config: RunConfig) -> int:
             "rejected_at": scan.rejected_at,
         }
     elif args.kind == "two-measure":
-        if args.depth is not None:
-            depth = args.depth
-        else:
-            depth = pq.times[-1] if pq.ks else 0
+        top = pq.times[-1] if pq.ks else 0
+        depth = args.depth if args.depth is not None else top
+        if not 0 <= depth <= top:
+            raise ConfigError(f"--depth must lie in 0..{top}")
         report = two_measure_experiment(pq, depth, args.length,
                                         return_cap=config.return_time_cap)
         payload = {
@@ -528,6 +538,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
 
 
 def cmd_render(args, config: RunConfig) -> int:
+    _require_stage(args)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     cap = args.cap if args.cap is not None else config.return_time_cap

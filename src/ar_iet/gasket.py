@@ -101,7 +101,7 @@ def directing_prefix(
     require_admissible(t)
     symbols: list[Sym] = []
     triples = [t]
-    exit_: GasketExit | None = None
+    exit_ = GasketExit("exhausted")
     cur = t
     for step in range(1, max_steps + 1):
         try:
@@ -111,9 +111,6 @@ def directing_prefix(
             break
         symbols.append(sym)
         triples.append(cur)
-    else:
-        exit_ = GasketExit("exhausted")
-    assert exit_ is not None
     if collect_triples:
         return tuple(symbols), exit_, tuple(triples)
     return tuple(symbols), exit_

@@ -32,7 +32,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import OutOfDomain
 from .gasket import Triple, omega_lengths, require_admissible
-from .words import A6_NAMES, A9, project
+from .words import A9, project
 
 
 class Interval(NamedTuple):
@@ -200,8 +200,9 @@ class Ar9Map:
     image: dict[str, Interval]  # letter -> TI_i
     offsets: dict[str, Fraction]  # letter -> translation I_i -> TI_i
 
-    @property
+    @cached_property
     def role_blocks(self) -> tuple[Interval, Interval, Interval]:
+        """Omega, Omega', Omega'' on the line, built on first use."""
         lens = omega_lengths(self.triple)
         return tuple(
             Interval(p, p + lens[r]) for r, p in enumerate(self.placements)
@@ -448,8 +449,8 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
 
 def first_order_adjacent(m: Ar9Map) -> bool:
     """True when the blocks sit in first order, origin 0, with no gaps."""
-    lens = omega_lengths(m.triple)
-    return m.placements == (Fraction(0), lens[0], lens[0] + lens[1])
+    blocks = m.role_blocks
+    return m.placements == (Fraction(0), blocks[0].right, blocks[1].right)
 
 
 def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
@@ -460,9 +461,9 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     """
     if not first_order_adjacent(m):
         raise ValueError("gluing requires the first-order adjacent layout")
-    lens = omega_lengths(m.triple)
-    cumulative = (Fraction(0), lens[0], lens[0] + lens[1])
-    for role, block in enumerate(m.role_blocks):
+    blocks = m.role_blocks
+    cumulative = (Fraction(0), blocks[0].length, blocks[0].length + blocks[1].length)
+    for role, block in enumerate(blocks):
         if block.contains(x):
             return (x - m.placements[role]) + cumulative[role]
     raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
@@ -519,7 +520,3 @@ def ar6_rotation_match(m1: Ar6Map, m2: Ar6Map) -> Fraction | None:
         ):
             return rho
     return None
-
-
-def ar6_arc_name(label: int) -> str:
-    return A6_NAMES[label]

@@ -59,8 +59,13 @@ class Substitution:
 
     def __post_init__(self):
         letters = A3 if self.alphabet == "A3" else A9
-        assert set(self.table) == set(letters)
-        assert all(w and set(w) <= set(letters) for w in self.table.values())
+        if set(self.table) != set(letters):
+            raise ValueError(f"substitution table keys {sorted(self.table)} "
+                             f"are not the letters of {self.alphabet}")
+        for letter, w in self.table.items():
+            if not w or set(w) - set(letters):
+                raise ValueError(f"image {w!r} of {letter!r} is not a nonempty "
+                                 f"word over {self.alphabet}")
 
     def __call__(self, word: str) -> str:
         return "".join(self.table[ch] for ch in word)
@@ -263,19 +268,35 @@ def a6_to_str(letters: Iterable[int]) -> str:
     return ",".join(A6_NAMES[x] for x in letters)
 
 
+# windows per block in factor_complexity
+_FACTOR_STRIDE = 32
+
+
 def factor_complexity(words: Iterable[str], n: int) -> int:
     """Number of distinct length-n factors across the supplied words.
 
     The caller is responsible for supplying words deep enough that all
     factors of the limiting language appear; compare two consecutive stages
     and accept the count only when it has stabilized.
+
+    Every window starting in [j, j + stride) lies in the block
+    w[j : j + stride - 1 + n], so the windows are read from the distinct
+    blocks at that stride.  Stage words repeat long blocks (their complexity
+    is linear), so most blocks are read once however long the words grow.
     """
+    if n < 0:
+        raise ValueError(f"factor length must be nonnegative, got {n}")
     if n == 0:
         return 1
-    seen: set[str] = set()
+    width = _FACTOR_STRIDE - 1 + n
+    blocks: set[str] = set()
     for w in words:
-        for i in range(len(w) - n + 1):
-            seen.add(w[i : i + n])
+        for j in range(0, len(w) - n + 1, _FACTOR_STRIDE):
+            blocks.add(w[j : j + width])
+    seen: set[str] = set()
+    for b in blocks:
+        for i in range(len(b) - n + 1):
+            seen.add(b[i : i + n])
     return len(seen)
 
 

@@ -221,6 +221,12 @@ def test_eigen_floor_and_persistence_are_respected():
     assert eigenvalue_scan(pq, F(1, 2), persistence=1).rejected_at == 0
 
 
+
+def test_eigen_rejects_nonpositive_persistence():
+    for persistence in (0, -2):
+        with pytest.raises(ValueError):
+            eigenvalue_scan(tribonacci(5), F(0), persistence=persistence)
+
 # --- Birkhoff frequencies ----------------------------------------------------
 
 def test_birkhoff_single_step():

@@ -294,3 +294,19 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("towers", "--prefix", "1111", "--stage", "-1"),
+    ("render", "--towers", "--prefix", "1111", "--stage", "-1"),
+    ("render", "--induction", "--prefix", "1111", "--stage", "-1"),
+    ("induct", "--prefix", "1111", "--steps", "-1"),
+    ("experiment", "--two-measure", "--ks", "1,1", "--rules", "11", "--depth", "-1"),
+    ("experiment", "--two-measure", "--ks", "1,1", "--rules", "11", "--depth", "3"),
+    ("experiment", "--eigen", "--prefix", "111", "--theta", "0", "--persistence", "0"),
+])
+def test_negative_stages_and_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ar-iet: ") and err.count("\n") == 1

@@ -1,0 +1,143 @@
+"""Differential tests of the language layer against plain references.
+
+`ref_preimage_clusters` is backward refinement on Fraction intervals: pull
+the current union back through all nine image pieces, then cut it with the
+next letter's set.  It shares no code with the lattice refinement in
+`ar_iet.analysis`.  `ref_factor_complexity` collects every window of every
+word.  Each of the six arrangements, adjacent and gapped, gets its own
+seeded random prefix.
+"""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ar_iet.analysis import preimage_clusters
+from ar_iet.errors import NotAFactor
+from ar_iet.gasket import Sym, reconstruct_triple
+from ar_iet.iet import ORDER_TAGS, Interval, build_ar9, trajectory
+from ar_iet.words import A3, A9, factor_complexity, stage_words
+
+F = Fraction
+CASES = [(order, gapped) for order in ORDER_TAGS for gapped in (False, True)]
+CLASS_MEMBERS = {"a": "1234", "b": "567", "c": "89"}
+
+
+def ref_merge(intervals):
+    merged = []
+    for p in sorted(p for p in intervals if p.length > 0):
+        if merged and merged[-1].right >= p.left:
+            merged[-1] = Interval(merged[-1].left, max(merged[-1].right, p.right))
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
+def ref_intersect(pieces, box):
+    return [Interval(max(p.left, box.left), min(p.right, box.right)) for p in pieces
+            if max(p.left, box.left) < min(p.right, box.right)]
+
+
+def ref_preimage_clusters(m, target):
+    def letter_set(letter):
+        return ref_merge(m.domain[ch] for ch in CLASS_MEMBERS[letter])
+
+    current = letter_set(target[-1])
+    for letter in reversed(target[:-1]):
+        pulled = ref_merge(part.translate(-m.offsets[ch])
+                           for ch in A9 for part in ref_intersect(current, m.image[ch]))
+        current = ref_merge(p for box in letter_set(letter)
+                            for p in ref_intersect(pulled, box))
+    if not current:
+        raise NotAFactor(f"{target!r} is not a factor of the coding language",
+                         target=target)
+    return current
+
+
+def system(order, gapped):
+    rng = random.Random(f"preimage/{order}/{gapped}")
+    prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(rng.randint(6, 12)))
+    gaps = ((F(rng.randint(1, 9), rng.randint(2, 12)), F(rng.randint(1, 9), rng.randint(2, 12)))
+            if gapped else (F(0), F(0)))
+    return rng, build_ar9(reconstruct_triple(prefix), order, gaps)
+
+
+def assert_same_as_reference(m, target):
+    try:
+        expected = ref_preimage_clusters(m, target)
+    except NotAFactor as e:
+        with pytest.raises(NotAFactor) as got:
+            preimage_clusters(m, target)
+        assert str(got.value) == str(e)
+        assert got.value.detail == e.detail
+        return False
+    report = preimage_clusters(m, target)
+    assert report.witnesses == expected
+    assert [str(w) for w in report.witnesses] == [str(w) for w in expected]
+    assert report.count == len(expected)
+    assert report.depth == len(target) and report.target == target
+    return True
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_preimage_matches_fraction_reference(order, gapped):
+    rng, m = system(order, gapped)
+    factors = non_factors = 0
+    for _ in range(40):
+        target = "".join(rng.choice(A3) for _ in range(rng.randint(1, 12)))
+        if assert_same_as_reference(m, target):
+            factors += 1
+        else:
+            non_factors += 1
+    assert factors and non_factors
+    for _ in range(2):
+        piece = m.domain[rng.choice(A9)]
+        x = piece.left + piece.length * F(rng.randrange(1, 997), 997)
+        word = trajectory(m, x, 200, "three")
+        for n in (1, 2, 5, 25, 50, 100, 200):
+            assert assert_same_as_reference(m, word[:n])
+            assert any(w.contains(x) for w in preimage_clusters(m, word[:n]).witnesses)
+
+
+# --- factor complexity ---------------------------------------------------------
+
+def ref_factor_complexity(words, n):
+    if n == 0:
+        return 1
+    return len({w[i:i + n] for w in words for i in range(len(w) - n + 1)})
+
+
+@pytest.mark.parametrize("alphabet", [A3, A9])
+def test_factor_complexity_matches_naive_count(alphabet):
+    rng = random.Random(f"factors/{alphabet}")
+    for _ in range(30):
+        words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 90)))
+                 for _ in range(rng.randint(0, 4))]
+        longest = max(map(len, words), default=0)
+        for n in range(longest + 3):
+            assert factor_complexity(words, n) == ref_factor_complexity(words, n)
+
+
+def test_factor_complexity_edge_words():
+    assert factor_complexity([], 0) == 1
+    assert factor_complexity([], 3) == 0
+    assert factor_complexity([""], 1) == 0
+    assert factor_complexity(["ab", "abc"], 3) == 1
+    assert factor_complexity(["abc"], 4) == 0
+    with pytest.raises(ValueError):
+        factor_complexity(["abc"], -1)
+
+
+def test_factor_complexity_on_repetitive_words():
+    rng = random.Random(7)
+    prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(13)) + (Sym.I,)
+    for alphabet in ("A3", "A9"):
+        words = list(stage_words(prefix, alphabet, 10**5).values())
+        # a periodic word repeats whole blocks at every stride
+        words.append("abcab" * 80)
+        for n in (1, 2, 7, 31, 32, 33, 64, 100):
+            assert factor_complexity(words, n) == ref_factor_complexity(words, n)
+        assert factor_complexity(iter(words), 5) == ref_factor_complexity(words, 5)

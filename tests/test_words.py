@@ -10,6 +10,7 @@ from ar_iet.gasket import PartialQuotients, Sym, partial_quotients
 from ar_iet.words import (
     A3,
     A9,
+    Substitution,
     a6_to_a3,
     a6_to_str,
     factor_complexity,
@@ -47,6 +48,18 @@ def test_sigma9_tables():
         "1": "35", "2": "45", "3": "46", "4": "17",
         "5": "18", "6": "19", "7": "29", "8": "2", "9": "3",
     }
+
+
+@pytest.mark.parametrize("alphabet,table", [
+    ("A3", {"a": "ab", "b": "a"}),                       # missing letter
+    ("A3", {"a": "ab", "b": "a", "c": "a", "d": "a"}),   # extra letter
+    ("A3", {"a": "ab", "b": "", "c": "a"}),              # empty image
+    ("A3", {"a": "ab", "b": "a", "c": "a9"}),            # foreign letter
+    ("A9", {ch: "1" for ch in "12345678"}),
+])
+def test_bad_substitution_tables_are_rejected(alphabet, table):
+    with pytest.raises(ValueError):
+        Substitution(alphabet, table)
 
 
 def test_stage_words_a3_two_steps():
