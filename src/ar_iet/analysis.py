@@ -32,8 +32,7 @@ from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
 from .iet import Ar9Map, Interval, _merge, build_ar9, trajectory
 from .induction import iterate_induction
-from .towers import A3_MEMBERS
-from .words import A9, multiplicative_heights
+from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
 DEFAULT_TAIL_EPSILON = Fraction(1, 100)

@@ -46,7 +46,7 @@ from .gasket import (
     reconstruct_triple,
 )
 from .iet import FIRST_ORDER, build_ar9, parse_order, trajectory
-from .induction import iterate_induction, verify_induction
+from .induction import induce_step, iterate_induction
 from .towers import (
     adjacency_check,
     level_component_counts,
@@ -288,20 +288,18 @@ def cmd_induct(args, config: RunConfig) -> int:
     if steps < 0:
         raise ConfigError("--steps must be nonnegative")
     cap = args.cap if args.cap is not None else config.return_time_cap
-    stages = iterate_induction(m, steps, cap=cap)
-    parents = [m] + [s.map for s in stages[:-1]]
-    items = []
-    for parent, stage in zip(parents, stages):
-        report = verify_induction(parent, cap=cap)
-        items.append({
+    items = [
+        {
             "index": stage.index,
             "case": str(int(stage.case)),
             "triple": [str(v) for v in stage.map.triple],
             "order": str(stage.map.order),
             "return_times": stage.return_times,
             "return_words": stage.return_words,
-            "verified": report.ok,
-        })
+            "verified": stage.ok,
+        }
+        for stage in iterate_induction(m, steps, cap=cap)
+    ]
     payload = {
         "schema": "ar-iet/induct/1",
         "triple": [str(v) for v in t],
@@ -381,8 +379,9 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
             for letter, count in level_component_counts(f).items()
         )
     if "induction" in selected:
-        parents = [m] + [s.map for s in stages[:-1]]
-        results["induction"] = all(verify_induction(p, cap=cap).ok for p in parents)
+        # at depth 0 there is no stage yet, so induce once to have one to check
+        checked = stages or [induce_step(m, cap=cap)]
+        results["induction"] = all(s.ok for s in checked)
     if "coding" in selected:
         expected = stage_words(tuple(s.case for s in stages), "A9", config.word_cap)
         family = families[-1]
@@ -407,7 +406,7 @@ def cmd_check(args, config: RunConfig) -> int:
     selected = tuple(n for n in _CHECK_NAMES if getattr(args, n))
     if args.all or not selected:
         selected = _CHECK_NAMES
-    prefixes = [parse_prefix(p) for p in args.prefix or []]
+    prefixes = list(args.prefix or [])
     if args.prefix_file:
         try:
             lines = Path(args.prefix_file).read_text().splitlines()
@@ -631,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every check")
     for name in _CHECK_NAMES:
         p.add_argument(f"--{name}", action="store_true")
-    p.add_argument("--prefix", action="append", default=None,
+    p.add_argument("--prefix", type=parse_prefix, action="append", default=None,
                    help="directing prefix (repeatable)")
     p.add_argument("--prefix-file", default=None,
                    help="file with one directing prefix per line")

@@ -90,17 +90,15 @@ class GasketExit:
 
 
 def directing_prefix(
-    t: Triple, max_steps: int = DEFAULT_MAX_STEPS, collect_triples: bool = False
-) -> tuple[Prefix, GasketExit] | tuple[Prefix, GasketExit, tuple[Triple, ...]]:
+    t: Triple, max_steps: int = DEFAULT_MAX_STEPS
+) -> tuple[Prefix, GasketExit]:
     """Iterate ar_step up to max_steps, recording the symbols.
 
     Steps are numbered from 1; a NotInGasket exit at step s means symbols
-    1..s-1 were produced.  With collect_triples the intermediate triples
-    (including the start, excluding nothing) are returned as well.
+    1..s-1 were produced.
     """
     require_admissible(t)
     symbols: list[Sym] = []
-    triples = [t]
     exit_ = GasketExit("exhausted")
     cur = t
     for step in range(1, max_steps + 1):
@@ -110,9 +108,6 @@ def directing_prefix(
             exit_ = GasketExit("not-in-gasket", step=step, reason=e.detail.get("reason"))
             break
         symbols.append(sym)
-        triples.append(cur)
-    if collect_triples:
-        return tuple(symbols), exit_, tuple(triples)
     return tuple(symbols), exit_
 
 

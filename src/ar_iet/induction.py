@@ -7,11 +7,11 @@ whose arrangement follows a fixed transition table in the branch taken
 blocks: the span of I_1, the span of I_2 u I_3 (always the whole middle
 block Omega'), and the span of I_4.
 
-The implementation predicts the induced map from that table, then verifies
+The implementation predicts the induced map from that table, then checks
 it by honest interval iteration: each predicted piece is pushed forward
-under T until it first re-enters J_a, asserting along the way that it never
-straddles a discontinuity (so the piece travels as a block and the return
-time is uniform on it).  The letters visited on the way spell out the
+under T, once, until it first re-enters J_a, raising if it ever straddles
+a discontinuity (so the piece travels as a block and the return time is
+uniform on it).  The letters visited on the way spell out the
 nine-letter substitution of the branch, which is how the symbolic and
 geometric systems are glued together.
 """
@@ -24,11 +24,12 @@ from fractions import Fraction
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
 from .iet import Ar9Map, Interval, OrderTag, ar9_from_placements
-from .words import A9, sigma9
+from .words import A3_MEMBERS, A9, sigma9
 
 DEFAULT_RETURN_CAP = 8
 
-J_A = "1234"  # the letters of the pieces whose union J_a the map is induced on
+# the letters of the pieces whose union J_a the map is induced on
+J_A = A3_MEMBERS["a"]
 
 _BASE_TRANSITION = {
     Sym.I: {"first": "third", "second": "first", "third": "second"},
@@ -119,9 +120,12 @@ def _predict(m: Ar9Map) -> tuple[Ar9Map, Sym]:
     return induced, case
 
 
+_FLAGS = ("lengths_ok", "endpoints_ok", "translations_ok", "words_ok")
+
+
 @dataclass(frozen=True)
 class InductionStage:
-    """One verified renormalization step."""
+    """One renormalization step and the itemized check of its first returns."""
 
     index: int
     case: Sym
@@ -130,65 +134,26 @@ class InductionStage:
     return_words: dict[str, str]
     parent_triple: Triple
     parent_order: OrderTag
+    lengths_ok: bool
+    endpoints_ok: bool
+    translations_ok: bool
+    words_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(getattr(self, flag) for flag in _FLAGS)
 
 
 def induce_step(
     m: Ar9Map, index: int = 1, cap: int = DEFAULT_RETURN_CAP
 ) -> InductionStage:
-    """Induce on J_a and verify the result is the predicted exchange.
+    """Induce on J_a and report, check by check, that the result is the
+    predicted nine-piece exchange: piece lengths, exact endpoints,
+    translations, and return words.
 
-    The predicted pieces are pushed under T; any deviation from the
-    prediction (landing interval, return word, blockwise travel) raises,
-    since the construction guarantees them for admissible input.
+    Each predicted piece is pushed under T once.  A disagreement clears its
+    flag instead of raising; iterate_induction refuses to go on from it.
     """
-    induced, case = _predict(m)
-    sub = sigma9(case)
-    times: dict[str, int] = {}
-    words: dict[str, str] = {}
-    for ch in A9:
-        landed, word = first_return(m, induced.domain[ch], cap)
-        if landed != induced.image[ch]:
-            raise RuntimeError(
-                f"piece {ch} returned to {landed}, predicted {induced.image[ch]}"
-            )
-        if word != sub.table[ch]:
-            raise RuntimeError(
-                f"piece {ch} visited {word}, substitution says {sub.table[ch]}"
-            )
-        times[ch] = len(word)
-        words[ch] = word
-    return InductionStage(index, case, induced, times, words, m.triple, m.order)
-
-
-@dataclass(frozen=True)
-class InductionReport:
-    """Itemized comparison of the first-return map against the prediction."""
-
-    parent_triple: Triple
-    induced_triple: Triple
-    case: Sym
-    parent_order: OrderTag
-    induced_order: OrderTag
-    lengths_ok: bool
-    endpoints_ok: bool
-    translations_ok: bool
-    words_ok: bool
-    return_times: dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.lengths_ok
-            and self.endpoints_ok
-            and self.translations_ok
-            and self.words_ok
-        )
-
-
-def verify_induction(m: Ar9Map, cap: int = DEFAULT_RETURN_CAP) -> InductionReport:
-    """Induce and report, check by check, that the result is the predicted
-    nine-piece exchange: piece lengths, exact endpoints, translations, and
-    return words."""
     induced, case = _predict(m)
     a, b, c = induced.triple
     expected_lengths = {
@@ -196,36 +161,29 @@ def verify_induction(m: Ar9Map, cap: int = DEFAULT_RETURN_CAP) -> InductionRepor
         "2": c, "3": b,
         "4": a - b, "5": b, "6": c,
     }
-    lengths_ok = all(
-        induced.domain[ch].length == expected_lengths[ch]
-        and induced.image[ch].length == expected_lengths[ch]
-        for ch in A9
-    )
-    sub = sigma9(case)
-    endpoints_ok = True
-    translations_ok = True
-    words_ok = True
-    times: dict[str, int] = {}
-    for ch in A9:
-        landed, word = first_return(m, induced.domain[ch], cap)
-        times[ch] = len(word)
-        if landed != induced.image[ch]:
-            endpoints_ok = False
-        if landed.left - induced.domain[ch].left != induced.offsets[ch]:
-            translations_ok = False
-        if word != sub.table[ch]:
-            words_ok = False
-    return InductionReport(
-        parent_triple=m.triple,
-        induced_triple=induced.triple,
+    table = sigma9(case).table
+    returns = {ch: first_return(m, induced.domain[ch], cap) for ch in A9}
+    return InductionStage(
+        index=index,
         case=case,
+        map=induced,
+        return_times={ch: len(word) for ch, (_, word) in returns.items()},
+        return_words={ch: word for ch, (_, word) in returns.items()},
+        parent_triple=m.triple,
         parent_order=m.order,
-        induced_order=induced.order,
-        lengths_ok=lengths_ok,
-        endpoints_ok=endpoints_ok,
-        translations_ok=translations_ok,
-        words_ok=words_ok,
-        return_times=times,
+        lengths_ok=all(
+            induced.domain[ch].length == expected_lengths[ch]
+            and induced.image[ch].length == expected_lengths[ch]
+            for ch in A9
+        ),
+        endpoints_ok=all(
+            landed == induced.image[ch] for ch, (landed, _) in returns.items()
+        ),
+        translations_ok=all(
+            landed.left - induced.domain[ch].left == induced.offsets[ch]
+            for ch, (landed, _) in returns.items()
+        ),
+        words_ok=all(word == table[ch] for ch, (_, word) in returns.items()),
     )
 
 
@@ -235,7 +193,8 @@ def iterate_induction(
     """Stages 1..K of repeated induction; empty for K = 0.
 
     A triple that leaves the admissible region mid-way raises NotInGasket
-    carrying the failing stage as at_step.
+    carrying the failing stage as at_step; a stage that disagrees with its
+    prediction raises RuntimeError naming the stage and its failed checks.
     """
     stages: list[InductionStage] = []
     cur = m
@@ -245,6 +204,11 @@ def iterate_induction(
         except NotInGasket as e:
             e.detail["at_step"] = k
             raise
+        if not stage.ok:
+            failed = ", ".join(f for f in _FLAGS if not getattr(stage, f))
+            raise RuntimeError(
+                f"induction stage {k} disagrees with the prediction: {failed}"
+            )
         stages.append(stage)
         cur = stage.map
     return stages

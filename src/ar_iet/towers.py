@@ -22,9 +22,7 @@ from fractions import Fraction
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
 from .induction import InductionStage
-from .words import A9, heights_by_matrix, letter_height
-
-A3_MEMBERS = {"a": "1234", "b": "567", "c": "89"}
+from .words import A3_MEMBERS, A9, heights_by_matrix, letter_height
 
 Pieces = tuple[Interval, ...]
 IntPieces = tuple[tuple[int, int], ...]

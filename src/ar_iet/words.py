@@ -15,7 +15,7 @@ six-letter system has no substitutive presentation of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import WordOverflow
 from .gasket import PartialQuotients, Prefix, Sym
@@ -33,12 +33,11 @@ A9_CLASS = {
     "8": "c", "9": "c",
 }
 
+# the pieces of each three-letter class, in nine-letter order
+A3_MEMBERS = {x: "".join(ch for ch in A9 if A9_CLASS[ch] == x) for x in A3}
+
 # letter-to-letter projections
-_PHI3 = str.maketrans({
-    "1": "a", "2": "a", "3": "a", "4": "a",
-    "5": "b", "6": "b", "7": "b",
-    "8": "c", "9": "c",
-})
+_PHI3 = str.maketrans(A9_CLASS)
 _PHI6 = {
     "1": 0, "2": 0,          # a-
     "3": 1, "4": 1,          # a+
@@ -47,7 +46,7 @@ _PHI6 = {
     "8": 4,                  # c-
     "9": 5,                  # c+
 }
-_PHI6_TO_3 = {0: "a", 1: "a", 2: "b", 3: "b", 4: "c", 5: "c"}
+_PHI6_TO_3 = {_PHI6[ch]: A9_CLASS[ch] for ch in A9}
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,34 @@ def letter_height(letter: str, hv: tuple[int, int, int]) -> int:
     return hv["abc".index(A9_CLASS[letter])]
 
 
+def _require_cap(kind: str, k: int, length: int, cap: int) -> None:
+    if length > cap:
+        raise WordOverflow(
+            f"{kind} {k} word length {length} exceeds cap {cap}",
+            stage=k,
+            length=length,
+            cap=cap,
+        )
+
+
+def _stages(
+    prefix: Sequence[Sym], alphabet: AlphabetTag, cap: int
+) -> Iterator[dict[str, str]]:
+    """The words of every letter at stages 0..len(prefix), one stage at a time.
+
+    Raises WordOverflow for a stage, before building it, when its longest
+    word would exceed cap.
+    """
+    letters, sigmas = _tables(alphabet)
+    words = {ch: ch for ch in letters}
+    for k, hv in enumerate(heights_by_matrix(prefix)):
+        _require_cap("stage", k, max(hv), cap)
+        if k:
+            table = sigmas[prefix[k - 1]].table
+            words = {i: "".join(words[j] for j in table[i]) for i in letters}
+        yield words
+
+
 def stage_words(
     prefix: Sequence[Sym], alphabet: AlphabetTag, max_total_letters: int
 ) -> dict[str, str]:
@@ -149,20 +176,8 @@ def stage_words(
     max_total_letters; the stage that would overflow is reported so callers
     can fall back to heights_by_matrix.
     """
-    letters, sigmas = _tables(alphabet)
-    heights = heights_by_matrix(prefix)
-    for k, hv in enumerate(heights):
-        if max(hv) > max_total_letters:
-            raise WordOverflow(
-                f"stage {k} word length {max(hv)} exceeds cap {max_total_letters}",
-                stage=k,
-                length=max(hv),
-                cap=max_total_letters,
-            )
-    words = {ch: ch for ch in letters}
-    for sym in prefix:
-        table = sigmas[sym].table
-        words = {i: "".join(words[j] for j in table[i]) for i in letters}
+    for words in _stages(prefix, alphabet, max_total_letters):
+        pass
     return words
 
 
@@ -225,15 +240,8 @@ def multiplicative_stage_words(
     if not 0 <= n <= len(pq):
         raise ValueError(f"n = {n} out of range for {len(pq)} blocks")
     letters, _ = _tables(alphabet)
-    mult_heights = multiplicative_heights(pq)
-    for j in range(n + 1):
-        if max(mult_heights[j]) > cap:
-            raise WordOverflow(
-                f"block {j} word length {max(mult_heights[j])} exceeds cap {cap}",
-                stage=j,
-                length=max(mult_heights[j]),
-                cap=cap,
-            )
+    for j, hv in enumerate(multiplicative_heights(pq)[: n + 1]):
+        _require_cap("block", j, max(hv), cap)
     factors_of = _mult_factors_a3 if alphabet == "A3" else _mult_factors_a9
     words = {ch: ch for ch in letters}
     for k, rule in zip(pq.ks[:n], pq.rules[:n]):
@@ -308,20 +316,8 @@ def stable_factor_complexity(
     Walks stages upward within the prefix, comparing p(n) at stages K-1 and
     K; returns the first stabilized value.
     """
-    letters, sigmas = _tables(alphabet)
-    words = {ch: ch for ch in letters}
-    prev = factor_complexity(words.values(), n)
-    heights = heights_by_matrix(prefix)
-    for k, sym in enumerate(prefix, start=1):
-        if max(heights[k]) > cap:
-            raise WordOverflow(
-                f"stage {k} word length {max(heights[k])} exceeds cap {cap}",
-                stage=k,
-                length=max(heights[k]),
-                cap=cap,
-            )
-        table = sigmas[sym].table
-        words = {i: "".join(words[j] for j in table[i]) for i in letters}
+    prev = None
+    for words in _stages(prefix, alphabet, cap):
         cur = factor_complexity(words.values(), n)
         if cur == prev and min(len(w) for w in words.values()) >= n:
             return cur
@@ -344,20 +340,7 @@ def occurrence_horizon(
             f"need 0 <= n={n} <= max_N={max_N} <= len(prefix)={len(prefix)}"
         )
     target = stage_words(prefix[:n], "A9", cap)[letter]
-    words = {ch: ch for ch in A9}
-    _, sigmas = _tables("A9")
-    heights = heights_by_matrix(prefix)
-    for N in range(0, max_N + 1):
-        if N > 0:
-            if max(heights[N]) > cap:
-                raise WordOverflow(
-                    f"stage {N} word length {max(heights[N])} exceeds cap {cap}",
-                    stage=N,
-                    length=max(heights[N]),
-                    cap=cap,
-                )
-            table = sigmas[prefix[N - 1]].table
-            words = {i: "".join(words[j] for j in table[i]) for i in A9}
+    for N, words in enumerate(_stages(prefix[:max_N], "A9", cap)):
         if all(target in w for w in words.values()):
             return N
     return None

@@ -288,6 +288,12 @@ def test_malformed_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gasket", "--triple", "7,x,2"])
     assert exc.value.code == 2
+    # every --prefix, the repeatable one of check included, is parsed by argparse
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--all", "--prefix", "1^12", "--depth", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --prefix" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -94,14 +94,6 @@ def test_directing_prefix_exhausted():
     assert exit_ == GasketExit("exhausted")
 
 
-def test_directing_prefix_collects_triples():
-    prefix, exit_, triples = directing_prefix(
-        triple(13, 7, 4), max_steps=10, collect_triples=True
-    )
-    assert triples == (triple(13, 7, 4), triple(7, 4, 2), triple(4, 2, 1))
-    assert len(triples) == len(prefix) + 1
-
-
 def test_reconstruct_single_i():
     assert reconstruct_triple((I,)) == triple(7, 4, 2)
 

@@ -1,0 +1,94 @@
+"""Golden CLI corpus: every subcommand's full output, compared byte for byte.
+
+Each case runs `ar_iet.cli.main` in-process and compares a transcript of
+its exit code, stdout and stderr with `tests/golden/<name>.txt`.  Files a
+case writes (CSV, SVG) are compared with `tests/golden/<name>.<file>`; the
+SVG version comment is dropped on both sides, and the output directory in
+stdout reads `<out>`.
+
+The golden files pin the current behaviour.  Regenerate them only for an
+intended output change, with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+from __future__ import annotations
+
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from ar_iet.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, files the run writes under the output directory)
+CASES = {
+    "gasket": (["gasket", "--triple", "13,7,4", "--steps", "10"], ()),
+    "words-a3": (["words", "--prefix", "1121", "--alphabet", "a3"], ()),
+    "words-a9-mult": (["words", "--prefix", "1131", "--alphabet", "a9",
+                       "--multiplicative"], ()),
+    "words-overflow": (["words", "--prefix", "111111", "--cap", "10"], ()),
+    "orbit-csv": (["orbit", "--triple", "7,4,2", "--point", "6", "--length", "40",
+                   "--csv", "orbit.csv"], ("orbit.csv",)),
+    "induct": (["induct", "--prefix", "12311", "--steps", "3"], ()),
+    "towers": (["towers", "--prefix", "1111", "--stage", "2"], ()),
+    "check-two-prefixes": (["check", "--all", "--prefix", "1213", "--prefix", "3121",
+                            "--depth", "3"], ()),
+    "check-reversed": (["check", "--all", "--prefix", "11111111", "--depth", "4",
+                        "--order", "reversed-second"], ()),
+    "check-induction-depth0": (["check", "--induction", "--prefix", "111",
+                                "--depth", "0"], ()),
+    "check-not-in-gasket": (["check", "--all", "--prefix=", "--depth", "3"], ()),
+    "experiment-xi": (["experiment", "--xi", "--ks", "1,2,1,1,3",
+                       "--rules", "12111"], ()),
+    "experiment-twm": (["experiment", "--twm", "--prefix", "1" * 10], ()),
+    "experiment-eigen": (["experiment", "--eigen", "--prefix", "1" * 30,
+                          "--theta", "1/2"], ()),
+    "experiment-two-measure": (["experiment", "--two-measure", "--ks", "1,1,1",
+                                "--rules", "111", "--length", "300"], ()),
+    "experiment-birkhoff": (["experiment", "--birkhoff", "--triple", "7,4,2",
+                             "--point", "6", "--length", "100", "--csv", "b.csv"],
+                            ("b.csv",)),
+    "render-induction": (["render", "--induction", "--prefix", "1111",
+                          "--stage", "2"], ()),
+    "render-towers": (["render", "--towers", "--prefix", "1111", "--stage", "3",
+                       "--out", "tow.svg"], ("tow.svg",)),
+}
+
+_SVG_VERSION = re.compile(r"^<!-- ar-iet .* -->\n", re.MULTILINE)
+
+
+def _run(argv: list[str], out_dir: Path) -> str:
+    """The transcript of one in-process run: exit code, stdout, stderr."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--output-dir", str(out_dir), *argv])
+    stdout = _SVG_VERSION.sub("", out.getvalue()).replace(str(out_dir), "<out>")
+    return f"exit {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}"
+
+
+def _files(out_dir: Path, names) -> dict[str, str]:
+    return {name: _SVG_VERSION.sub("", (out_dir / name).read_text()) for name in names}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    argv, names = CASES[name]
+    transcript = _run(argv, tmp_path)
+    assert transcript.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    for file, text in _files(tmp_path, names).items():
+        assert text.encode() == (GOLDEN / f"{name}.{file}").read_bytes(), file
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, names) in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.txt").write_bytes(_run(argv, Path(tmp)).encode())
+            for file, text in _files(Path(tmp), names).items():
+                (GOLDEN / f"{name}.{file}").write_bytes(text.encode())
+    sys.exit(0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ar_iet import induction
 from ar_iet.errors import NotInGasket, ReturnTimeCapExceeded
 from ar_iet.gasket import Sym, ar_step, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Interval, OrderTag, build_ar9
@@ -14,9 +15,8 @@ from ar_iet.induction import (
     induce_step,
     iterate_induction,
     predicted_order,
-    verify_induction,
 )
-from ar_iet.words import A9, sigma9
+from ar_iet.words import A9, Substitution, sigma9
 
 I, II, III = Sym.I, Sym.II, Sym.III
 F = Fraction
@@ -109,21 +109,21 @@ def test_all_eighteen_order_case_combinations():
             m = build_ar9(t, tag, gaps=(F(1), F(3, 2)))
             stage = induce_step(m)
             assert stage.map.order == predicted_order(tag, case)
-            report = verify_induction(m)
+            report = induce_step(m)
             assert report.ok
             assert report.case == case
-            assert report.induced_order == predicted_order(tag, case)
+            assert report.map.order == predicted_order(tag, case)
 
 
 def test_verify_induction_report_fields():
-    report = verify_induction(build_ar9(triple(9, 4, 2)))
+    report = induce_step(build_ar9(triple(9, 4, 2)))
     assert report.ok
     assert report.lengths_ok and report.endpoints_ok
     assert report.translations_ok and report.words_ok
     assert report.parent_triple == triple(9, 4, 2)
-    assert report.induced_triple == triple(4, 3, 2)
+    assert report.map.triple == triple(4, 3, 2)
     assert report.parent_order == OrderTag("first")
-    assert report.induced_order == OrderTag("second", True)
+    assert report.map.order == OrderTag("second", True)
     assert report.return_times["1"] == len(sigma9(II).table["1"])
 
 
@@ -133,9 +133,9 @@ def test_verify_induction_random_batch():
         prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(3, 8)))
         m = build_ar9(reconstruct_triple(prefix), ORDER_TAGS[rng.randrange(6)])
         for _ in range(3):
-            report = verify_induction(m)
+            report = induce_step(m)
             assert report.ok
-            m = induce_step(m).map
+            m = report.map
 
 
 def test_iterate_induction_tribonacci():
@@ -155,6 +155,23 @@ def test_iterate_induction_reports_failing_stage():
     with pytest.raises(NotInGasket) as exc:
         iterate_induction(build_ar9(triple(7, 4, 2)), 3)
     assert exc.value.detail["at_step"] == 2
+
+
+def test_swapped_substitution_fails_the_word_check(monkeypatch):
+    # a table with the images of 1 and 2 swapped: the returns no longer match
+    def swapped(case):
+        table = dict(sigma9(case).table)
+        table["1"], table["2"] = table["2"], table["1"]
+        return Substitution("A9", table)
+
+    monkeypatch.setattr(induction, "sigma9", swapped)
+    m = build_ar9(reconstruct_triple((I, I, II)))
+    stage = induce_step(m)
+    assert not stage.words_ok
+    assert not stage.ok
+    assert stage.lengths_ok and stage.endpoints_ok and stage.translations_ok
+    with pytest.raises(RuntimeError, match=r"induction stage 1 .*words_ok"):
+        iterate_induction(m, 3)
 
 
 def test_return_cap_exceeded():

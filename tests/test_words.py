@@ -239,6 +239,29 @@ def test_stable_complexity_unstabilized_returns_none():
     assert stable_factor_complexity((I, I), "A3", 30, CAP) is None
 
 
+def test_stage_walks_stop_before_an_overflowing_stage():
+    # stage 1 stabilizes p(1) and stage 5 holds the letter 1 everywhere; the
+    # next stages are longer than the cap but never built
+    assert stable_factor_complexity((I,) * 14, "A3", 1, 2) == 3
+    assert occurrence_horizon((I,) * 8, "1", 0, 8, cap=24) == 5
+    with pytest.raises(WordOverflow) as exc:
+        occurrence_horizon((I,) * 8, "1", 0, 8, cap=23)
+    assert exc.value.detail["stage"] == 5
+
+
+def test_stage_walks_check_stage_zero():
+    # a cap below 1 fails at stage 0, before any word is built
+    for call in (
+        lambda: stable_factor_complexity((I, I), "A3", 1, 0),
+        lambda: stable_factor_complexity((), "A9", 1, 0),
+        lambda: occurrence_horizon((I,), "1", 0, 1, cap=0),
+    ):
+        with pytest.raises(WordOverflow) as exc:
+            call()
+        assert str(exc.value) == "stage 0 word length 1 exceeds cap 0"
+        assert exc.value.detail == {"stage": 0, "length": 1, "cap": 0}
+
+
 def test_occurrence_horizon_tribonacci_letter1():
     prefix = (I,) * 8
     assert occurrence_horizon(prefix, "1", 0, 8) == 5
