@@ -31,7 +31,7 @@ from .analysis import (
     two_measure_experiment,
     xi_sequence,
 )
-from .errors import DomainError
+from .errors import DomainError, WordOverflow
 from .gasket import (
     DEFAULT_SEED,
     PartialQuotients,
@@ -53,7 +53,13 @@ from .towers import (
     partition_check,
     towers_at_stage,
 )
-from .words import A9, heights_by_matrix, multiplicative_stage_words, stage_words
+from .words import (
+    A9,
+    heights_by_matrix,
+    letter_height,
+    multiplicative_stage_words,
+    stage_words,
+)
 
 
 class ConfigError(Exception):
@@ -316,6 +322,20 @@ def _require_stage(args) -> None:
         raise ConfigError("--stage must be nonnegative")
 
 
+def _require_level_cap(stages, k: int, config: RunConfig) -> None:
+    """Refuse stage k before any tower is built when its towers would hold
+    more than word_cap levels, counted from the stage cases."""
+    hv = heights_by_matrix(tuple(s.case for s in stages[:k]))[-1]
+    levels = sum(letter_height(ch, hv) for ch in A9)
+    if levels > config.word_cap:
+        raise WordOverflow(
+            f"stage {k} towers have {levels} levels, exceeding cap {config.word_cap}",
+            stage=k,
+            levels=levels,
+            cap=config.word_cap,
+        )
+
+
 def cmd_towers(args, config: RunConfig) -> int:
     _require_stage(args)
     t = _resolve_triple(args, config)
@@ -323,6 +343,7 @@ def cmd_towers(args, config: RunConfig) -> int:
     cap = args.cap if args.cap is not None else config.return_time_cap
     stage = args.stage if args.stage is not None else config.refinement_depth
     stages = iterate_induction(m, stage, cap=cap)
+    _require_level_cap(stages, stage, config)
     family = towers_at_stage(m, stages, stage)
     nine = {
         ch: {
@@ -365,6 +386,8 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
     m = build_ar9(t, order=order)
     depth = min(depth, len(prefix))
     stages = iterate_induction(m, depth, cap=cap)
+    # the level count grows with the stage, so the deepest stage bounds them all
+    _require_level_cap(stages, depth, config)
     results: dict[str, bool] = {}
     families = [towers_at_stage(m, stages, k) for k in range(depth + 1)]
     if "partition" in selected:
@@ -549,6 +572,7 @@ def cmd_render(args, config: RunConfig) -> int:
     else:
         stage = args.stage if args.stage is not None else config.refinement_depth
         stages = iterate_induction(m, stage, cap=cap)
+        _require_level_cap(stages, stage, config)
         text = svg.render_towers(towers_at_stage(m, stages, stage))
     if args.out:
         path = _write_file(args.out, text, config)

@@ -16,10 +16,11 @@ All coordinates are exact rationals.  Intervals are half-open [left, right):
 closed on the left, open on the right, so interval endpoints are legal orbit
 points and the maps are total on their domains.
 
-Inner loops run on an integer view of the map (`Ar9Map.lattice`): every piece
-end and offset lies on one lattice (1/D)Z, and so does every coordinate of
-the induced maps, since an Arnoux-Rauzy step only subtracts.  Pushing an
-interval is then a bisection over integer left ends.
+Inner loops run on an integer view of the map (`Ar9Map.lattice`,
+`Ar6Map.lattice`): every piece end and offset lies on one lattice (1/D)Z, and
+so does every coordinate of the induced maps, since an Arnoux-Rauzy step only
+subtracts.  Pushing an interval is then a bisection over integer left ends,
+and the stage builder lays its pieces out in integers.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ def parse_order(text: str) -> OrderTag:
 
 
 # per-role piece layouts, left to right in non-reversed orientation:
-# (letter, length) with lengths as coefficient rows over (a, b, c)
+# (letter, length) with lengths in the units of the given (a, b, c)
 def _piece_layout(t: Triple):
     a, b, c = t
     domain = (
@@ -137,14 +138,21 @@ def _merge(pairs) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A nine-piece map scaled by D: the domain pieces' integer ends, letters
-    and offsets, sorted by left end."""
+    """A piecewise translation scaled by D: its pieces' integer ends, labels
+    and offsets, sorted by left end.  The labels are the letters 1..9 of a
+    nine-piece map or the arc labels 0..5 of a circle exchange."""
 
     D: int
     lefts: tuple[int, ...]
     rights: tuple[int, ...]
-    letters: tuple[str, ...]
+    letters: tuple[str | int, ...]
     offsets: tuple[int, ...]
+
+    @classmethod
+    def sorted_from(cls, D: int, rows) -> "Lattice":
+        """The lattice of (left, right, label, offset) rows, sorted by left end."""
+        lefts, rights, labels, offsets = zip(*sorted(rows))
+        return cls(D, lefts, rights, labels, offsets)
 
     def refined(self, denominator: int) -> "Lattice":
         """The same map on the coarsest refinement of this lattice that holds
@@ -214,20 +222,35 @@ class Ar9Map:
 
     @cached_property
     def lattice(self) -> Lattice:
-        """The integer view, built on first use and kept with the map."""
-        letters = sorted(A9, key=lambda ch: self.domain[ch])
+        """The integer view, kept with the map.  ar9_from_placements fills it
+        from the integers it lays the pieces out with; a map made any other
+        way (say by dataclasses.replace) builds it here on first use."""
         D = math.lcm(*(v.denominator for ch in A9
                        for v in (*self.domain[ch], self.offsets[ch])))
 
         def scale(v: Fraction) -> int:
             return v.numerator * (D // v.denominator)
 
-        return Lattice(
-            D,
-            tuple(scale(self.domain[ch].left) for ch in letters),
-            tuple(scale(self.domain[ch].right) for ch in letters),
-            tuple(letters),
-            tuple(scale(self.offsets[ch]) for ch in letters),
+        return Lattice.sorted_from(D, (
+            (scale(self.domain[ch].left), scale(self.domain[ch].right), ch,
+             scale(self.offsets[ch]))
+            for ch in A9
+        ))
+
+    @cached_property
+    def _gluing(self) -> tuple[tuple[int, int, Fraction], ...] | None:
+        """Per role, the block's ends on the lattice and the translation that
+        lays it onto the circle; None unless the blocks sit in first order,
+        origin 0, with no gaps."""
+        blocks = self.role_blocks
+        if self.placements != (Fraction(0), blocks[0].right, blocks[1].right):
+            return None
+        cumulative = (Fraction(0), blocks[0].length, blocks[0].length + blocks[1].length)
+        coordinate = self.lattice.coordinate
+        return tuple(
+            (coordinate(block.left), coordinate(block.right),
+             cumulative[role] - self.placements[role])
+            for role, block in enumerate(blocks)
         )
 
     def letter_of(self, x: Fraction) -> str:
@@ -253,41 +276,54 @@ def ar9_from_placements(
     """
     require_admissible(t)
     placements = tuple(Fraction(p) for p in placements)
-    lens = omega_lengths(t)
-    blocks = [Interval(p, p + lens[r]) for r, p in enumerate(placements)]
+    # lay the pieces out on the lattice that holds the triple and the
+    # placements; every piece end and offset lies on it
+    D = math.lcm(*(v.denominator for v in (*t, *placements)))
+    a, b, c = (v.numerator * (D // v.denominator) for v in t)
+    starts = [p.numerator * (D // p.denominator) for p in placements]
+    ends = [s + n for s, n in zip(starts, (a + b, b + c, a + c))]  # as omega_lengths
+
+    def interval(left: int, right: int) -> Interval:
+        return Interval(Fraction(left, D), Fraction(right, D))
+
     for r in range(3):
         for s in range(r + 1, 3):
-            if blocks[r].left < blocks[s].right and blocks[s].left < blocks[r].right:
-                raise ValueError(f"role blocks {r} and {s} overlap: {blocks[r]} {blocks[s]}")
-    roles = tuple(sorted(range(3), key=lambda r: placements[r]))
+            if starts[r] < ends[s] and starts[s] < ends[r]:
+                raise ValueError(
+                    f"role blocks {r} and {s} overlap: "
+                    f"{interval(starts[r], ends[r])} {interval(starts[s], ends[s])}"
+                )
+    roles = tuple(sorted(range(3), key=lambda r: starts[r]))
     order = order_from_roles(roles)
     if order.reversed != reversed_:
         raise ValueError(
             f"block arrangement {roles} implies reversed={order.reversed}, got {reversed_}"
         )
-    dom_layout, img_layout = _piece_layout(t)
-    domain: dict[str, Interval] = {}
-    image: dict[str, Interval] = {}
+    dom_layout, img_layout = _piece_layout((a, b, c))
+    dom: dict[str, tuple[int, int]] = {}
+    img: dict[str, tuple[int, int]] = {}
     for role in range(3):
-        dpieces = dom_layout[role]
-        ipieces = img_layout[role]
-        if reversed_:
-            dpieces = tuple(reversed(dpieces))
-            ipieces = tuple(reversed(ipieces))
-        x = placements[role]
-        for pieces, target in ((dpieces, domain), (ipieces, image)):
-            x = placements[role]
+        for layout, target in ((dom_layout, dom), (img_layout, img)):
+            pieces = layout[role][::-1] if reversed_ else layout[role]
+            x = starts[role]
             for ch, length in pieces:
-                target[ch] = Interval(x, x + length)
+                target[ch] = (x, x + length)
                 x += length
-            if x != blocks[role].right:
-                raise RuntimeError(f"pieces of block {role} end at {x}, "
-                                   f"not at {blocks[role].right}")
+            if x != ends[role]:
+                raise RuntimeError(f"pieces of block {role} end at {Fraction(x, D)}, "
+                                   f"not at {Fraction(ends[role], D)}")
     for ch in A9:
-        if image[ch].length != domain[ch].length:
+        if img[ch][1] - img[ch][0] != dom[ch][1] - dom[ch][0]:
             raise RuntimeError(f"piece {ch} and its image differ in length")
-    offsets = {ch: image[ch].left - domain[ch].left for ch in A9}
-    return Ar9Map(t, order, placements, domain, image, offsets)
+    m = Ar9Map(t, order, placements,
+               {ch: interval(*piece) for ch, piece in dom.items()},
+               {ch: interval(*piece) for ch, piece in img.items()},
+               {ch: Fraction(img[ch][0] - dom[ch][0], D) for ch in A9})
+    # the integer view from the same integers: the cached_property reads an
+    # entry already in the instance dict
+    vars(m)["lattice"] = Lattice.sorted_from(
+        D, ((*dom[ch], ch, img[ch][0] - dom[ch][0]) for ch in A9))
+    return m
 
 
 def build_ar9(
@@ -376,12 +412,32 @@ class Ar6Map:
     arcs: tuple[tuple[Interval, ...], ...]  # by label 0..5
     offsets: tuple[Fraction, ...]  # by label, reduced mod length
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The arc pieces scaled by D, the lcm of the denominators of the
+        length, the arc ends and the offsets; built on first use."""
+        D = math.lcm(self.length.denominator,
+                     *(v.denominator for arc in self.arcs for p in arc for v in p),
+                     *(v.denominator for v in self.offsets))
+
+        def scale(v: Fraction) -> int:
+            return v.numerator * (D // v.denominator)
+
+        return Lattice.sorted_from(D, (
+            (scale(p.left), scale(p.right), label, scale(self.offsets[label]))
+            for label, arc in enumerate(self.arcs) for p in arc
+        ))
+
     def label_of(self, x: Fraction) -> int:
-        x = x % self.length
-        for label, pieces in enumerate(self.arcs):
-            if any(p.contains(x) for p in pieces):
-                return label
-        raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
+        # floor(xD) mod LD lies in the arc piece that holds (x mod L)D, since
+        # the piece ends and LD are integers
+        lat = self.lattice
+        k = x.numerator * lat.D // x.denominator % lat.coordinate(self.length)
+        try:
+            return lat.push(k, k + 1)[0]
+        except OutOfDomain:
+            x = x % self.length
+            raise OutOfDomain(f"{x} not covered by any arc", point=str(x)) from None
 
 
 def _normalize_pieces(pieces: Iterable[Interval], L: Fraction) -> tuple[Interval, ...]:
@@ -409,7 +465,6 @@ def _normalize_pieces(pieces: Iterable[Interval], L: Fraction) -> tuple[Interval
 
 def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
     """One step on the circle; returns (Tx mod L, arc label 0..5)."""
-    x = x % m.length
     label = m.label_of(x)
     return (x + m.offsets[label]) % m.length, label
 
@@ -449,8 +504,7 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
 
 def first_order_adjacent(m: Ar9Map) -> bool:
     """True when the blocks sit in first order, origin 0, with no gaps."""
-    blocks = m.role_blocks
-    return m.placements == (Fraction(0), blocks[0].right, blocks[1].right)
+    return m._gluing is not None
 
 
 def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
@@ -459,13 +513,14 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     Defined for first-order adjacent maps, where the gluing is the identity;
     kept explicit so conjugacy checks read as two genuine routes.
     """
-    if not first_order_adjacent(m):
+    gluing = m._gluing
+    if gluing is None:
         raise ValueError("gluing requires the first-order adjacent layout")
-    blocks = m.role_blocks
-    cumulative = (Fraction(0), blocks[0].length, blocks[0].length + blocks[1].length)
-    for role, block in enumerate(blocks):
-        if block.contains(x):
-            return (x - m.placements[role]) + cumulative[role]
+    # the block ends are integers, so floor(xD) lies in the block that holds xD
+    k = x.numerator * m.lattice.D // x.denominator
+    for left, right, shift in gluing:
+        if left <= k < right:
+            return x + shift
     raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
 
 

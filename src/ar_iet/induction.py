@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import Ar9Map, Interval, OrderTag, ar9_from_placements
+from .iet import Ar9Map, Interval, Lattice, OrderTag, ar9_from_placements
 from .words import A3_MEMBERS, A9, sigma9
 
 DEFAULT_RETURN_CAP = 8
@@ -54,9 +54,9 @@ def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
     )
 
 
-def _ja_spans(m: Ar9Map) -> tuple[Interval, Interval, Interval]:
-    """The three spans of J_a: I_1, the whole middle block, I_4."""
-    return m.domain["1"], m.role_blocks[1], m.domain["4"]
+def _ja_starts(m: Ar9Map) -> tuple[Fraction, Fraction, Fraction]:
+    """Left ends of the three spans of J_a: I_1, the whole middle block, I_4."""
+    return m.domain["1"].left, m.placements[1], m.domain["4"].left
 
 
 def _position(left: int, right: int, regions) -> str:
@@ -67,6 +67,34 @@ def _position(left: int, right: int, regions) -> str:
     if all(right <= r_left or r_right <= left for r_left, r_right in regions):
         return "outside"
     return "straddling"
+
+
+def _land(
+    lat: Lattice, regions, left: int, right: int, cap: int
+) -> tuple[int, int, str]:
+    """first_return on the lattice: the landed integer interval and the word,
+    with J_a given as merged integer regions."""
+    start = (left, right)
+    word: list[str] = []
+    for _ in range(cap):
+        ch, offset = lat.push(left, right)
+        word.append(ch)
+        left += offset
+        right += offset
+        pos = _position(left, right, regions)
+        if pos == "inside":
+            return left, right, "".join(word)
+        if pos == "straddling":
+            raise RuntimeError(
+                f"interval {lat.interval(left, right)} returns to J_a only "
+                f"partially after {word}"
+            )
+    piece = lat.interval(*start)
+    raise ReturnTimeCapExceeded(
+        f"no return to J_a within {cap} steps for {piece}",
+        piece=str(piece),
+        cap=cap,
+    )
 
 
 def first_return(
@@ -80,36 +108,17 @@ def first_return(
     a block of the induced partition) and ReturnTimeCapExceeded past cap.
     """
     lat = m.lattice.refined(math.lcm(piece.left.denominator, piece.right.denominator))
-    regions = lat.union(J_A)
-    left, right = lat.coordinate(piece.left), lat.coordinate(piece.right)
-    word: list[str] = []
-    for _ in range(cap):
-        ch, offset = lat.push(left, right)
-        word.append(ch)
-        left += offset
-        right += offset
-        pos = _position(left, right, regions)
-        if pos == "inside":
-            return lat.interval(left, right), "".join(word)
-        if pos == "straddling":
-            raise RuntimeError(
-                f"interval {lat.interval(left, right)} returns to J_a only "
-                f"partially after {word}"
-            )
-    raise ReturnTimeCapExceeded(
-        f"no return to J_a within {cap} steps for {piece}",
-        piece=str(piece),
-        cap=cap,
-    )
+    left, right, word = _land(lat, lat.union(J_A), lat.coordinate(piece.left),
+                              lat.coordinate(piece.right), cap)
+    return lat.interval(left, right), word
 
 
 def _predict(m: Ar9Map) -> tuple[Ar9Map, Sym]:
     new_triple, case = ar_step(m.triple)
-    spans = _ja_spans(m)
     roles = _SPAN_ROLES[case]
     placements = [Fraction(0)] * 3
-    for span, role in zip(spans, roles):
-        placements[role] = span.left
+    for start, role in zip(_ja_starts(m), roles):
+        placements[role] = start
     reversed_ = m.order.reversed != (case is Sym.II)
     induced = ar9_from_placements(new_triple, placements, reversed_)
     if induced.order != predicted_order(m.order, case):
@@ -155,35 +164,42 @@ def induce_step(
     flag instead of raising; iterate_induction refuses to go on from it.
     """
     induced, case = _predict(m)
-    a, b, c = induced.triple
+    # the induced map's coordinates lie on the parent's lattice, so its
+    # pieces, their images and the landed intervals compare as integers
+    lat = m.lattice.refined(induced.lattice.D)
+    coord = lat.coordinate
+    regions = lat.union(J_A)
+    domain = {ch: (coord(p.left), coord(p.right)) for ch, p in induced.domain.items()}
+    image = {ch: (coord(p.left), coord(p.right)) for ch, p in induced.image.items()}
+    returns = {ch: _land(lat, regions, *domain[ch], cap) for ch in A9}
+    a, b, c = (coord(v) for v in induced.triple)
     expected_lengths = {
         "7": b - c, "8": c, "9": c, "1": a - c,
         "2": c, "3": b,
         "4": a - b, "5": b, "6": c,
     }
     table = sigma9(case).table
-    returns = {ch: first_return(m, induced.domain[ch], cap) for ch in A9}
     return InductionStage(
         index=index,
         case=case,
         map=induced,
-        return_times={ch: len(word) for ch, (_, word) in returns.items()},
-        return_words={ch: word for ch, (_, word) in returns.items()},
+        return_times={ch: len(word) for ch, (_, _, word) in returns.items()},
+        return_words={ch: word for ch, (_, _, word) in returns.items()},
         parent_triple=m.triple,
         parent_order=m.order,
         lengths_ok=all(
-            induced.domain[ch].length == expected_lengths[ch]
-            and induced.image[ch].length == expected_lengths[ch]
+            domain[ch][1] - domain[ch][0] == expected_lengths[ch]
+            and image[ch][1] - image[ch][0] == expected_lengths[ch]
             for ch in A9
         ),
         endpoints_ok=all(
-            landed == induced.image[ch] for ch, (landed, _) in returns.items()
+            (left, right) == image[ch] for ch, (left, right, _) in returns.items()
         ),
         translations_ok=all(
-            landed.left - induced.domain[ch].left == induced.offsets[ch]
-            for ch, (landed, _) in returns.items()
+            left - domain[ch][0] == coord(induced.offsets[ch])
+            for ch, (left, _, _) in returns.items()
         ),
-        words_ok=all(word == table[ch] for ch, (_, word) in returns.items()),
+        words_ok=all(word == table[ch] for ch, (_, _, word) in returns.items()),
     )
 
 

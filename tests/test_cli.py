@@ -316,3 +316,42 @@ def test_negative_stages_and_counts_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("ar-iet: ") and err.count("\n") == 1
+
+
+# --- tower level cap ------------------------------------------------------------
+
+_THIRTY = "123" * 10
+
+
+@pytest.mark.parametrize("argv", [
+    ("towers", "--prefix", _THIRTY, "--stage", "24"),
+    ("render", "--towers", "--prefix", _THIRTY, "--stage", "24"),
+    ("check", "--all", "--prefix", _THIRTY, "--depth", "24"),
+])
+def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, argv):
+    import ar_iet.cli as cli
+
+    def never(*args):
+        raise AssertionError("a tower stage over the cap was built")
+
+    monkeypatch.setattr(cli, "towers_at_stage", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["schema"] == "ar-iet/error/1"
+    assert error["code"] == "word-overflow"
+    assert error["detail"]["stage"] == "24"
+    assert int(error["detail"]["levels"]) > int(error["detail"]["cap"]) == 200_000
+
+
+def test_tower_level_cap_is_word_cap(capsys, tmp_path):
+    # stage 2 of 11: heights (4, 3, 2), so 4*4 + 3*3 + 2*2 = 29 levels
+    cfg = tmp_path / "run.cfg"
+    argv = ("--config", str(cfg), "towers", "--prefix", "11", "--stage", "2")
+    cfg.write_text("word_cap = 29\n")
+    assert run_json(capsys, *argv)["stage"] == 2
+    cfg.write_text("word_cap = 28\n")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(err)["message"] == "stage 2 towers have 29 levels, exceeding cap 28"

@@ -196,3 +196,71 @@ def test_induction_insensitive_to_gaps():
     # piece lengths identical even though positions differ
     for ch in A9:
         assert gapped.map.domain[ch].length == plain.map.domain[ch].length
+
+
+def _shift_landed(monkeypatch, shift_left, shift_right, after=0):
+    """Move every landed interval by whole lattice units, from call `after` on."""
+    real = induction._land
+    calls = []
+
+    def shifted(lat, regions, left, right, cap):
+        landed_left, landed_right, word = real(lat, regions, left, right, cap)
+        calls.append(None)
+        if len(calls) <= after:
+            return landed_left, landed_right, word
+        return landed_left + shift_left, landed_right + shift_right, word
+
+    monkeypatch.setattr(induction, "_land", shifted)
+
+
+@pytest.mark.parametrize("shift_left,shift_right,failed", [
+    (0, 1, "endpoints_ok"),
+    (1, 1, "endpoints_ok, translations_ok"),
+])
+def test_landed_one_unit_off_fails_the_endpoint_checks(monkeypatch, shift_left,
+                                                       shift_right, failed):
+    m = build_ar9(reconstruct_triple((I, II, I, III, I, I)))
+    _shift_landed(monkeypatch, shift_left, shift_right)
+    stage = induce_step(m)
+    assert not stage.endpoints_ok
+    assert stage.translations_ok == (shift_left == 0)
+    assert stage.lengths_ok and stage.words_ok
+    assert not stage.ok
+    # nine returns per stage: stage 1 lands true, stage 2 one unit off
+    monkeypatch.undo()
+    _shift_landed(monkeypatch, shift_left, shift_right, after=len(A9))
+    with pytest.raises(RuntimeError, match=rf"induction stage 2 .*: {failed}$"):
+        iterate_induction(m, 3)
+
+
+def _relabel_1_and_7(layout):
+    """Swap the letters 1 and 7 in the first block, domain and image alike:
+    the same intervals under the wrong names, each name's lengths still equal."""
+    swap = {"1": "7", "7": "1"}
+    return tuple(
+        (tuple((swap.get(ch, ch), length) for ch, length in blocks[0]), *blocks[1:])
+        for blocks in layout
+    )
+
+
+def test_relabeled_pieces_fail_the_length_check(monkeypatch):
+    import ar_iet.iet as iet
+
+    m = build_ar9(reconstruct_triple((I, II, I, III, I, I)))
+    real = iet._piece_layout
+    calls = []
+
+    def relabeled(t):
+        calls.append(None)
+        return _relabel_1_and_7(real(t)) if len(calls) > 1 else real(t)
+
+    monkeypatch.setattr(iet, "_piece_layout", lambda t: _relabel_1_and_7(real(t)))
+    stage = induce_step(m)
+    # every relabeled piece still lands on its image with its own offset
+    assert stage.endpoints_ok and stage.translations_ok
+    assert not stage.lengths_ok
+    assert not stage.ok
+    # the first induced map is built right, the second relabeled
+    monkeypatch.setattr(iet, "_piece_layout", relabeled)
+    with pytest.raises(RuntimeError, match=r"induction stage 2 .*: lengths_ok"):
+        iterate_induction(m, 3)
