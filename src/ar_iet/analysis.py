@@ -235,14 +235,16 @@ def eigenvalue_scan(
     An eigenvalue must drive these to zero; a rational theta = p/q can only
     do so through exact zeros, so the default floor 1/(2q) flags every
     nonzero term.  The candidate is rejected once `persistence` terms reach
-    the floor, and rejected_at reports the first of them.  theta = 0 always
-    survives.
+    the floor, and rejected_at reports the first of them.  The floor must be
+    positive, so exact zeros never count and theta = 0 always survives.
     """
     if persistence < 1:
         raise ValueError(f"persistence must be positive, got {persistence}")
     theta = Fraction(theta)
     if floor is None:
         floor = Fraction(1, 2 * theta.denominator)
+    elif floor <= 0:
+        raise ValueError(f"floor must be positive, got {floor}")
     heights = multiplicative_heights(pq)
     values = tuple(
         pq.ks[n] * _dist_to_int(heights[n][0] * theta) for n in range(len(pq.ks))

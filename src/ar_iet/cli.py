@@ -196,6 +196,16 @@ def _sample_point(m, rng: random.Random) -> Fraction:
     return piece.left + piece.length * Fraction(rng.randrange(1, 997), 997)
 
 
+def _count(value: int | None, default: int, flag: str, least: int = 1) -> int:
+    """A count flag's value, or the config default when the flag is absent;
+    a value below least is a usage error."""
+    if value is None:
+        return default
+    if value < least:
+        raise ConfigError(f"{flag} must be {'positive' if least else 'nonnegative'}")
+    return value
+
+
 def _ks_arg(text: str) -> tuple[int, ...]:
     ks = tuple(int(part) for part in text.split(","))
     if any(k < 1 for k in ks):
@@ -213,7 +223,7 @@ def _rules_arg(text: str) -> tuple[Sym, ...]:
 
 def cmd_gasket(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
-    steps = args.steps if args.steps is not None else config.max_steps
+    steps = _count(args.steps, config.max_steps, "--steps")
     prefix, exit_ = directing_prefix(t, max_steps=steps)
     payload = {
         "schema": "ar-iet/gasket/1",
@@ -238,7 +248,7 @@ def cmd_gasket(args, config: RunConfig) -> int:
 
 def cmd_words(args, config: RunConfig) -> int:
     alphabet = args.alphabet.upper()
-    cap = args.cap if args.cap is not None else config.word_cap
+    cap = _count(args.cap, config.word_cap, "--cap")
     if args.multiplicative:
         pq = partial_quotients(args.prefix)
         words = multiplicative_stage_words(pq, alphabet, len(pq), cap)
@@ -290,10 +300,8 @@ def cmd_orbit(args, config: RunConfig) -> int:
 def cmd_induct(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    steps = args.steps if args.steps is not None else config.refinement_depth
-    if steps < 0:
-        raise ConfigError("--steps must be nonnegative")
-    cap = args.cap if args.cap is not None else config.return_time_cap
+    steps = _count(args.steps, config.refinement_depth, "--steps", 0)
+    cap = _count(args.cap, config.return_time_cap, "--cap")
     items = [
         {
             "index": stage.index,
@@ -317,11 +325,6 @@ def cmd_induct(args, config: RunConfig) -> int:
     return 0
 
 
-def _require_stage(args) -> None:
-    if args.stage is not None and args.stage < 0:
-        raise ConfigError("--stage must be nonnegative")
-
-
 def _require_level_cap(stages, k: int, config: RunConfig) -> None:
     """Refuse stage k before any tower is built when its towers would hold
     more than word_cap levels, counted from the stage cases."""
@@ -337,11 +340,10 @@ def _require_level_cap(stages, k: int, config: RunConfig) -> None:
 
 
 def cmd_towers(args, config: RunConfig) -> int:
-    _require_stage(args)
+    stage = _count(args.stage, config.refinement_depth, "--stage", 0)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    cap = args.cap if args.cap is not None else config.return_time_cap
-    stage = args.stage if args.stage is not None else config.refinement_depth
+    cap = _count(args.cap, config.return_time_cap, "--cap")
     stages = iterate_induction(m, stage, cap=cap)
     _require_level_cap(stages, stage, config)
     family = towers_at_stage(m, stages, stage)
@@ -445,10 +447,8 @@ def cmd_check(args, config: RunConfig) -> int:
                 raise ConfigError(f"{args.prefix_file}:{lineno}: {e}") from e
     if not prefixes:
         raise ConfigError("no prefixes given (--prefix or --prefix-file)")
-    depth = args.depth if args.depth is not None else config.refinement_depth
-    if depth < 0:
-        raise ConfigError("--depth must be nonnegative")
-    cap = args.cap if args.cap is not None else config.return_time_cap
+    depth = _count(args.depth, config.refinement_depth, "--depth", 0)
+    cap = _count(args.cap, config.return_time_cap, "--cap")
     targets = [
         _check_one(p, depth, args.order, cap, config, selected) for p in prefixes
     ]
@@ -468,6 +468,8 @@ def cmd_experiment(args, config: RunConfig) -> int:
         raise ConfigError("--length must be positive")
     if args.kind == "eigen" and args.persistence < 1:
         raise ConfigError("--persistence must be positive")
+    if args.kind == "eigen" and args.floor is not None and args.floor <= 0:
+        raise ConfigError("--floor must be positive")
     if args.kind in ("xi", "twm", "eigen", "two-measure"):
         pq = _resolve_pq(args)
     if args.kind == "xi":
@@ -560,17 +562,16 @@ def cmd_experiment(args, config: RunConfig) -> int:
 
 
 def cmd_render(args, config: RunConfig) -> int:
-    _require_stage(args)
+    stage = _count(args.stage, 1 if args.induction else config.refinement_depth,
+                   "--stage", 0)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    cap = args.cap if args.cap is not None else config.return_time_cap
+    cap = _count(args.cap, config.return_time_cap, "--cap")
     if args.layout:
         text = svg.render_layout(m)
     elif args.induction:
-        stage = args.stage if args.stage is not None else 1
         text = svg.render_induction(m, iterate_induction(m, stage, cap=cap))
     else:
-        stage = args.stage if args.stage is not None else config.refinement_depth
         stages = iterate_induction(m, stage, cap=cap)
         _require_level_cap(stages, stage, config)
         text = svg.render_towers(towers_at_stage(m, stages, stage))

@@ -16,11 +16,13 @@ All coordinates are exact rationals.  Intervals are half-open [left, right):
 closed on the left, open on the right, so interval endpoints are legal orbit
 points and the maps are total on their domains.
 
-Inner loops run on an integer view of the map (`Ar9Map.lattice`,
-`Ar6Map.lattice`): every piece end and offset lies on one lattice (1/D)Z, and
-so does every coordinate of the induced maps, since an Arnoux-Rauzy step only
-subtracts.  Pushing an interval is then a bisection over integer left ends,
-and the stage builder lays its pieces out in integers.
+Every piece end and offset lies on one lattice (1/D)Z, and so does every
+coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
+A nine-piece map is therefore stored as integers times D (`Ar9Map.lattice`),
+and its Fraction tables are views of them; a circle exchange keeps an
+integer view beside its arcs (`Ar6Map.lattice`).  Pushing an interval is a
+bisection over integer left ends, and the stage builder lays its pieces out
+in integers.
 """
 from __future__ import annotations
 
@@ -164,6 +166,11 @@ class Lattice:
                        tuple(v * s for v in self.rights), self.letters,
                        tuple(v * s for v in self.offsets))
 
+    def by_label(self) -> dict[str | int, tuple[int, int, int]]:
+        """label -> (left, right, offset)"""
+        return {label: (left, right, offset) for left, right, label, offset
+                in zip(self.lefts, self.rights, self.letters, self.offsets)}
+
     def coordinate(self, x: Fraction) -> int:
         """x times D; x must lie on the lattice."""
         q, r = divmod(self.D, x.denominator)
@@ -197,61 +204,59 @@ class Lattice:
         return self.letters[i], self.offsets[i]
 
 
+# the domain letters of each role block: Omega, Omega', Omega''
+_ROLE_LETTERS = ("1789", "23", "456")
+
+
 @dataclass(frozen=True)
 class Ar9Map:
-    """Nine-piece translation map on three disjoint intervals."""
+    """Nine-piece translation map on three disjoint intervals.
+
+    The map is its integer lattice: the nine domain pieces, scaled by D,
+    with their letters and offsets.  The Fraction tables below are views of
+    it, built on first read and keyed in A9 order; no inner loop reads them.
+    """
 
     triple: Triple
     order: OrderTag
-    placements: tuple[Fraction, Fraction, Fraction]  # left ends by role
-    domain: dict[str, Interval]  # letter -> I_i
-    image: dict[str, Interval]  # letter -> TI_i
-    offsets: dict[str, Fraction]  # letter -> translation I_i -> TI_i
+    lattice: Lattice
+
+    @cached_property
+    def domain(self) -> dict[str, Interval]:
+        """letter -> I_i"""
+        pieces = self.lattice.by_label()
+        return {ch: self.lattice.interval(*pieces[ch][:2]) for ch in A9}
+
+    @cached_property
+    def offsets(self) -> dict[str, Fraction]:
+        """letter -> translation I_i -> TI_i"""
+        pieces = self.lattice.by_label()
+        return {ch: Fraction(pieces[ch][2], self.lattice.D) for ch in A9}
+
+    @cached_property
+    def image(self) -> dict[str, Interval]:
+        """letter -> TI_i"""
+        return {ch: piece.translate(self.offsets[ch]) for ch, piece in self.domain.items()}
 
     @cached_property
     def role_blocks(self) -> tuple[Interval, Interval, Interval]:
-        """Omega, Omega', Omega'' on the line, built on first use."""
-        lens = omega_lengths(self.triple)
-        return tuple(
-            Interval(p, p + lens[r]) for r, p in enumerate(self.placements)
-        )
-
-    @property
-    def support(self) -> tuple[Interval, ...]:
-        return tuple(sorted(self.role_blocks))
+        """Omega, Omega', Omega'' on the line."""
+        lat = self.lattice
+        return tuple(lat.interval(*lat.union(letters)[0]) for letters in _ROLE_LETTERS)
 
     @cached_property
-    def lattice(self) -> Lattice:
-        """The integer view, kept with the map.  ar9_from_placements fills it
-        from the integers it lays the pieces out with; a map made any other
-        way (say by dataclasses.replace) builds it here on first use."""
-        D = math.lcm(*(v.denominator for ch in A9
-                       for v in (*self.domain[ch], self.offsets[ch])))
-
-        def scale(v: Fraction) -> int:
-            return v.numerator * (D // v.denominator)
-
-        return Lattice.sorted_from(D, (
-            (scale(self.domain[ch].left), scale(self.domain[ch].right), ch,
-             scale(self.offsets[ch]))
-            for ch in A9
-        ))
+    def placements(self) -> tuple[Fraction, Fraction, Fraction]:
+        """Left ends of the blocks by role."""
+        return tuple(block.left for block in self.role_blocks)
 
     @cached_property
-    def _gluing(self) -> tuple[tuple[int, int, Fraction], ...] | None:
-        """Per role, the block's ends on the lattice and the translation that
-        lays it onto the circle; None unless the blocks sit in first order,
-        origin 0, with no gaps."""
-        blocks = self.role_blocks
-        if self.placements != (Fraction(0), blocks[0].right, blocks[1].right):
+    def _glued_end(self) -> int | None:
+        """The support's lattice end when the blocks sit in first order, origin
+        0, with no gaps (the layout the gluing leaves in place), else None."""
+        support = self.lattice.union(A9)
+        if self.order != FIRST_ORDER or len(support) != 1 or support[0][0] != 0:
             return None
-        cumulative = (Fraction(0), blocks[0].length, blocks[0].length + blocks[1].length)
-        coordinate = self.lattice.coordinate
-        return tuple(
-            (coordinate(block.left), coordinate(block.right),
-             cumulative[role] - self.placements[role])
-            for role, block in enumerate(blocks)
-        )
+        return support[0][1]
 
     def letter_of(self, x: Fraction) -> str:
         # the piece ends are integers on the lattice, so floor(xD) lies in the
@@ -315,15 +320,8 @@ def ar9_from_placements(
     for ch in A9:
         if img[ch][1] - img[ch][0] != dom[ch][1] - dom[ch][0]:
             raise RuntimeError(f"piece {ch} and its image differ in length")
-    m = Ar9Map(t, order, placements,
-               {ch: interval(*piece) for ch, piece in dom.items()},
-               {ch: interval(*piece) for ch, piece in img.items()},
-               {ch: Fraction(img[ch][0] - dom[ch][0], D) for ch in A9})
-    # the integer view from the same integers: the cached_property reads an
-    # entry already in the instance dict
-    vars(m)["lattice"] = Lattice.sorted_from(
-        D, ((*dom[ch], ch, img[ch][0] - dom[ch][0]) for ch in A9))
-    return m
+    return Ar9Map(t, order, Lattice.sorted_from(
+        D, ((*dom[ch], ch, img[ch][0] - dom[ch][0]) for ch in A9)))
 
 
 def build_ar9(
@@ -504,7 +502,7 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
 
 def first_order_adjacent(m: Ar9Map) -> bool:
     """True when the blocks sit in first order, origin 0, with no gaps."""
-    return m._gluing is not None
+    return m._glued_end is not None
 
 
 def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
@@ -513,14 +511,13 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     Defined for first-order adjacent maps, where the gluing is the identity;
     kept explicit so conjugacy checks read as two genuine routes.
     """
-    gluing = m._gluing
-    if gluing is None:
+    end = m._glued_end
+    if end is None:
         raise ValueError("gluing requires the first-order adjacent layout")
-    # the block ends are integers, so floor(xD) lies in the block that holds xD
-    k = x.numerator * m.lattice.D // x.denominator
-    for left, right, shift in gluing:
-        if left <= k < right:
-            return x + shift
+    # the support ends are integers, so floor(xD) lies in the support exactly
+    # when xD does
+    if 0 <= x.numerator * m.lattice.D // x.denominator < end:
+        return x
     raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
 
 

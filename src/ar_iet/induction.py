@@ -54,11 +54,6 @@ def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
     )
 
 
-def _ja_starts(m: Ar9Map) -> tuple[Fraction, Fraction, Fraction]:
-    """Left ends of the three spans of J_a: I_1, the whole middle block, I_4."""
-    return m.domain["1"].left, m.placements[1], m.domain["4"].left
-
-
 def _position(left: int, right: int, regions) -> str:
     """inside / outside / straddling the union of disjoint sorted regions."""
     for r_left, r_right in regions:
@@ -115,10 +110,14 @@ def first_return(
 
 def _predict(m: Ar9Map) -> tuple[Ar9Map, Sym]:
     new_triple, case = ar_step(m.triple)
-    roles = _SPAN_ROLES[case]
+    # the left ends of the three spans of J_a: I_1, the whole middle block
+    # I_2 u I_3, and I_4
+    lat = m.lattice
+    pieces = lat.by_label()
+    starts = (pieces["1"][0], min(pieces["2"][0], pieces["3"][0]), pieces["4"][0])
     placements = [Fraction(0)] * 3
-    for start, role in zip(_ja_starts(m), roles):
-        placements[role] = start
+    for start, role in zip(starts, _SPAN_ROLES[case]):
+        placements[role] = Fraction(start, lat.D)
     reversed_ = m.order.reversed != (case is Sym.II)
     induced = ar9_from_placements(new_triple, placements, reversed_)
     if induced.order != predicted_order(m.order, case):
@@ -165,14 +164,12 @@ def induce_step(
     """
     induced, case = _predict(m)
     # the induced map's coordinates lie on the parent's lattice, so its
-    # pieces, their images and the landed intervals compare as integers
+    # pieces, rescaled, and the landed intervals compare as integers
     lat = m.lattice.refined(induced.lattice.D)
-    coord = lat.coordinate
+    pieces = induced.lattice.refined(lat.D).by_label()
     regions = lat.union(J_A)
-    domain = {ch: (coord(p.left), coord(p.right)) for ch, p in induced.domain.items()}
-    image = {ch: (coord(p.left), coord(p.right)) for ch, p in induced.image.items()}
-    returns = {ch: _land(lat, regions, *domain[ch], cap) for ch in A9}
-    a, b, c = (coord(v) for v in induced.triple)
+    returns = {ch: _land(lat, regions, *pieces[ch][:2], cap) for ch in A9}
+    a, b, c = (lat.coordinate(v) for v in induced.triple)
     expected_lengths = {
         "7": b - c, "8": c, "9": c, "1": a - c,
         "2": c, "3": b,
@@ -187,17 +184,17 @@ def induce_step(
         return_words={ch: word for ch, (_, _, word) in returns.items()},
         parent_triple=m.triple,
         parent_order=m.order,
+        # the builder already refuses an image whose length differs from
+        # its piece, so only the pieces are held against the table
         lengths_ok=all(
-            domain[ch][1] - domain[ch][0] == expected_lengths[ch]
-            and image[ch][1] - image[ch][0] == expected_lengths[ch]
-            for ch in A9
+            right - left == expected_lengths[ch] for ch, (left, right, _) in pieces.items()
         ),
         endpoints_ok=all(
-            (left, right) == image[ch] for ch, (left, right, _) in returns.items()
+            returns[ch][:2] == (left + offset, right + offset)
+            for ch, (left, right, offset) in pieces.items()
         ),
         translations_ok=all(
-            left - domain[ch][0] == coord(induced.offsets[ch])
-            for ch, (left, _, _) in returns.items()
+            returns[ch][0] - left == offset for ch, (left, _, offset) in pieces.items()
         ),
         words_ok=all(word == table[ch] for ch, (_, _, word) in returns.items()),
     )

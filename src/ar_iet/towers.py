@@ -103,11 +103,11 @@ def towers_at_stage(
     hv = heights_by_matrix(prefix)[-1]
     lat = m0.lattice.refined(stage_map.lattice.D)
     push = lat.push
+    bases = stage_map.lattice.refined(lat.D).by_label()
     nine: dict[str, Tower] = {}
     for ch in A9:
         height = letter_height(ch, hv)
-        base = stage_map.domain[ch]
-        left, right = lat.coordinate(base.left), lat.coordinate(base.right)
+        left, right, _ = bases[ch]
         levels = []
         letters = []
         try:
@@ -119,8 +119,8 @@ def towers_at_stage(
                 right += offset
         except RuntimeError as e:
             raise RuntimeError(f"level {j} of tower {ch}: {e}") from None
-        nine[ch] = Tower(ch, k, (base,), height, LatticeLevels(lat.D, tuple(levels)),
-                         "".join(letters))
+        nine[ch] = Tower(ch, k, (lat.interval(*bases[ch][:2]),), height,
+                         LatticeLevels(lat.D, tuple(levels)), "".join(letters))
     three: dict[str, Tower] = {}
     for letter, members in A3_MEMBERS.items():
         height = nine[members[0]].height

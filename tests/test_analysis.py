@@ -227,6 +227,15 @@ def test_eigen_rejects_nonpositive_persistence():
         with pytest.raises(ValueError):
             eigenvalue_scan(tribonacci(5), F(0), persistence=persistence)
 
+
+def test_eigen_rejects_nonpositive_floor():
+    # a floor of 0 would count the exact zeros of theta = 0 as hits
+    pq = PartialQuotients(ks=(1, 2, 3), rules=(I,) * 3)
+    for floor in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="floor must be positive"):
+            eigenvalue_scan(pq, F(0), floor=floor)
+    assert eigenvalue_scan(pq, F(0), floor=F(1, 10**9)).verdict == "survives-prefix"
+
 # --- Birkhoff frequencies ----------------------------------------------------
 
 def test_birkhoff_single_step():

@@ -2,11 +2,12 @@
 
 `ref_from_placements` below lays the pieces out with Fraction arithmetic,
 one block at a time, and checks overlap, order, block ends and image lengths
-on Fractions.  `ar9_from_placements` must give the same map field by field,
-in the same key order, with the same integer view, and raise the same
-errors.  Inputs: the six arrangements, adjacent and gapped, at origin 0 and
-off it, each with its own seeded random prefix, and the stage maps that
-induction builds from them.
+on Fractions, then derives its own lattice from the Fraction tables.
+`ar9_from_placements` must give the same lattice, Fraction views equal to
+the reference's tables, keyed in A9 order, and raise the same errors.
+Inputs: the six arrangements, adjacent and gapped, at origin 0 and off it,
+each with its own seeded random prefix, and the stage maps that induction
+builds from them.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,8 +23,8 @@ import ar_iet.iet as iet
 from ar_iet.gasket import Sym, reconstruct_triple, require_admissible
 from ar_iet.iet import (
     ORDER_TAGS,
-    Ar9Map,
     Interval,
+    Lattice,
     ar9_from_placements,
     build_ar9,
     order_from_roles,
@@ -69,7 +71,14 @@ def ref_from_placements(t, placements, reversed_):
         if image[ch].length != domain[ch].length:
             raise RuntimeError(f"piece {ch} and its image differ in length")
     offsets = {ch: image[ch].left - domain[ch].left for ch in A9}
-    return Ar9Map(t, order, placements, domain, image, offsets)
+    # the lattice: the smallest D that holds every piece end and offset, with
+    # the pieces sorted by left end
+    D = math.lcm(*(v.denominator for ch in A9 for v in (*domain[ch], offsets[ch])))
+    lattice = Lattice.sorted_from(D, (
+        (int(domain[ch].left * D), int(domain[ch].right * D), ch, int(offsets[ch] * D))
+        for ch in A9))
+    return SimpleNamespace(triple=t, order=order, placements=placements, domain=domain,
+                           image=image, offsets=offsets, lattice=lattice)
 
 
 def assert_same_map(got, want):
@@ -77,10 +86,8 @@ def assert_same_map(got, want):
         g, w = getattr(got, field), getattr(want, field)
         assert g == w, field
         if isinstance(w, dict):
-            assert list(g) == list(w), f"{field} key order"
-    # the builder fills the integer view itself; a fresh copy derives it
+            assert list(g) == list(A9), f"{field} key order"
     assert got.lattice == want.lattice
-    assert dataclasses.replace(got).lattice == got.lattice
 
 
 @pytest.mark.parametrize("order,gapped,origin", CASES,
@@ -125,3 +132,34 @@ def test_blocks_overlapping_by_one_lattice_unit(prefix):
     with pytest.raises(ValueError) as got:
         ar9_from_placements(t, overlapping, False)
     assert str(got.value) == str(want.value)
+
+
+# --- the map is its lattice -------------------------------------------------------
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+def test_rebuilt_map_is_equal_and_hashes_equal(order):
+    rng = random.Random(f"rebuild/{order}")
+    t = reconstruct_triple(tuple(Sym(rng.randint(1, 3)) for _ in range(10)))
+    m = build_ar9(t, order, (F(1, 997), F(2, 3)), F(-5, 2**61))
+    for each in [m] + [stage.map for stage in iterate_induction(m, 4)]:
+        again = ar9_from_placements(each.triple, each.placements, each.order.reversed)
+        assert again == each
+        assert hash(again) == hash(each)
+        assert len({again, each}) == 1
+
+
+def test_replaced_lattice_carries_the_views():
+    m = build_ar9(reconstruct_triple((Sym.I, Sym.II, Sym.I, Sym.III)))
+    assert m.domain and m.image and m.offsets and m.placements  # views built on m
+    lat = m.lattice
+    shifted = Lattice(lat.D, tuple(v + 3 for v in lat.lefts), tuple(v + 3 for v in lat.rights),
+                      lat.letters, lat.offsets)
+    moved = dataclasses.replace(m, lattice=shifted)
+    step = F(3, lat.D)
+    assert moved.lattice is shifted
+    assert moved.domain == {ch: m.domain[ch].translate(step) for ch in A9}
+    assert moved.image == {ch: m.image[ch].translate(step) for ch in A9}
+    assert moved.offsets == m.offsets
+    assert moved.placements == tuple(p + step for p in m.placements)
+    assert moved.role_blocks == tuple(b.translate(step) for b in m.role_blocks)
+    assert moved != m

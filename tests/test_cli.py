@@ -310,6 +310,17 @@ def test_unknown_subcommand_is_usage_error():
     ("experiment", "--two-measure", "--ks", "1,1", "--rules", "11", "--depth", "-1"),
     ("experiment", "--two-measure", "--ks", "1,1", "--rules", "11", "--depth", "3"),
     ("experiment", "--eigen", "--prefix", "111", "--theta", "0", "--persistence", "0"),
+    ("experiment", "--eigen", "--ks", "1,2,3", "--rules", "111", "--floor", "0"),
+    ("experiment", "--eigen", "--ks", "1,2,3", "--rules", "111", "--floor=-1/2"),
+    ("gasket", "--prefix", "111", "--steps", "0"),
+    ("gasket", "--prefix", "111", "--steps", "-1"),
+    *[(*command, "--cap", cap) for cap in ("0", "-1") for command in (
+        ("words", "--prefix", "111"),
+        ("induct", "--prefix", "111"),
+        ("towers", "--prefix", "111"),
+        ("check", "--all", "--prefix", "111"),
+        ("render", "--towers", "--prefix", "111"),
+    )],
 ])
 def test_negative_stages_and_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -8,7 +8,7 @@ import pytest
 
 from ar_iet import induction
 from ar_iet.errors import NotInGasket, ReturnTimeCapExceeded
-from ar_iet.gasket import Sym, ar_step, reconstruct_triple, triple
+from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Interval, OrderTag, build_ar9
 from ar_iet.induction import (
     first_return,
@@ -264,3 +264,14 @@ def test_relabeled_pieces_fail_the_length_check(monkeypatch):
     monkeypatch.setattr(iet, "_piece_layout", relabeled)
     with pytest.raises(RuntimeError, match=r"induction stage 2 .*: lengths_ok"):
         iterate_induction(m, 3)
+
+
+def test_induction_builds_no_fraction_views():
+    # the criterion-9 regime: k = 2^n over eight I-blocks, 510 stages
+    ks = tuple(2 ** n for n in range(1, 9))
+    m = build_ar9(reconstruct_triple(PartialQuotients(ks, (I,) * 8).expand()))
+    stages = iterate_induction(m, 510)
+    assert len(stages) == 510
+    for stage in stages:
+        built = {"domain", "image", "offsets", "placements"} & set(vars(stage.map))
+        assert not built, (stage.index, built)

@@ -121,3 +121,24 @@ def test_lattice_matches_fraction_reference(order, gapped):
     assert adjacency_check(plain) == adjacency_check(f)
     assert adjacency_check(f).ok
     assert level_component_counts(plain) == level_component_counts(f)
+
+
+@pytest.mark.parametrize("order,gapped", CASES[:4],
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES[:4]])
+def test_map_on_a_finer_lattice_induces_the_same_stages(order, gapped):
+    # the builder lays every stage out on the coarsest lattice, so the stages
+    # of a map held on a finer one sit on a coarser lattice than their parent
+    rng = random.Random(f"finer/{order}/{gapped}")
+    prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(8))
+    gaps = (F(1, 7), F(2, 5)) if gapped else (F(0), F(0))
+    m = build_ar9(reconstruct_triple(prefix), order, gaps)
+    fine = dataclasses.replace(m, lattice=m.lattice.refined(3 * m.lattice.D))
+    assert fine.domain == m.domain and fine.image == m.image and fine != m
+    got, want = iterate_induction(fine, 5), iterate_induction(m, 5)
+    assert [s.map for s in got] == [s.map for s in want]
+    assert [s.return_words for s in got] == [s.return_words for s in want]
+    for k in (1, 5):
+        f, g = towers_at_stage(fine, got, k), towers_at_stage(m, want, k)
+        for ch in A9:
+            assert f.nine[ch].base == g.nine[ch].base
+            assert f.nine[ch].levels == g.nine[ch].levels

@@ -9,7 +9,7 @@ import pytest
 
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, Interval, build_ar9
+from ar_iet.iet import ORDER_TAGS, Interval, Lattice, build_ar9
 from ar_iet.induction import iterate_induction
 from ar_iet.towers import (
     adjacency_check,
@@ -130,9 +130,13 @@ def test_adjacency_check_negative_control():
 def test_straddling_base_negative_control():
     m0, stages, _ = family_for((I, I), 1)
     # 7 and 8 are neighbours in the first block of the first order
-    straddling = Interval(m0.domain["7"].left, m0.domain["8"].right)
     stage = stages[0]
-    bad_map = dataclasses.replace(stage.map, domain={**stage.map.domain, "1": straddling})
+    lat = stage.map.lattice.refined(m0.lattice.D)
+    straddling = (lat.coordinate(m0.domain["7"].left), lat.coordinate(m0.domain["8"].right))
+    rows = ((*straddling, ch, offset) if ch == "1" else (left, right, ch, offset)
+            for left, right, ch, offset in zip(lat.lefts, lat.rights, lat.letters, lat.offsets))
+    bad_map = dataclasses.replace(stage.map, lattice=Lattice.sorted_from(lat.D, rows))
+    assert bad_map.domain["1"] == Interval(m0.domain["7"].left, m0.domain["8"].right)
     with pytest.raises(RuntimeError, match="level 0 of tower 1: .* straddles"):
         towers_at_stage(m0, [dataclasses.replace(stage, map=bad_map)], 1)
 
