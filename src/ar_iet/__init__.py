@@ -11,7 +11,7 @@ Rokhlin tower combinatorics (`towers`), and ergodicity/eigenvalue probes
 (`analysis`).  All interval arithmetic is exact (fractions.Fraction); no
 floats enter any core computation.
 """
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .errors import (
     DomainError,
@@ -112,88 +112,8 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "Inadmissible",
-    "IncompletePrefix",
-    "InvalidSeed",
-    "NotAFactor",
-    "NotInGasket",
-    "OutOfDomain",
-    "ReturnTimeCapExceeded",
-    "WordOverflow",
-    "DEFAULT_SEED",
-    "GasketExit",
-    "PartialQuotients",
-    "Prefix",
-    "Sym",
-    "Triple",
-    "ar_step",
-    "directing_prefix",
-    "format_prefix",
-    "omega_lengths",
-    "parse_prefix",
-    "parse_triple",
-    "partial_quotients",
-    "reconstruct_triple",
-    "triple",
-    "A3",
-    "A3_MEMBERS",
-    "A9",
-    "Substitution",
-    "factor_complexity",
-    "heights_by_matrix",
-    "letter_height",
-    "multiplicative_heights",
-    "multiplicative_stage_words",
-    "occurrence_horizon",
-    "project",
-    "sigma3",
-    "sigma9",
-    "stable_factor_complexity",
-    "stage_words",
-    "FIRST_ORDER",
-    "ORDER_TAGS",
-    "Ar6Map",
-    "Ar9Map",
-    "Interval",
-    "OrderTag",
-    "ar6_apply",
-    "ar6_rotation_match",
-    "ar9_apply",
-    "ar9_apply_inverse",
-    "build_ar6_canonical",
-    "build_ar9",
-    "glue_point",
-    "glue_to_ar6",
-    "parse_order",
-    "trajectory",
-    "InductionStage",
-    "induce_step",
-    "iterate_induction",
-    "predicted_order",
-    "Tower",
-    "TowerFamily",
-    "adjacency_check",
-    "level_component_counts",
-    "locate",
-    "partition_check",
-    "towers_at_stage",
-    "ConditionReport",
-    "EigenScan",
-    "FrequencyVector",
-    "PreimageReport",
-    "TourabReport",
-    "TwmReport",
-    "TwoMeasureReport",
-    "birkhoff_frequencies",
-    "eigenvalue_scan",
-    "l1_distance",
-    "preimage_clusters",
-    "reciprocal_sum_upper_bound",
-    "tourab_patterns",
-    "twm_pattern",
-    "two_measure_experiment",
-    "xi_sequence",
-    "__version__",
-]
+# every public name imported above; the submodules are attributes of the
+# package but not part of its interface
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -213,6 +213,13 @@ def _ks_arg(text: str) -> tuple[int, ...]:
     return ks
 
 
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _rules_arg(text: str) -> tuple[Sym, ...]:
     if set(text) - {"1", "2"}:
         raise ValueError("rules must be digits over {1,2}")
@@ -388,10 +395,11 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
     m = build_ar9(t, order=order)
     depth = min(depth, len(prefix))
     stages = iterate_induction(m, depth, cap=cap)
-    # the level count grows with the stage, so the deepest stage bounds them all
-    _require_level_cap(stages, depth, config)
     results: dict[str, bool] = {}
-    families = [towers_at_stage(m, stages, k) for k in range(depth + 1)]
+    if set(selected) - {"induction"}:  # every other check reads the towers
+        # the level count grows with the stage, so the deepest stage bounds them all
+        _require_level_cap(stages, depth, config)
+        families = [towers_at_stage(m, stages, k) for k in range(depth + 1)]
     if "partition" in selected:
         results["partition"] = all(partition_check(f).ok for f in families)
     if "adjacency" in selected:
@@ -632,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="code an exact orbit")
     _add_system_args(p)
-    p.add_argument("--point", type=Fraction, default=None,
+    p.add_argument("--point", type=_fraction_arg, default=None,
                    help="starting point (rational); sampled from random_seed if absent")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--partition", choices=("nine", "three"), default="nine")
@@ -677,9 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", type=parse_triple, default=None,
                    help="birkhoff only: system lengths")
     p.add_argument("--order", type=parse_order, default=FIRST_ORDER)
-    p.add_argument("--theta", type=Fraction, default=Fraction(0),
+    p.add_argument("--theta", type=_fraction_arg, default=Fraction(0),
                    help="eigen only: candidate eigenvalue exponent")
-    p.add_argument("--floor", type=Fraction, default=None,
+    p.add_argument("--floor", type=_fraction_arg, default=None,
                    help="eigen only: rejection floor (default 1/(2 denominator))")
     p.add_argument("--persistence", type=int, default=3,
                    help="eigen only: hits needed to reject")
@@ -687,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two-measure only: additive stage of the tower bases")
     p.add_argument("--length", type=int, default=10_000,
                    help="orbit length for the frequency experiments")
-    p.add_argument("--point", type=Fraction, default=None, help="birkhoff only")
+    p.add_argument("--point", type=_fraction_arg, default=None, help="birkhoff only")
     p.add_argument("--csv", default=None)
     p.add_argument("--emit", default=None)
 

@@ -228,4 +228,7 @@ def parse_triple(text: str) -> Triple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated rationals, got {text!r}")
-    return triple(*(Fraction(p) for p in parts))
+    try:
+        return triple(*(Fraction(p) for p in parts))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -18,10 +18,9 @@ points and the maps are total on their domains.
 
 Every piece end and offset lies on one lattice (1/D)Z, and so does every
 coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
-A nine-piece map is therefore stored as integers times D (`Ar9Map.lattice`),
-and its Fraction tables are views of them; a circle exchange keeps an
-integer view beside its arcs (`Ar6Map.lattice`).  Pushing an interval is a
-bisection over integer left ends, and the stage builder lays its pieces out
+Both maps are therefore stored as integers times D (`Lattice`), and their
+Fraction tables are views of them, built on first read.  Pushing an interval
+is a bisection over integer left ends, and the builders lay their pieces out
 in integers.
 """
 from __future__ import annotations
@@ -31,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import OutOfDomain
 from .gasket import Triple, omega_lengths, require_admissible
@@ -166,10 +165,13 @@ class Lattice:
                        tuple(v * s for v in self.rights), self.letters,
                        tuple(v * s for v in self.offsets))
 
+    def rows(self):
+        """(left, right, label, offset) per piece, by left end."""
+        return zip(self.lefts, self.rights, self.letters, self.offsets)
+
     def by_label(self) -> dict[str | int, tuple[int, int, int]]:
         """label -> (left, right, offset)"""
-        return {label: (left, right, offset) for left, right, label, offset
-                in zip(self.lefts, self.rights, self.letters, self.offsets)}
+        return {label: (left, right, offset) for left, right, label, offset in self.rows()}
 
     def coordinate(self, x: Fraction) -> int:
         """x times D; x must lie on the lattice."""
@@ -270,6 +272,11 @@ class Ar9Map:
                               point=str(x)) from None
 
 
+def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
+    """The values times D, each on (1/D)Z."""
+    return [v.numerator * (D // v.denominator) for v in values]
+
+
 def ar9_from_placements(
     t: Triple, placements: Sequence[Fraction], reversed_: bool
 ) -> Ar9Map:
@@ -284,8 +291,8 @@ def ar9_from_placements(
     # lay the pieces out on the lattice that holds the triple and the
     # placements; every piece end and offset lies on it
     D = math.lcm(*(v.denominator for v in (*t, *placements)))
-    a, b, c = (v.numerator * (D // v.denominator) for v in t)
-    starts = [p.numerator * (D // p.denominator) for p in placements]
+    a, b, c = _scaled(D, t)
+    starts = _scaled(D, placements)
     ends = [s + n for s, n in zip(starts, (a + b, b + c, a + c))]  # as omega_lengths
 
     def interval(left: int, right: int) -> Interval:
@@ -401,30 +408,31 @@ ARC_LETTERS = ("12", "34", "5", "67", "8", "9")
 class Ar6Map:
     """Exchange of six labeled arcs on a circle of length 2(a+b+c).
 
-    Arcs are stored as 1-2 half-open pieces, cut at coordinate 0 when they
-    wrap; offsets are translations mod L.
+    The map is its integer lattice: the arc pieces scaled by D, cut at 0
+    when an arc wraps, with their labels 0..5 and their offsets, which are
+    translations mod LD.  length, arcs and offsets are Fraction views of it.
     """
 
     triple: Triple
-    length: Fraction
-    arcs: tuple[tuple[Interval, ...], ...]  # by label 0..5
-    offsets: tuple[Fraction, ...]  # by label, reduced mod length
+    lattice: Lattice
 
     @cached_property
-    def lattice(self) -> Lattice:
-        """The arc pieces scaled by D, the lcm of the denominators of the
-        length, the arc ends and the offsets; built on first use."""
-        D = math.lcm(self.length.denominator,
-                     *(v.denominator for arc in self.arcs for p in arc for v in p),
-                     *(v.denominator for v in self.offsets))
+    def length(self) -> Fraction:
+        a, b, c = self.triple
+        return 2 * (a + b + c)
 
-        def scale(v: Fraction) -> int:
-            return v.numerator * (D // v.denominator)
+    @cached_property
+    def arcs(self) -> tuple[tuple[Interval, ...], ...]:
+        """Arc pieces by label 0..5, each arc's sorted by left end."""
+        lat = self.lattice
+        return tuple(tuple(lat.interval(left, right) for left, right, label, _ in lat.rows()
+                           if label == arc) for arc in range(6))
 
-        return Lattice.sorted_from(D, (
-            (scale(p.left), scale(p.right), label, scale(self.offsets[label]))
-            for label, arc in enumerate(self.arcs) for p in arc
-        ))
+    @cached_property
+    def offsets(self) -> tuple[Fraction, ...]:
+        """Translations by label, reduced mod length."""
+        pieces = self.lattice.by_label()
+        return tuple(Fraction(pieces[label][2], self.lattice.D) for label in range(6))
 
     def label_of(self, x: Fraction) -> int:
         # floor(xD) mod LD lies in the arc piece that holds (x mod L)D, since
@@ -438,27 +446,22 @@ class Ar6Map:
             raise OutOfDomain(f"{x} not covered by any arc", point=str(x)) from None
 
 
-def _normalize_pieces(pieces: Iterable[Interval], L: Fraction) -> tuple[Interval, ...]:
-    """Reduce mod L, cut at 0, sort, merge adjacent."""
-    cut: list[Interval] = []
-    for p in pieces:
-        if p.length <= 0:
-            continue
-        left = p.left % L
-        right = left + p.length
-        if right <= L:
-            cut.append(Interval(left, right))
-        else:
-            cut.append(Interval(left, L))
-            cut.append(Interval(Fraction(0), right - L))
-    cut.sort()
-    merged: list[Interval] = []
-    for p in cut:
-        if merged and merged[-1].right == p.left:
-            merged[-1] = Interval(merged[-1].left, p.right)
-        else:
-            merged.append(p)
-    return tuple(merged)
+def _circle(t: Triple, D: int, rows) -> Ar6Map:
+    """The circle exchange of t with the (left, right, label, offset) rows on
+    (1/D)Z: ends reduced mod LD and cut at 0, each arc's pieces merged,
+    offsets reduced mod LD.  The pieces of one arc must share its offset."""
+    span = 2 * sum(_scaled(D, t))
+    pieces: dict[int, list[tuple[int, int]]] = {}
+    offsets: dict[int, int] = {}
+    for left, right, label, offset in rows:
+        left, right = left % span, left % span + right - left
+        # _merge drops the empty second piece of an arc that does not wrap
+        pieces.setdefault(label, []).extend(((left, min(right, span)), (0, right - span)))
+        if offsets.setdefault(label, offset % span) != offset % span:
+            raise RuntimeError(f"pieces of arc {label} disagree on the circle offset")
+    return Ar6Map(t, Lattice.sorted_from(D, (
+        (left, right, label, offsets[label])
+        for label, arc in pieces.items() for left, right in _merge(arc))))
 
 
 def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
@@ -468,10 +471,9 @@ def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
 
 
 def ar6_image_pieces(m: Ar6Map) -> tuple[tuple[Interval, ...], ...]:
-    return tuple(
-        _normalize_pieces((p.translate(m.offsets[label]) for p in pieces), m.length)
-        for label, pieces in enumerate(m.arcs)
-    )
+    return _circle(m.triple, m.lattice.D, (
+        (left + offset, right + offset, label, 0)
+        for left, right, label, offset in m.lattice.rows())).arcs
 
 
 def build_ar6_canonical(t: Triple) -> Ar6Map:
@@ -483,21 +485,12 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
     offsets are the composition.
     """
     require_admissible(t)
-    a, b, c = t
-    L = 2 * (a + b + c)
-    bounds = [Fraction(0), a, 2 * a, 2 * a + b, 2 * a + 2 * b, 2 * a + 2 * b + c, L]
-    arcs = tuple(
-        (Interval(bounds[i], bounds[i + 1]),) for i in range(6)
-    )
-    offsets = (
-        2 * a + b + c,
-        b + c,
-        a + 2 * b + c,
-        a + c,
-        a + b + 2 * c,
-        a + b,
-    )
-    return Ar6Map(t, L, arcs, tuple(o % L for o in offsets))
+    D = math.lcm(*(v.denominator for v in t))
+    a, b, c = _scaled(D, t)
+    bounds = (0, a, 2 * a, 2 * a + b, 2 * a + 2 * b, 2 * a + 2 * b + c, 2 * (a + b + c))
+    offsets = (2 * a + b + c, b + c, a + 2 * b + c, a + c, a + b + 2 * c, a + b)
+    return _circle(t, D, (
+        (bounds[label], bounds[label + 1], label, offsets[label]) for label in range(6)))
 
 
 def first_order_adjacent(m: Ar9Map) -> bool:
@@ -525,50 +518,35 @@ def glue_to_ar6(m: Ar9Map) -> Ar6Map:
     """Glue the three intervals into a circle exchange of six arcs.
 
     Non-first-order or gapped maps are first rebuilt in the first-order
-    adjacent layout (the arrangement on the line never changes the system).
-    Each circle arc is the glued union of the domain pieces listed in
-    ARC_LETTERS; the constituent pieces of one arc share a single circle
-    translation, which becomes the arc's offset.
+    adjacent layout (the arrangement on the line never changes the system),
+    where the gluing is the identity.  Each circle arc is the union of the
+    domain pieces listed in ARC_LETTERS; the constituent pieces of one arc
+    share a single circle translation, which becomes the arc's offset.
     """
     if not first_order_adjacent(m):
         m = build_ar9(m.triple, FIRST_ORDER)
-    L = 2 * (m.triple.a + m.triple.b + m.triple.c)
-    arcs: list[tuple[Interval, ...]] = []
-    offsets: list[Fraction] = []
-    for letters in ARC_LETTERS:
-        pieces = []
-        arc_offset: Fraction | None = None
-        for ch in letters:
-            gl = glue_point(m, m.domain[ch].left)
-            pieces.append(Interval(gl, gl + m.domain[ch].length))
-            gi = glue_point(m, m.image[ch].left)
-            off = (gi - gl) % L
-            if arc_offset is None:
-                arc_offset = off
-            elif arc_offset != off:
-                raise RuntimeError(
-                    f"pieces of arc {letters} disagree on the circle offset"
-                )
-        arcs.append(_normalize_pieces(pieces, L))
-        offsets.append(arc_offset if arc_offset is not None else Fraction(0))
-    return Ar6Map(m.triple, L, tuple(arcs), tuple(offsets))
+    pieces = m.lattice.by_label()
+    return _circle(m.triple, m.lattice.D, (
+        (left, right, label, offset) for label, letters in enumerate(ARC_LETTERS)
+        for left, right, offset in (pieces[ch] for ch in letters)))
 
 
 def ar6_rotation_match(m1: Ar6Map, m2: Ar6Map) -> Fraction | None:
     """The rotation rho with m1 = rotate(m2, rho) (same labels, same
     offsets, arc tables shifted by rho); None when no such rotation exists.
     """
-    if m1.length != m2.length or m1.offsets != m2.offsets:
+    if m1.length != m2.length:
         return None
-    L = m1.length
-    candidates = {
-        (p1.left - p2.left) % L for p1 in m1.arcs[0] for p2 in m2.arcs[0]
-    }
+    D = math.lcm(m1.lattice.D, m2.lattice.D)
+    lat1, lat2 = m1.lattice.refined(D), m2.lattice.refined(D)
+    # the rotated lattice holds m2's offsets, so equal lattices mean equal offsets
+    span = lat1.coordinate(m1.length)
+    candidates = {(l1 - l2) % span for l1, _, label1, _ in lat1.rows() if label1 == 0
+                  for l2, _, label2, _ in lat2.rows() if label2 == 0}
     for rho in sorted(candidates):
-        if all(
-            _normalize_pieces((p.translate(rho) for p in m2.arcs[label]), L)
-            == m1.arcs[label]
-            for label in range(6)
-        ):
-            return rho
+        rotated = _circle(m2.triple, D, (
+            (left + rho, right + rho, label, offset)
+            for left, right, label, offset in lat2.rows()))
+        if rotated.lattice == lat1:
+            return Fraction(rho, D)
     return None

@@ -11,13 +11,17 @@ the geometric towers back to the substitutive words.
 Grouping bases by projected letter (1-4 -> a, 5-7 -> b, 8-9 -> c) gives
 three coarser towers whose levels are unions of at most three, two, and one
 intervals respectively.
+
+A tower is held as integer pieces on the lattice (1/D)Z of the stage-0 map
+refined to hold the stage-k pieces, and the checks read those integers;
+its base and levels are Fraction views of them.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
@@ -28,53 +32,36 @@ Pieces = tuple[Interval, ...]
 IntPieces = tuple[tuple[int, int], ...]
 
 
-class LatticeLevels(Sequence):
-    """Tower levels held as integer pieces on the lattice (1/D)Z.
-
-    Reading a level gives its Fraction intervals; the checks below take the
-    integers as they are.
-    """
-
-    __slots__ = ("D", "ints")
-
-    def __init__(self, D: int, ints: tuple[IntPieces, ...]):
-        self.D = D
-        self.ints = ints
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return LatticeLevels(self.D, self.ints[j])
-        D = self.D
-        return tuple(Interval(Fraction(l, D), Fraction(r, D)) for l, r in self.ints[j])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, LatticeLevels)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True)
 class Tower:
-    """One tower: base, integer height, and the level sets T^j(base)."""
+    """One tower: the level sets T^j(base), j < height, each held as merged
+    integer pieces on (1/D)Z."""
 
     label: str
     stage: int
-    base: Pieces
-    height: int
-    levels: Sequence[Pieces]
+    D: int
+    pieces: tuple[IntPieces, ...]  # by level
     word: str | None = None  # nine-letter towers: letters read along levels
 
+    @property
+    def height(self) -> int:
+        return len(self.pieces)
+
+    def _view(self, level: IntPieces) -> Pieces:
+        return tuple(Interval(Fraction(left, self.D), Fraction(right, self.D))
+                     for left, right in level)
+
+    @cached_property
+    def base(self) -> Pieces:
+        return self._view(self.pieces[0])
+
+    @cached_property
+    def levels(self) -> tuple[Pieces, ...]:
+        return tuple(map(self._view, self.pieces))
+
     def measure(self) -> Fraction:
-        return sum((p.length for p in self.base), Fraction(0)) * self.height
+        return Fraction(sum(right - left for left, right in self.pieces[0]) * self.height,
+                        self.D)
 
 
 @dataclass(frozen=True)
@@ -119,45 +106,24 @@ def towers_at_stage(
                 right += offset
         except RuntimeError as e:
             raise RuntimeError(f"level {j} of tower {ch}: {e}") from None
-        nine[ch] = Tower(ch, k, (lat.interval(*bases[ch][:2]),), height,
-                         LatticeLevels(lat.D, tuple(levels)), "".join(letters))
+        nine[ch] = Tower(ch, k, lat.D, tuple(levels), "".join(letters))
     three: dict[str, Tower] = {}
     for letter, members in A3_MEMBERS.items():
         height = nine[members[0]].height
         if any(nine[ch].height != height for ch in members):
             raise RuntimeError(f"towers {', '.join(members)} differ in height")
-        rows = zip(*(nine[ch].levels.ints for ch in members))
-        levels = LatticeLevels(
-            lat.D, tuple(_merge(p for level in row for p in level) for row in rows)
-        )
-        three[letter] = Tower(letter, k, levels[0], height, levels)
+        rows = zip(*(nine[ch].pieces for ch in members))
+        three[letter] = Tower(letter, k, lat.D, tuple(
+            _merge(p for level in row for p in level) for row in rows))
     return TowerFamily(k, stage_map.order, nine, three, m0)
 
 
-def _on_lattice(f: TowerFamily) -> tuple[Lattice, dict[str, Sequence[IntPieces]]]:
-    """The levels the family holds, as integer pieces on one lattice.
-
-    The base map's lattice is refined until it holds every level.  Levels
-    built by towers_at_stage on that lattice pass through as they are; any
-    other sequence of Interval levels is rescaled once.
-    """
-    towers = {**f.nine, **f.three}
-    D = math.lcm(*(
-        t.levels.D if isinstance(t.levels, LatticeLevels)
-        else math.lcm(*(v.denominator for level in t.levels for p in level for v in p))
-        for t in towers.values()
-    ))
-    lat = f.base_map.lattice.refined(D)
-    columns = {}
-    for label, t in towers.items():
-        if isinstance(t.levels, LatticeLevels) and t.levels.D == lat.D:
-            columns[label] = t.levels.ints
-        else:
-            columns[label] = tuple(
-                tuple((lat.coordinate(p.left), lat.coordinate(p.right)) for p in level)
-                for level in t.levels
-            )
-    return lat, columns
+def _lattice(f: TowerFamily) -> Lattice:
+    """The base map's lattice, refined to the one every level is held on."""
+    lat = f.base_map.lattice.refined(f.nine["1"].D)
+    if any(t.D != lat.D for t in (*f.nine.values(), *f.three.values())):
+        raise ValueError("tower levels are held on different lattices")
+    return lat
 
 
 @dataclass(frozen=True)
@@ -170,8 +136,8 @@ class PartitionReport:
 
 def partition_check(f: TowerFamily) -> PartitionReport:
     """All levels of the nine towers tile the full space exactly."""
-    lat, columns = _on_lattice(f)
-    pieces = sorted(p for ch in A9 for level in columns[ch] for p in level)
+    lat = _lattice(f)
+    pieces = sorted(p for ch in A9 for level in f.nine[ch].pieces for p in level)
     support = lat.union(A9)
     total = Fraction(sum(r - l for l, r in pieces), lat.D)
     expected = Fraction(sum(r - l for l, r in support), lat.D)
@@ -199,10 +165,10 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     """Levels of towers 2|3, 5|6, 8|9 at equal height are adjacent, with
     2, 5, 8 on the left exactly when the stage order is not reversed."""
     reversed_ = f.order.reversed
-    lat, columns = _on_lattice(f)
+    lat = _lattice(f)
     violations: list[str] = []
     for lo, hi in ADJACENT_PAIRS:
-        for j, ((p_lo,), (p_hi,)) in enumerate(zip(columns[lo], columns[hi])):
+        for j, ((p_lo,), (p_hi,)) in enumerate(zip(f.nine[lo].pieces, f.nine[hi].pieces)):
             left, right = (p_hi, p_lo) if reversed_ else (p_lo, p_hi)
             if left[1] != right[0]:
                 violations.append(
@@ -215,14 +181,17 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
 
 def level_component_counts(f: TowerFamily) -> dict[str, int]:
     """Largest number of intervals in any level of each projected tower."""
-    _, columns = _on_lattice(f)
-    return {letter: max(map(len, columns[letter])) for letter in f.three}
+    return {letter: max(map(len, t.pieces)) for letter, t in f.three.items()}
 
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
     """The (tower letter, level index) pair containing a point."""
     for ch in A9:
-        for j, level in enumerate(f.nine[ch].levels):
-            if any(p.contains(x) for p in level):
+        # the level ends are integers, so floor(xD) lies in a level exactly
+        # when xD does
+        t = f.nine[ch]
+        k = x.numerator * t.D // x.denominator
+        for j, level in enumerate(t.pieces):
+            if any(left <= k < right for left, right in level):
                 return ch, j
     raise OutOfDomain(f"{x} lies in no tower level", point=str(x))

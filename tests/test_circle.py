@@ -1,25 +1,30 @@
-"""Differential test of the circle lookup and the gluing against a Fraction
-reference.
+"""Differential test of the circle builders, the circle lookup and the gluing
+against a Fraction reference.
 
-The references below scan the arcs and the blocks linearly with Fraction
-comparisons and reduce mod L by Fraction arithmetic; they share no code with
-`Ar6Map.lattice` or the lattice gluing.  Six seeded random triples each give
-a glued and a canonical circle; points are arc and block ends, points in
-wrapped arcs, points beyond L and below 0, and points over /997 and /2^61.
+The references below build the circles with Fraction arcs, scan the arcs and
+the blocks linearly with Fraction comparisons and reduce mod L by Fraction
+arithmetic; they share no code with `Ar6Map.lattice` or the lattice gluing.
+Six seeded random triples each give a glued and a canonical circle; points
+are arc and block ends, points in wrapped arcs, points beyond L and below 0,
+and points over /997 and /2^61.
 """
 from __future__ import annotations
 
 import dataclasses
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from ar_iet.errors import OutOfDomain
-from ar_iet.gasket import Sym, reconstruct_triple
+from ar_iet.gasket import Sym, reconstruct_triple, triple
 from ar_iet.iet import (
     ORDER_TAGS,
+    Interval,
+    Lattice,
     ar6_apply,
+    ar6_rotation_match,
     build_ar6_canonical,
     build_ar9,
     first_order_adjacent,
@@ -29,6 +34,71 @@ from ar_iet.iet import (
 
 F = Fraction
 DENOMINATORS = (997, 2**61)
+
+
+class RefCircle(NamedTuple):
+    length: Fraction
+    arcs: tuple
+    offsets: tuple
+
+
+def ref_normalize(pieces, L):
+    """Reduce mod L, cut at 0, sort, merge adjacent."""
+    cut = []
+    for p in pieces:
+        if p.length <= 0:
+            continue
+        left = p.left % L
+        right = left + p.length
+        if right <= L:
+            cut.append(Interval(left, right))
+        else:
+            cut.append(Interval(left, L))
+            cut.append(Interval(F(0), right - L))
+    cut.sort()
+    merged = []
+    for p in cut:
+        if merged and merged[-1].right == p.left:
+            merged[-1] = Interval(merged[-1].left, p.right)
+        else:
+            merged.append(p)
+    return tuple(merged)
+
+
+def ref_canonical(t):
+    a, b, c = t
+    L = 2 * (a + b + c)
+    bounds = [F(0), a, 2 * a, 2 * a + b, 2 * a + 2 * b, 2 * a + 2 * b + c, L]
+    arcs = tuple((Interval(bounds[i], bounds[i + 1]),) for i in range(6))
+    offsets = (2 * a + b + c, b + c, a + 2 * b + c, a + c, a + b + 2 * c, a + b)
+    return RefCircle(L, arcs, tuple(o % L for o in offsets))
+
+
+def ref_glued(t):
+    m = build_ar9(t)
+    L = 2 * (t.a + t.b + t.c)
+    arcs, offsets = [], []
+    for letters in ("12", "34", "5", "67", "8", "9"):
+        pieces, arc_offsets = [], set()
+        for ch in letters:
+            gl = ref_glue(m, m.domain[ch].left)
+            pieces.append(Interval(gl, gl + m.domain[ch].length))
+            arc_offsets.add((ref_glue(m, m.image[ch].left) - gl) % L)
+        (offset,) = arc_offsets
+        arcs.append(ref_normalize(pieces, L))
+        offsets.append(offset)
+    return RefCircle(L, tuple(arcs), tuple(offsets))
+
+
+def ref_rotation_match(c1, c2):
+    if c1.length != c2.length or c1.offsets != c2.offsets:
+        return None
+    L = c1.length
+    for rho in sorted({(p1.left - p2.left) % L for p1 in c1.arcs[0] for p2 in c2.arcs[0]}):
+        if all(ref_normalize((p.translate(rho) for p in c2.arcs[label]), L) == c1.arcs[label]
+               for label in range(6)):
+            return rho
+    return None
 
 
 def ref_label(c, x):
@@ -89,6 +159,50 @@ def same_outcome(got, expected):
     return "value"
 
 
+def views(c):
+    return RefCircle(c.length, c.arcs, c.offsets)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_circle_builders_match_fraction_reference(index):
+    rng, t = list(triples())[index]
+    gaps = (F(rng.randint(1, 9), rng.randint(2, 12)), F(rng.randint(1, 9), rng.randint(2, 12)))
+    glued = [glue_to_ar6(build_ar9(t, order, g)) for order in ORDER_TAGS
+             for g in ((F(0), F(0)), gaps)]
+    canon = build_ar6_canonical(t)
+    for c in glued:
+        assert [f.name for f in dataclasses.fields(c)] == ["triple", "lattice"]
+        assert views(c) == ref_glued(t)
+        # every layout of the line glues to one map, equal and hash equal
+        assert c == glued[0] and hash(c) == hash(glued[0])
+    assert views(canon) == ref_canonical(t)
+    again = build_ar6_canonical(t)
+    assert again == canon and hash(again) == hash(canon)
+
+    # a system of the same length but other lengths, and a copy of the
+    # canonical circle whose arc 1 is moved by one lattice unit: equal
+    # offsets, arcs that no rotation matches
+    e = (t.b - t.c) / 3
+    other = build_ar6_canonical(triple(t.a + e, t.b - e, t.c))
+    moved = dataclasses.replace(canon, lattice=Lattice.sorted_from(canon.lattice.D, (
+        (left + (label == 1), right + (label == 1), label, offset)
+        for left, right, label, offset in canon.lattice.rows())))
+    maps = (glued[0], canon, other, moved, glue_to_ar6(build_ar9(other.triple)))
+    matches = [ar6_rotation_match(c1, c2) for c1 in maps for c2 in maps]
+    assert matches == [ref_rotation_match(views(c1), views(c2)) for c1 in maps for c2 in maps]
+    assert ar6_rotation_match(glued[0], canon) == t.b + t.c
+    assert ar6_rotation_match(canon, moved) is None and other.length == canon.length
+    assert matches.count(None) >= 10
+
+
+def test_gluing_raises_when_an_arc_has_two_offsets(monkeypatch):
+    import ar_iet.iet as iet
+
+    monkeypatch.setattr(iet, "ARC_LETTERS", ("13", "24", "5", "67", "8", "9"))
+    with pytest.raises(RuntimeError, match="pieces of arc 0 disagree on the circle offset"):
+        glue_to_ar6(build_ar9(next(triples())[1]))
+
+
 @pytest.mark.parametrize("index", range(6))
 def test_circle_lookup_matches_fraction_reference(index):
     rng, t = list(triples())[index]
@@ -105,9 +219,10 @@ def test_circle_lookup_matches_fraction_reference(index):
             assert same_outcome(lambda: c.label_of(x), lambda: ref_label(c, x)) == "value"
             assert ar6_apply(c, x) == ref_apply(c, x)
 
-        # an arc taken out leaves part of the circle uncovered; the lattice
-        # of the copy is rebuilt and reports the reduced point
-        holed = dataclasses.replace(c, arcs=(c.arcs[0], (), *c.arcs[2:]))
+        # an arc taken out leaves part of the circle uncovered, and the
+        # lookup reports the reduced point
+        holed = dataclasses.replace(c, lattice=Lattice.sorted_from(
+            c.lattice.D, (row for row in c.lattice.rows() if row[2] != 1)))
         hole = inner_points(rng, list(c.arcs[1]), 2)
         outcomes = {same_outcome(lambda: holed.label_of(x), lambda: ref_label(holed, x))
                     for x in hole + [h + L for h in hole] + [h - L for h in hole]}

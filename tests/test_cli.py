@@ -296,6 +296,24 @@ def test_malformed_rational_is_usage_error(capsys):
     assert "argument --prefix" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gasket", "--triple", "1/0,1,1"),
+    ("orbit", "--prefix", "11", "--length", "3", "--point", "1/0"),
+    ("experiment", "--eigen", "--ks", "1,2", "--rules", "11", "--theta", "1/0"),
+    ("experiment", "--eigen", "--ks", "1,2", "--rules", "11", "--floor", "1/0"),
+    ("experiment", "--birkhoff", "--triple", "7,4,2", "--point", "1/0"),
+])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("ar-iet ")]
+    assert "error: argument --" in line and "'1/0" in line
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -354,6 +372,20 @@ def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, 
     assert error["code"] == "word-overflow"
     assert error["detail"]["stage"] == "24"
     assert int(error["detail"]["levels"]) > int(error["detail"]["cap"]) == 200_000
+
+
+def test_induction_check_builds_no_tower(capsys, monkeypatch):
+    import ar_iet.cli as cli
+
+    def never(*args):
+        raise AssertionError("the induction check built a tower")
+
+    monkeypatch.setattr(cli, "towers_at_stage", never)
+    # stage 24 of 1^28 has 19,437,141 tower levels, far over the default cap
+    payload = run_json(capsys, "check", "--induction", "--prefix", "1" * 28, "--depth", "24")
+    assert payload["selected"] == ["induction"]
+    assert payload["targets"][0]["checks"] == {"induction": True}
+    assert payload["ok"]
 
 
 def test_tower_level_cap_is_word_cap(capsys, tmp_path):

@@ -95,17 +95,17 @@ def test_partition_check_negative_control():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["1"]
     shifted = tuple(
-        tuple(Interval(p.left + 1, p.right + 1) for p in level)
-        for level in tower.levels
+        tuple((left + tower.D, right + tower.D) for left, right in level)
+        for level in tower.pieces
     )
-    broken = dataclasses.replace(tower, levels=shifted)
+    broken = dataclasses.replace(tower, pieces=shifted)
     f = dataclasses.replace(f, nine={**f.nine, "1": broken})
     assert not partition_check(f).ok
 
 
 def test_partition_check_names_the_first_overlap():
     _, _, f = family_for((I, I), 2)
-    copy = dataclasses.replace(f.nine["2"], levels=f.nine["1"].levels)
+    copy = dataclasses.replace(f.nine["2"], pieces=f.nine["1"].pieces)
     f = dataclasses.replace(f, nine={**f.nine, "2": copy})
     report = partition_check(f)
     assert not report.ok
@@ -116,15 +116,28 @@ def test_partition_check_names_the_first_overlap():
 def test_adjacency_check_negative_control():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["3"]
-    levels = list(tower.levels)
-    (p,) = levels[1]
-    levels[1] = (Interval(p.left + F(1, 997), p.right + F(1, 997)),)
-    broken = dataclasses.replace(tower, levels=tuple(levels))
+    pieces = list(tower.pieces)
+    ((left, right),) = pieces[1]
+    # one lattice unit, the smallest shift the levels can take
+    pieces[1] = ((left + 1, right + 1),)
+    broken = dataclasses.replace(tower, pieces=tuple(pieces))
     f = dataclasses.replace(f, nine={**f.nine, "3": broken})
     report = adjacency_check(f)
     assert not report.ok
     assert len(report.violations) == 1
     assert report.violations[0].startswith("level 1 of towers 2,3: ")
+
+
+def test_checks_refuse_towers_on_different_lattices():
+    _, _, f = family_for((I, I), 2)
+    tower = f.nine["4"]
+    finer = dataclasses.replace(tower, D=2 * tower.D, pieces=tuple(
+        tuple((2 * left, 2 * right) for left, right in level) for level in tower.pieces))
+    assert finer.levels == tower.levels
+    f = dataclasses.replace(f, nine={**f.nine, "4": finer})
+    for check in (partition_check, adjacency_check):
+        with pytest.raises(ValueError, match="different lattices"):
+            check(f)
 
 
 def test_straddling_base_negative_control():
