@@ -399,7 +399,10 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
     if set(selected) - {"induction"}:  # every other check reads the towers
         # the level count grows with the stage, so the deepest stage bounds them all
         _require_level_cap(stages, depth, config)
-        families = [towers_at_stage(m, stages, k) for k in range(depth + 1)]
+        # coding reads only the deepest family; the others read every stage
+        every_stage = {"partition", "adjacency", "components"} & set(selected)
+        first = 0 if every_stage else depth
+        families = [towers_at_stage(m, stages, k) for k in range(first, depth + 1)]
     if "partition" in selected:
         results["partition"] = all(partition_check(f).ok for f in families)
     if "adjacency" in selected:

@@ -15,6 +15,7 @@ six-letter system has no substitutive presentation of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import WordOverflow
@@ -134,9 +135,10 @@ def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
 
 def letter_height(letter: str, hv: tuple[int, int, int]) -> int:
     """Length of the stage word for one letter, from a class height triple."""
-    if letter in A3:
-        return hv["abc".index(letter)]
-    return hv["abc".index(A9_CLASS[letter])]
+    cls = A9_CLASS.get(letter, letter)
+    if len(cls) != 1 or cls not in A3:
+        raise ValueError(f"letter {letter!r} is not a three- or nine-letter symbol")
+    return hv[A3.index(cls)]
 
 
 def _require_cap(kind: str, k: int, length: int, cap: int) -> None:
@@ -276,8 +278,35 @@ def a6_to_str(letters: Iterable[int]) -> str:
     return ",".join(A6_NAMES[x] for x in letters)
 
 
-# windows per block in factor_complexity
-_FACTOR_STRIDE = 32
+# windows per block in the first pass of _factors
+_FACTOR_STRIDE = 64
+# shortest factor length that _factors is asked for
+_FACTOR_MIN_LENGTH = 32
+
+
+@lru_cache(maxsize=2)
+def _factors(words: tuple[str, ...], m: int) -> frozenset[str]:
+    """The distinct length-m factors of words.
+
+    Every window starting in [j, j + stride) lies in the block
+    w[j : j + stride - 1 + m].  The distinct blocks at stride 64 are cut
+    into blocks at half the stride, deduplicated again, and so on down to
+    stride 1, where the blocks are the factors.
+    """
+    stride = _FACTOR_STRIDE
+    blocks = {
+        w[j : j + stride - 1 + m]
+        for w in words
+        for j in range(0, len(w) - m + 1, stride)
+    }
+    while stride > 1:
+        stride //= 2
+        # a block of width at most 2 * stride - 1 + m splits at 0 and stride
+        width = stride - 1 + m
+        blocks = {b[:width] for b in blocks} | {
+            b[stride:] for b in blocks if len(b) >= stride + m
+        }
+    return frozenset(blocks)
 
 
 def factor_complexity(words: Iterable[str], n: int) -> int:
@@ -287,24 +316,30 @@ def factor_complexity(words: Iterable[str], n: int) -> int:
     factors of the limiting language appear; compare two consecutive stages
     and accept the count only when it has stabilized.
 
-    Every window starting in [j, j + stride) lies in the block
-    w[j : j + stride - 1 + n], so the windows are read from the distinct
-    blocks at that stride.  Stage words repeat long blocks (their complexity
-    is linear), so most blocks are read once however long the words grow.
+    The length-m factors F_m, for m the least power of two >= max(n, 32),
+    come from _factors: distinct blocks at stride 64, halved and
+    deduplicated down to stride 1.  Stage words repeat long blocks (their
+    complexity is linear), so most blocks are read once however long the
+    words grow.  The length-n factors are then the length-n prefixes of F_m
+    together with the windows that start in the last m - 1 letters of each
+    word.  This is exact: a window w[i : i + n] with i + m <= len(w) is a
+    prefix of w[i : i + m], which is in F_m, and every other window starts
+    after len(w) - m.
+
+    F_m is cached for the last two (word set, m) pairs, so a sweep over n
+    reads each word set once, and two stages queried alternately for each
+    n (the stability check above) share it too.  The cache keys on the
+    words' content and holds references to at most two word sets.
     """
     if n < 0:
         raise ValueError(f"factor length must be nonnegative, got {n}")
     if n == 0:
         return 1
-    width = _FACTOR_STRIDE - 1 + n
-    blocks: set[str] = set()
+    words = tuple(words)
+    m = max(_FACTOR_MIN_LENGTH, 1 << (n - 1).bit_length())
+    seen = {f[:n] for f in _factors(words, m)}
     for w in words:
-        for j in range(0, len(w) - n + 1, _FACTOR_STRIDE):
-            blocks.add(w[j : j + width])
-    seen: set[str] = set()
-    for b in blocks:
-        for i in range(len(b) - n + 1):
-            seen.add(b[i : i + n])
+        seen.update(w[i : i + n] for i in range(max(0, len(w) - m + 1), len(w) - n + 1))
     return len(seen)
 
 

@@ -356,6 +356,7 @@ _THIRTY = "123" * 10
     ("towers", "--prefix", _THIRTY, "--stage", "24"),
     ("render", "--towers", "--prefix", _THIRTY, "--stage", "24"),
     ("check", "--all", "--prefix", _THIRTY, "--depth", "24"),
+    ("check", "--coding", "--prefix", _THIRTY, "--depth", "24"),
 ])
 def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, argv):
     import ar_iet.cli as cli
@@ -386,6 +387,27 @@ def test_induction_check_builds_no_tower(capsys, monkeypatch):
     assert payload["selected"] == ["induction"]
     assert payload["targets"][0]["checks"] == {"induction": True}
     assert payload["ok"]
+
+
+@pytest.mark.parametrize("kinds, built", [
+    (("--coding",), [8]),
+    (("--coding", "--partition"), list(range(9))),
+    (("--components",), list(range(9))),
+])
+def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds, built):
+    import ar_iet.cli as cli
+
+    calls = []
+    real = cli.towers_at_stage
+
+    def counting(m, stages, k):
+        calls.append(k)
+        return real(m, stages, k)
+
+    monkeypatch.setattr(cli, "towers_at_stage", counting)
+    payload = run_json(capsys, "check", *kinds, "--prefix", "1" * 12, "--depth", "8")
+    assert payload["ok"]
+    assert calls == built
 
 
 def test_tower_level_cap_is_word_cap(capsys, tmp_path):

@@ -141,3 +141,74 @@ def test_factor_complexity_on_repetitive_words():
         for n in (1, 2, 7, 31, 32, 33, 64, 100):
             assert factor_complexity(words, n) == ref_factor_complexity(words, n)
         assert factor_complexity(iter(words), 5) == ref_factor_complexity(words, 5)
+
+
+# --- the factor-set cache and the descent to shorter lengths -------------------
+
+def _stage_word_sets(seed):
+    rng = random.Random(seed)
+    prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(11)) + (Sym.I,)
+    return [list(stage_words(prefix, alphabet, 10**5).values()) for alphabet in ("A3", "A9")]
+
+
+# each power of two m at which the cached length changes, with its neighbours
+DESCENT_LENGTHS = [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129]
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_factor_complexity_sweeps_across_cached_lengths(direction):
+    for words in _stage_word_sets(11):
+        assert min(map(len, words)) > 129
+        for n in DESCENT_LENGTHS[::direction]:
+            assert factor_complexity(words, n) == ref_factor_complexity(words, n)
+
+
+def test_factor_complexity_descends_into_short_and_empty_words():
+    # every word is shorter than m = 32 or 64, so most windows come from the tails
+    words = ["", "a", "abcab" * 5, "aab" * 13, "123456789" * 3]
+    for n in [*range(0, 45), *range(44, 0, -1)]:
+        assert factor_complexity(words, n) == ref_factor_complexity(words, n)
+
+
+def test_factor_complexity_two_word_sets_queried_alternately():
+    a3, a9 = _stage_word_sets(12)
+    for n in range(1, 70):
+        for words in (a3, a9):
+            assert factor_complexity(words, n) == ref_factor_complexity(words, n)
+
+
+def test_factor_complexity_equal_copy_and_iterator_after_a_cached_call():
+    words, _ = _stage_word_sets(13)
+    assert factor_complexity(words, 20) == ref_factor_complexity(words, 20)
+    copy = ["".join(list(w)) for w in words]
+    assert copy == words and all(c is not w for c, w in zip(copy, words) if len(w) > 1)
+    for n in (20, 7, 40):
+        assert factor_complexity(copy, n) == ref_factor_complexity(words, n)
+        assert factor_complexity(iter(words), n) == ref_factor_complexity(words, n)
+
+
+def test_factor_complexity_sweep_fills_the_factor_set_once(monkeypatch):
+    import functools
+
+    from ar_iet import words as words_module
+
+    fills = []
+    build = words_module._factors.__wrapped__
+
+    def counting(words, m):
+        fills.append(m)
+        return build(words, m)
+
+    # the same cache bound as the real _factors, around a counting fill
+    cache = functools.lru_cache(**words_module._factors.cache_parameters())
+    monkeypatch.setattr(words_module, "_factors", cache(counting))
+    a3, a9 = _stage_word_sets(14)
+    assert [factor_complexity(a3, n) for n in range(1, 21)] == [
+        ref_factor_complexity(a3, n) for n in range(1, 21)
+    ]
+    assert fills == [32]
+    # two word sets queried alternately, as a stability check does, share it too
+    for n in range(1, 21):
+        assert factor_complexity(a9, n) == ref_factor_complexity(a9, n)
+        assert factor_complexity(a3, n) == ref_factor_complexity(a3, n)
+    assert fills == [32, 32]

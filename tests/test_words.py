@@ -112,6 +112,12 @@ def test_heights_match_word_lengths_sampled():
                 assert len(w[ch]) == letter_height(ch, hs)
 
 
+@pytest.mark.parametrize("letter", ["", "ab", "x", "0"])
+def test_letter_height_rejects_anything_but_one_letter(letter):
+    with pytest.raises(ValueError, match=repr(letter)):
+        letter_height(letter, (3, 2, 1))
+
+
 def test_a9_class_constraint():
     rng = random.Random(5)
     for _ in range(10):
