@@ -83,6 +83,7 @@ from .induction import (
     predicted_order,
 )
 from .towers import (
+    ProjectedTower,
     Tower,
     TowerFamily,
     adjacency_check,

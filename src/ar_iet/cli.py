@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -615,7 +616,10 @@ def _add_pq_args(p: argparse.ArgumentParser) -> None:
                    help="closing rules as digits over {1,2}, one per quotient")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ar-iet` parser, built on the first call and shared after it;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ar-iet",
         description="Exact-arithmetic toolkit for three-letter substitutive "

@@ -127,13 +127,18 @@ def _piece_layout(t: Triple):
 def _merge(pairs) -> tuple[tuple[int, int], ...]:
     """Sort integer intervals, drop empty ones and join touching ones."""
     merged: list[tuple[int, int]] = []
+    end = None  # of the open piece [start, end), appended when the next one opens
     for left, right in sorted(pairs):
         if right <= left:
             continue
-        if merged and merged[-1][1] == left:
-            merged[-1] = (merged[-1][0], right)
+        if left == end:
+            end = right
         else:
-            merged.append((left, right))
+            if end is not None:
+                merged.append((start, end))
+            start, end = left, right
+    if end is not None:
+        merged.append((start, end))
     return tuple(merged)
 
 
@@ -204,6 +209,31 @@ class Lattice:
                 f"of piece {self.letters[i]}"
             )
         return self.letters[i], self.offsets[i]
+
+    def walk(self, left: int, right: int, n: int) -> tuple[list[str | int], list[int]]:
+        """The letters and left ends of the first n images of [left, right).
+
+        Image j lies in one piece, whose label is its letter and whose offset
+        carries it to image j + 1.  An image that push refuses raises what
+        push raises there, with the image's index j as the error's `level`.
+        """
+        starts, ends, labels, offsets = self.lefts, self.rights, self.letters, self.offsets
+        letters: list[str | int] = []
+        lefts: list[int] = []
+        for j in range(n):
+            i = bisect_right(starts, left) - 1
+            if i < 0 or not left < ends[i] >= right:
+                try:
+                    self.push(left, right)
+                except (OutOfDomain, RuntimeError) as e:
+                    e.level = j
+                    raise
+            letters.append(labels[i])
+            lefts.append(left)
+            offset = offsets[i]
+            left += offset
+            right += offset
+        return letters, lefts
 
 
 # the domain letters of each role block: Omega, Omega', Omega''
@@ -382,20 +412,12 @@ def trajectory(
     nine: letters 1..9 by domain piece; three: the same word projected
     letterwise onto a, b, c.
     """
+    if partition not in ("nine", "three"):
+        raise ValueError(f"unknown partition {partition!r}")
     lat = m.lattice.refined(x.denominator)
-    push = lat.push
     p = lat.coordinate(x)
-    out = []
-    for _ in range(n):
-        ch, offset = push(p, p + 1)
-        out.append(ch)
-        p += offset
-    word = "".join(out)
-    if partition == "three":
-        return project(word, "A3")
-    if partition == "nine":
-        return word
-    raise ValueError(f"unknown partition {partition!r}")
+    word = "".join(lat.walk(p, p + 1, n)[0])
+    return project(word, "A3") if partition == "three" else word
 
 
 # six-letter circle exchanges ------------------------------------------------

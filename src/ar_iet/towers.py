@@ -12,9 +12,11 @@ Grouping bases by projected letter (1-4 -> a, 5-7 -> b, 8-9 -> c) gives
 three coarser towers whose levels are unions of at most three, two, and one
 intervals respectively.
 
-A tower is held as integer pieces on the lattice (1/D)Z of the stage-0 map
-refined to hold the stage-k pieces, and the checks read those integers;
-its base and levels are Fraction views of them.
+Towers live on the lattice (1/D)Z of the stage-0 map refined to hold the
+stage-k pieces.  A nine-letter tower is one walk of its base (`Lattice.walk`)
+and holds the base width and one integer left end per level; a projected
+tower holds merged integer pieces per level.  The checks read those
+integers; pieces, base and levels are views of them.
 """
 from __future__ import annotations
 
@@ -22,6 +24,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import eq
+from typing import NamedTuple
 
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
@@ -32,36 +37,66 @@ Pieces = tuple[Interval, ...]
 IntPieces = tuple[tuple[int, int], ...]
 
 
+def _view(D: int, level: IntPieces) -> Pieces:
+    return tuple(Interval(Fraction(left, D), Fraction(right, D)) for left, right in level)
+
+
 @dataclass(frozen=True)
 class Tower:
-    """One tower: the level sets T^j(base), j < height, each held as merged
-    integer pieces on (1/D)Z."""
+    """A nine-letter tower: the level sets T^j(base), j < height, of one
+    stage piece, each held as its integer left end on (1/D)Z; every level is
+    `width` long."""
+
+    label: str
+    stage: int
+    D: int
+    width: int
+    lefts: tuple[int, ...]  # by level
+    word: str  # the letters read along the levels
+
+    @property
+    def height(self) -> int:
+        return len(self.lefts)
+
+    @cached_property
+    def pieces(self) -> tuple[IntPieces, ...]:
+        """Each level as integer pieces."""
+        width = self.width
+        return tuple(((left, left + width),) for left in self.lefts)
+
+    @cached_property
+    def base(self) -> Pieces:
+        left = self.lefts[0]
+        return _view(self.D, ((left, left + self.width),))
+
+    @cached_property
+    def levels(self) -> tuple[Pieces, ...]:
+        return tuple(_view(self.D, level) for level in self.pieces)
+
+    def measure(self) -> Fraction:
+        return Fraction(self.width * self.height, self.D)
+
+
+class ProjectedTower(NamedTuple):
+    """A three-letter tower: the levels of the nine-letter towers of its
+    member letters, joined level by level into merged integer pieces."""
 
     label: str
     stage: int
     D: int
     pieces: tuple[IntPieces, ...]  # by level
-    word: str | None = None  # nine-letter towers: letters read along levels
 
     @property
     def height(self) -> int:
         return len(self.pieces)
 
-    def _view(self, level: IntPieces) -> Pieces:
-        return tuple(Interval(Fraction(left, self.D), Fraction(right, self.D))
-                     for left, right in level)
-
-    @cached_property
+    @property
     def base(self) -> Pieces:
-        return self._view(self.pieces[0])
+        return _view(self.D, self.pieces[0])
 
-    @cached_property
+    @property
     def levels(self) -> tuple[Pieces, ...]:
-        return tuple(map(self._view, self.pieces))
-
-    def measure(self) -> Fraction:
-        return Fraction(sum(right - left for left, right in self.pieces[0]) * self.height,
-                        self.D)
+        return tuple(_view(self.D, level) for level in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -71,7 +106,7 @@ class TowerFamily:
     stage: int
     order: OrderTag
     nine: dict[str, Tower]
-    three: dict[str, Tower]
+    three: dict[str, ProjectedTower]
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
 
 
@@ -89,32 +124,23 @@ def towers_at_stage(
     prefix = tuple(s.case for s in stages[:k])
     hv = heights_by_matrix(prefix)[-1]
     lat = m0.lattice.refined(stage_map.lattice.D)
-    push = lat.push
     bases = stage_map.lattice.refined(lat.D).by_label()
     nine: dict[str, Tower] = {}
     for ch in A9:
-        height = letter_height(ch, hv)
         left, right, _ = bases[ch]
-        levels = []
-        letters = []
         try:
-            for j in range(height):
-                here, offset = push(left, right)
-                levels.append(((left, right),))
-                letters.append(here)
-                left += offset
-                right += offset
+            letters, lefts = lat.walk(left, right, letter_height(ch, hv))
         except RuntimeError as e:
-            raise RuntimeError(f"level {j} of tower {ch}: {e}") from None
-        nine[ch] = Tower(ch, k, lat.D, tuple(levels), "".join(letters))
-    three: dict[str, Tower] = {}
+            raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
+        nine[ch] = Tower(ch, k, lat.D, right - left, tuple(lefts), "".join(letters))
+    three: dict[str, ProjectedTower] = {}
     for letter, members in A3_MEMBERS.items():
-        height = nine[members[0]].height
-        if any(nine[ch].height != height for ch in members):
+        towers = [nine[ch] for ch in members]
+        if any(t.height != towers[0].height for t in towers):
             raise RuntimeError(f"towers {', '.join(members)} differ in height")
-        rows = zip(*(nine[ch].pieces for ch in members))
-        three[letter] = Tower(letter, k, lat.D, tuple(
-            _merge(p for level in row for p in level) for row in rows))
+        # one row of (left, right) pairs per level, one pair per member
+        rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
+        three[letter] = ProjectedTower(letter, k, lat.D, tuple(map(_merge, rows)))
     return TowerFamily(k, stage_map.order, nine, three, m0)
 
 
@@ -137,10 +163,25 @@ class PartitionReport:
 def partition_check(f: TowerFamily) -> PartitionReport:
     """All levels of the nine towers tile the full space exactly."""
     lat = _lattice(f)
-    pieces = sorted(p for ch in A9 for level in f.nine[ch].pieces for p in level)
+    towers = [f.nine[ch] for ch in A9]
     support = lat.union(A9)
-    total = Fraction(sum(r - l for l, r in pieces), lat.D)
+    total = Fraction(sum(t.width * t.height for t in towers), lat.D)
     expected = Fraction(sum(r - l for l, r in support), lat.D)
+    # Nonempty levels tile the support exactly when their indicators sum to
+    # the support's: when the level left ends and the support's right ends
+    # are, as a multiset, the level right ends and the support's left ends.
+    # In a tiling neither side holds a value twice, so sets of full size
+    # decide it in one hashing pass.
+    size = len(support) + sum(t.height for t in towers)
+    opened = set(chain((r for _, r in support), *(t.lefts for t in towers)))
+    closed = set(chain((l for l, _ in support),
+                       *(map(t.width.__add__, t.lefts) for t in towers)))
+    if all(t.width > 0 for t in towers) and len(opened) == len(closed) == size \
+            and opened == closed:
+        return PartitionReport(True, total, expected)
+    # not a tiling, or some levels are empty: the sorted sweep decides and
+    # names the first defect
+    pieces = sorted((left, left + t.width) for t in towers for left in t.lefts)
     for prev, nxt in zip(pieces, pieces[1:]):
         if nxt[0] < prev[1]:
             return PartitionReport(
@@ -168,7 +209,12 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     lat = _lattice(f)
     violations: list[str] = []
     for lo, hi in ADJACENT_PAIRS:
-        for j, ((p_lo,), (p_hi,)) in enumerate(zip(f.nine[lo].pieces, f.nine[hi].pieces)):
+        t_lo, t_hi = f.nine[lo], f.nine[hi]
+        on_left, on_right = (t_hi, t_lo) if reversed_ else (t_lo, t_hi)
+        if all(map(eq, map(on_left.width.__add__, on_left.lefts), on_right.lefts)):
+            continue
+        for j, (l_lo, l_hi) in enumerate(zip(t_lo.lefts, t_hi.lefts)):
+            p_lo, p_hi = (l_lo, l_lo + t_lo.width), (l_hi, l_hi + t_hi.width)
             left, right = (p_hi, p_lo) if reversed_ else (p_lo, p_hi)
             if left[1] != right[0]:
                 violations.append(
@@ -191,7 +237,7 @@ def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
         # when xD does
         t = f.nine[ch]
         k = x.numerator * t.D // x.denominator
-        for j, level in enumerate(t.pieces):
-            if any(left <= k < right for left, right in level):
+        for j, left in enumerate(t.lefts):
+            if left <= k < left + t.width:
                 return ch, j
     raise OutOfDomain(f"{x} lies in no tower level", point=str(x))

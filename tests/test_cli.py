@@ -1,9 +1,14 @@
 """End-to-end tests of the ar-iet command line."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ar_iet.cli import load_config, main
+import ar_iet
+from ar_iet.cli import build_parser, load_config, main
 
 
 def run(capsys, *argv):
@@ -194,6 +199,36 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("ar-iet: ") and err.count("\n") == 1
+
+
+# --- parser ------------------------------------------------------------------
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    probe = "import ar_iet.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_parser_reuse_leaks_no_state_between_calls(capsys):
+    two = run_json(capsys, "check", "--prefix", "11", "--prefix", "12")
+    assert [t["prefix"] for t in two["targets"]] == ["11", "12"]
+    one = run_json(capsys, "check", "--prefix", "13")
+    assert [t["prefix"] for t in one["targets"]] == ["13"]
+    # a usage error leaves the next call as it was before it
+    before = run(capsys, "check", "--partition", "--prefix", "1111", "--depth", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--all", "--prefix", "1^12", "--depth", "8"])
+    assert exc.value.code == 2
+    assert "invalid parse_prefix value" in capsys.readouterr().err
+    assert run(capsys, "check", "--partition", "--prefix", "1111", "--depth", "3") == before
+    # the experiment kinds are one mutually exclusive group
+    xi = run_json(capsys, "experiment", "--xi", "--ks", "1,2,1", "--rules", "121")
+    twm = run_json(capsys, "experiment", "--twm", "--prefix", "1" * 10)
+    assert xi["schema"] != twm["schema"]
+    assert run_json(capsys, "experiment", "--xi", "--ks", "1,2,1", "--rules", "121") == xi
 
 
 # --- experiment --------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Golden CLI corpus: every subcommand's full output, compared byte for byte.
 
 Each case runs `ar_iet.cli.main` in-process and compares a transcript of
-its exit code, stdout and stderr with `tests/golden/<name>.txt`.  Files a
+its exit code, stdout and stderr with `tests/golden/<name>.txt`; a usage
+error's `SystemExit` code is its exit code, and `COLUMNS` is pinned so that
+argparse wraps the usage line the same way on every terminal.  Files a
 case writes (CSV, SVG) are compared with `tests/golden/<name>.<file>`; the
 SVG version comment is dropped on both sides, and the output directory in
 stdout reads `<out>`.
@@ -11,11 +13,13 @@ intended output change, with `PYTHONPATH=src python tests/test_golden.py`.
 """
 from __future__ import annotations
 
+import os
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,6 +45,7 @@ CASES = {
     "check-induction-depth0": (["check", "--induction", "--prefix", "111",
                                 "--depth", "0"], ()),
     "check-not-in-gasket": (["check", "--all", "--prefix=", "--depth", "3"], ()),
+    "check-malformed-prefix": (["check", "--all", "--prefix", "1^12", "--depth", "8"], ()),
     "experiment-xi": (["experiment", "--xi", "--ks", "1,2,1,1,3",
                        "--rules", "12111"], ()),
     "experiment-twm": (["experiment", "--twm", "--prefix", "1" * 10], ()),
@@ -63,8 +68,11 @@ _SVG_VERSION = re.compile(r"^<!-- ar-iet .* -->\n", re.MULTILINE)
 def _run(argv: list[str], out_dir: Path) -> str:
     """The transcript of one in-process run: exit code, stdout, stderr."""
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--output-dir", str(out_dir), *argv])
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(["--output-dir", str(out_dir), *argv])
+        except SystemExit as e:
+            code = e.code
     stdout = _SVG_VERSION.sub("", out.getvalue()).replace(str(out_dir), "<out>")
     return f"exit {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}"
 

@@ -202,6 +202,16 @@ def test_trajectory_oracles():
     assert trajectory(m, F(6), 1, "three") == "a"
 
 
+def test_trajectory_checks_the_partition_before_walking(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(iet.Lattice, "walk", walk)
+    m = build_ar9(triple(7, 4, 2))
+    with pytest.raises(ValueError, match="unknown partition 'bogus'"):
+        trajectory(m, F(6), 10**7, "bogus")
+
+
 def test_trajectory_projection_consistency():
     rng = random.Random(37)
     for _ in range(10):

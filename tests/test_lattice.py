@@ -4,6 +4,11 @@ The reference below finds pieces by a linear scan over the map's Fraction
 intervals and translates with Fraction additions; it shares no code with
 `Ar9Map.lattice`.  Each of the six arrangements, adjacent and gapped, gets
 its own seeded random prefix.
+
+`Lattice.walk` is compared with step-by-step `Lattice.push`, the column
+towers with `ref_tower`, the projected towers with `ref_merge` and
+`partition_check` with `ref_partition`, the sorted-pairs sweep it used to
+run on every family.
 """
 from __future__ import annotations
 
@@ -15,10 +20,10 @@ import pytest
 
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple
-from ar_iet.iet import ORDER_TAGS, build_ar9, trajectory
+from ar_iet.iet import ORDER_TAGS, Interval, build_ar9, trajectory
 from ar_iet.induction import iterate_induction
-from ar_iet.towers import adjacency_check, partition_check, towers_at_stage
-from ar_iet.words import A9
+from ar_iet.towers import PartitionReport, adjacency_check, partition_check, towers_at_stage
+from ar_iet.words import A3_MEMBERS, A9
 
 F = Fraction
 CASES = [(order, gapped) for order in ORDER_TAGS for gapped in (False, True)]
@@ -127,3 +132,173 @@ def test_map_on_a_finer_lattice_induces_the_same_stages(order, gapped):
         for ch in A9:
             assert f.nine[ch].base == g.nine[ch].base
             assert f.nine[ch].levels == g.nine[ch].levels
+
+
+
+def ref_walk(lat, left, right, n):
+    """Letters and left ends of up to n images, one `push` per image, and
+    the error push raised at the next image, if any."""
+    letters, lefts = [], []
+    for _ in range(n):
+        try:
+            ch, offset = lat.push(left, right)
+        except (OutOfDomain, RuntimeError) as e:
+            return letters, lefts, e
+        letters.append(ch)
+        lefts.append(left)
+        left, right = left + offset, right + offset
+    return letters, lefts, None
+
+
+def check_walk(lat, left, right, n):
+    """Assert that walk agrees with ref_walk; return ref_walk's error."""
+    letters, lefts, error = ref_walk(lat, left, right, n)
+    if error is None:
+        assert lat.walk(left, right, n) == (letters, lefts)
+        return None
+    with pytest.raises(type(error)) as got:
+        lat.walk(left, right, n)
+    assert type(got.value) is type(error)
+    assert str(got.value) == str(error)
+    assert getattr(got.value, "detail", None) == getattr(error, "detail", None)
+    assert got.value.level == len(lefts)
+    return error
+
+
+def ref_merge(pairs):
+    """Sorted integer pieces with empty ones dropped and touching ones joined."""
+    merged = []
+    for left, right in sorted(pairs):
+        if right <= left:
+            continue
+        if merged and merged[-1][1] == left:
+            merged[-1] = (merged[-1][0], right)
+        else:
+            merged.append((left, right))
+    return tuple(merged)
+
+
+def ref_partition(f):
+    """partition_check as a sweep over every level piece, sorted as pairs."""
+    lat = f.base_map.lattice.refined(f.nine["1"].D)
+    pieces = sorted(p for ch in A9 for level in f.nine[ch].pieces for p in level)
+    support = ref_merge(zip(lat.lefts, lat.rights))
+    total = F(sum(r - l for l, r in pieces), lat.D)
+    expected = F(sum(r - l for l, r in support), lat.D)
+    for prev, nxt in zip(pieces, pieces[1:]):
+        if nxt[0] < prev[1]:
+            return PartitionReport(
+                False, total, expected,
+                f"levels {lat.interval(*prev)} and {lat.interval(*nxt)} overlap")
+    if ref_merge(pieces) != support:
+        return PartitionReport(False, total, expected,
+                               "union of levels differs from the space")
+    return PartitionReport(True, total, expected)
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_walk_matches_step_by_step_push(order, gapped):
+    rng, _, m = system(order, gapped)
+    lat = m.lattice.refined(997)
+    rows = list(lat.rows())
+    for _ in range(6):
+        left, right, _, _ = rng.choice(rows)
+        p = rng.randrange(left, right)
+        for n in (0, 1, rng.randint(2, 400)):
+            assert check_walk(lat, p, p + 1, n) is None
+    # each piece pushed whole: its image may straddle the next pieces
+    late_straddles = 0
+    for left, right, _, _ in rows:
+        error = check_walk(lat, left, right, 30)
+        late_straddles += isinstance(error, RuntimeError)
+    assert late_straddles
+    # an interval over the end of a piece inside its block straddles at once
+    support = ref_merge(zip(lat.lefts, lat.rights))
+    inner = next(r for r in lat.rights if r not in {end for _, end in support})
+    error = check_walk(lat, inner - 1, inner + 1, 5)
+    assert isinstance(error, RuntimeError) and "straddles" in str(error)
+    # a walk whose second image lands in the gap after the first block
+    # (outside the domain when the blocks are adjacent)
+    (start, end), *_ = support
+    p = rng.randrange(start, end)
+    i = next(i for i, (left, right, _, _) in enumerate(rows) if left <= p < right)
+    offsets = list(lat.offsets)
+    offsets[i] = end - p
+    into_gap = dataclasses.replace(lat, offsets=tuple(offsets))
+    assert check_walk(into_gap, p, p + 1, 0) is None
+    error = check_walk(into_gap, p, p + 1, 3)
+    assert isinstance(error, OutOfDomain) and error.detail == {"point": str(F(end, lat.D))}
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_column_towers_match_references(order, gapped):
+    _, prefix, m = system(order, gapped)
+    k = min(len(prefix), 7)
+    stages = iterate_induction(m, k)
+    for stage in range(k + 1):
+        f = towers_at_stage(m, stages, stage)
+        bases = (stages[stage - 1].map if stage else m).domain
+        for ch in A9:
+            tower = f.nine[ch]
+            levels, word = ref_tower(m, bases[ch], tower.height)
+            assert (tower.levels, tower.word, tower.base) == (levels, word, levels[0])
+            assert F(tower.width, tower.D) == bases[ch].length
+            assert tower.measure() == bases[ch].length * tower.height
+            assert tower.pieces == tuple(((left, left + tower.width),) for left in tower.lefts)
+        for letter, members in A3_MEMBERS.items():
+            projected = f.three[letter]
+            rows = zip(*(f.nine[ch].pieces for ch in members))
+            assert projected.pieces == tuple(
+                ref_merge(p for level in row for p in level) for row in rows)
+            assert projected.levels == tuple(
+                tuple(Interval(F(left, f.nine["1"].D), F(right, f.nine["1"].D))
+                      for left, right in level) for level in projected.pieces)
+            assert projected.base == projected.levels[0]
+        assert partition_check(f) == ref_partition(f)
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_partition_check_matches_the_sorted_sweep(order, gapped):
+    rng, prefix, m = system(order, gapped)
+    k = rng.randint(1, min(len(prefix), 6))
+    f = towers_at_stage(m, iterate_induction(m, k), k)
+    ch, other = rng.sample(A9, 2)
+    tower = f.nine[ch]
+    j = rng.randrange(tower.height)
+    moved = list(tower.lefts)
+    moved[j] += 1
+
+    def replaced(letter, **changes):
+        return dataclasses.replace(f, nine={
+            **f.nine, letter: dataclasses.replace(f.nine[letter], **changes)})
+
+    # tower 2 (3 when reversed) widened over its neighbour, whose levels are
+    # emptied: the ends still pair off, but the sweep finds the overlap
+    left, right = ("3", "2") if f.order.reversed else ("2", "3")
+    absorbed = dataclasses.replace(f, nine={
+        **f.nine,
+        left: dataclasses.replace(f.nine[left], width=f.nine[left].width + f.nine[right].width),
+        right: dataclasses.replace(f.nine[right], width=0)})
+
+    broken = {
+        "shifted by a unit": replaced(ch, lefts=tuple(left + 1 for left in tower.lefts)),
+        "shifted by its width": replaced(
+            ch, lefts=tuple(left + tower.width for left in tower.lefts)),
+        "shifted by one": replaced(ch, lefts=tuple(left + tower.D for left in tower.lefts)),
+        "duplicated": replaced(other, width=tower.width, lefts=tower.lefts),
+        "empty levels": replaced(ch, width=0),
+        "empty levels inside their neighbours": absorbed,
+        "a level repeated": replaced(ch, lefts=tower.lefts + tower.lefts[:1]),
+        "one level moved": replaced(ch, lefts=tuple(moved)),
+        "a level dropped": replaced(ch, lefts=tower.lefts[:j] + tower.lefts[j + 1:]),
+        "narrower levels": replaced(ch, width=tower.width - 1),
+    }
+    report = partition_check(f)
+    assert report.ok and report == ref_partition(f)
+    for name, family in broken.items():
+        report = partition_check(family)
+        assert report == ref_partition(family), name
+        assert not report.ok, name

@@ -94,18 +94,16 @@ def test_partition_check_sweep():
 def test_partition_check_negative_control():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["1"]
-    shifted = tuple(
-        tuple((left + tower.D, right + tower.D) for left, right in level)
-        for level in tower.pieces
-    )
-    broken = dataclasses.replace(tower, pieces=shifted)
+    shifted = tuple(left + tower.D for left in tower.lefts)
+    broken = dataclasses.replace(tower, lefts=shifted)
     f = dataclasses.replace(f, nine={**f.nine, "1": broken})
     assert not partition_check(f).ok
 
 
 def test_partition_check_names_the_first_overlap():
     _, _, f = family_for((I, I), 2)
-    copy = dataclasses.replace(f.nine["2"], pieces=f.nine["1"].pieces)
+    copy = dataclasses.replace(f.nine["2"], width=f.nine["1"].width,
+                               lefts=f.nine["1"].lefts)
     f = dataclasses.replace(f, nine={**f.nine, "2": copy})
     report = partition_check(f)
     assert not report.ok
@@ -116,11 +114,10 @@ def test_partition_check_names_the_first_overlap():
 def test_adjacency_check_negative_control():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["3"]
-    pieces = list(tower.pieces)
-    ((left, right),) = pieces[1]
+    lefts = list(tower.lefts)
     # one lattice unit, the smallest shift the levels can take
-    pieces[1] = ((left + 1, right + 1),)
-    broken = dataclasses.replace(tower, pieces=tuple(pieces))
+    lefts[1] += 1
+    broken = dataclasses.replace(tower, lefts=tuple(lefts))
     f = dataclasses.replace(f, nine={**f.nine, "3": broken})
     report = adjacency_check(f)
     assert not report.ok
@@ -131,8 +128,8 @@ def test_adjacency_check_negative_control():
 def test_checks_refuse_towers_on_different_lattices():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["4"]
-    finer = dataclasses.replace(tower, D=2 * tower.D, pieces=tuple(
-        tuple((2 * left, 2 * right) for left, right in level) for level in tower.pieces))
+    finer = dataclasses.replace(tower, D=2 * tower.D, width=2 * tower.width,
+                                lefts=tuple(2 * left for left in tower.lefts))
     assert finer.levels == tower.levels
     f = dataclasses.replace(f, nine={**f.nine, "4": finer})
     for check in (partition_check, adjacency_check):
