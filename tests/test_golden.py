@@ -30,14 +30,19 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> (argv, files the run writes under the output directory)
 CASES = {
     "gasket": (["gasket", "--triple", "13,7,4", "--steps", "10"], ()),
+    "gasket-one-step": (["gasket", "--triple", "10,4,1", "--steps", "1"], ()),
     "words-a3": (["words", "--prefix", "1121", "--alphabet", "a3"], ()),
     "words-a9-mult": (["words", "--prefix", "1131", "--alphabet", "a9",
                        "--multiplicative"], ()),
     "words-overflow": (["words", "--prefix", "111111", "--cap", "10"], ()),
     "orbit-csv": (["orbit", "--triple", "7,4,2", "--point", "6", "--length", "40",
                    "--csv", "orbit.csv"], ("orbit.csv",)),
+    "orbit-sampled": (["orbit", "--prefix", "1111", "--length", "30",
+                       "--partition", "three"], ()),
     "induct": (["induct", "--prefix", "12311", "--steps", "3"], ()),
     "towers": (["towers", "--prefix", "1111", "--stage", "2"], ()),
+    "towers-reversed-third": (["towers", "--prefix", "1111", "--stage", "2",
+                               "--order", "reversed-third"], ()),
     "check-two-prefixes": (["check", "--all", "--prefix", "1213", "--prefix", "3121",
                             "--depth", "3"], ()),
     "check-reversed": (["check", "--all", "--prefix", "11111111", "--depth", "4",
@@ -46,6 +51,8 @@ CASES = {
                                 "--depth", "0"], ()),
     "check-not-in-gasket": (["check", "--all", "--prefix=", "--depth", "3"], ()),
     "check-malformed-prefix": (["check", "--all", "--prefix", "1^12", "--depth", "8"], ()),
+    "check-prefix-file": (["check", "--all", "--prefix-file",
+                           str(GOLDEN / "check-prefix-file.prefixes"), "--depth", "3"], ()),
     "experiment-xi": (["experiment", "--xi", "--ks", "1,2,1,1,3",
                        "--rules", "12111"], ()),
     "experiment-twm": (["experiment", "--twm", "--prefix", "1" * 10], ()),
@@ -53,11 +60,17 @@ CASES = {
                           "--theta", "1/2"], ()),
     "experiment-two-measure": (["experiment", "--two-measure", "--ks", "1,1,1",
                                 "--rules", "111", "--length", "300"], ()),
+    "config-two-measure": (["--config", str(GOLDEN / "config.cfg"), "experiment",
+                            "--two-measure", "--ks", "1,1,1", "--rules", "111",
+                            "--length", "300"], ()),
+    "config-birkhoff": (["--config", str(GOLDEN / "config.cfg"), "experiment",
+                         "--birkhoff", "--prefix", "1111", "--length", "50"], ()),
     "experiment-birkhoff": (["experiment", "--birkhoff", "--triple", "7,4,2",
                              "--point", "6", "--length", "100", "--csv", "b.csv"],
                             ("b.csv",)),
     "render-induction": (["render", "--induction", "--prefix", "1111",
                           "--stage", "2"], ()),
+    "render-layout": (["render", "--layout", "--triple", "7,4,2"], ()),
     "render-towers": (["render", "--towers", "--prefix", "1111", "--stage", "3",
                        "--out", "tow.svg"], ("tow.svg",)),
 }
