@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -110,17 +111,8 @@ def xi_sequence(
         if value is not None:
             xi[n] = value
     xi_values = [xi[n] for n in sorted(xi)]
-    sums: list[Fraction] = []
-    acc = Fraction(0)
-    for v in xi_values:
-        acc += v
-        sums.append(acc)
+    sums = tuple(accumulate(xi_values))
     inv_k = [Fraction(1, k) for k in pq.ks]
-    inv_sums: list[Fraction] = []
-    acc = Fraction(0)
-    for v in inv_k:
-        acc += v
-        inv_sums.append(acc)
     if xi_values:
         tail = _tail(xi_values)
         mtours = sums[-1] >= xi_sum_threshold and (
@@ -140,7 +132,7 @@ def xi_sequence(
         twm_pattern=twm,
         bqp_bound=max(pq.ks) if pq.ks else None,
     )
-    return ConditionReport(xi, tuple(sums), tuple(inv_sums), flags)
+    return ConditionReport(xi, sums, tuple(accumulate(inv_k)), flags)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Command-line front end: `ar-iet`.
 
 Subcommands wrap the library one-to-one and emit deterministic JSON on
-stdout (sorted keys, exact rationals as "p/q" strings), optional CSV and
-SVG files under the configured output directory.  Exit codes: 0 success,
-1 domain error (a structured JSON object goes to stderr), 2 usage error.
+stdout (sorted keys, library values turned into JSON by one encoder,
+`_encoded`), optional CSV and SVG files under the configured output
+directory.  Exit codes: 0 success, 1 domain error (a structured JSON
+object goes to stderr), 2 usage error.
 
 A plain-text config file (`--config`) holds `key=value` lines with `#`
 comments; keys mirror RunConfig fields.  With a fixed config and fixed
@@ -19,9 +20,10 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__, svg
 from .analysis import (
@@ -46,7 +48,7 @@ from .gasket import (
     partial_quotients,
     reconstruct_triple,
 )
-from .iet import FIRST_ORDER, build_ar9, parse_order, trajectory
+from .iet import FIRST_ORDER, Ar9Map, OrderTag, build_ar9, parse_order, trajectory
 from .induction import induce_step, iterate_induction
 from .towers import (
     adjacency_check,
@@ -90,9 +92,19 @@ class RunConfig:
             raise ConfigError("refinement_depth must be nonnegative")
 
 
-_INT_KEYS = ("max_steps", "word_cap", "return_time_cap", "refinement_depth",
-             "random_seed")
-_FRACTION_KEYS = ("l1_threshold", "xi_sum_threshold", "tail_epsilon")
+# the parser of a config value, by the type of its RunConfig field
+_PARSERS = {Triple: parse_triple, int: int, Fraction: Fraction, str: str}
+
+
+def _commented_lines(path: str, name: str) -> list[tuple[int, str]]:
+    """The numbered lines of a text file with `#` comments cut, stripped,
+    blank ones left out; name is the file as a read error calls it."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read {name}: {e}") from e
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return [(n, line) for n, line in lines if line]
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -100,30 +112,17 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         config.validate()
         return config
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+    types = get_type_hints(RunConfig)
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _commented_lines(path, f"config {path}"):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = key.strip(), value.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key == "seed_triple":
-                overrides[key] = parse_triple(value)
-            elif key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FRACTION_KEYS:
-                overrides[key] = Fraction(value)
-            elif key == "output_dir":
-                overrides[key] = value
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            overrides[key] = _PARSERS[types[key]](value)
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from e
     config = replace(config, **overrides)
@@ -133,12 +132,31 @@ def load_config(path: str | None) -> RunConfig:
 
 # --- serialization helpers ---------------------------------------------------
 
-def _iv(piece) -> list[str]:
-    return [str(piece.left), str(piece.right)]
+def _encoded(value):
+    """A library value as JSON data; the one place the payload format is
+    decided.  Fractions and order tags become their strings ("11/3",
+    "reversed-second"), a Sym its digit ("1"), tuples (Interval and Triple
+    among them) lists, dict keys strings, and other dataclasses dicts of
+    their fields; str, int, bool and None stay as they are."""
+    if isinstance(value, (Fraction, OrderTag)):
+        return str(value)
+    if isinstance(value, Sym):
+        return str(int(value))
+    if isinstance(value, (tuple, list)):
+        return [_encoded(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _encoded(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _encoded(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_json(payload: dict, args, config: RunConfig) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(_encoded(payload))
     sys.stdout.write(text)
     name = getattr(args, "emit", None)
     if name:
@@ -152,20 +170,18 @@ def _write_file(name: str, text: str, config: RunConfig) -> Path:
     return path
 
 
-def _frequency_rows(counts: dict[str, int], length: int) -> list[list[str]]:
-    rows = []
-    for letter in sorted(counts):
-        freq = Fraction(counts[letter], length)
-        rows.append([letter, str(counts[letter]), str(freq), f"{float(freq):.12g}"])
-    return rows
-
-
-def _write_csv(name: str, header: list[str], rows: list[list[str]],
-               config: RunConfig) -> None:
+def _write_frequency_csv(name: str | None, counts: dict[str, int], length: int,
+                         config: RunConfig) -> None:
+    """The letter counts of an orbit of the given length and their exact and
+    decimal frequencies, as CSV, when a file name is given."""
+    if not name:
+        return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(["letter", "count", "frequency", "decimal"])
+    for letter in sorted(counts):
+        freq = Fraction(counts[letter], length)
+        writer.writerow([letter, counts[letter], freq, f"{float(freq):.12g}"])
     _write_file(name, buffer.getvalue(), config)
 
 
@@ -192,7 +208,11 @@ def _resolve_pq(args) -> PartialQuotients:
     raise ConfigError("one of --prefix or --ks/--rules is required")
 
 
-def _sample_point(m, rng: random.Random) -> Fraction:
+def _start_point(args, m: Ar9Map, config: RunConfig) -> Fraction:
+    """--point, or a point of a random piece drawn from random_seed."""
+    if args.point is not None:
+        return args.point
+    rng = random.Random(config.random_seed)
     piece = m.domain[rng.choice(A9)]
     return piece.left + piece.length * Fraction(rng.randrange(1, 997), 997)
 
@@ -235,18 +255,18 @@ def cmd_gasket(args, config: RunConfig) -> int:
     prefix, exit_ = directing_prefix(t, max_steps=steps)
     payload = {
         "schema": "ar-iet/gasket/1",
-        "triple": [str(v) for v in t],
+        "triple": t,
         "steps": steps,
         "prefix": format_prefix(prefix),
-        "exit": {"kind": exit_.kind, "step": exit_.step, "reason": exit_.reason},
-        "omega_lengths": [str(v) for v in omega_lengths(t)],
+        "exit": exit_,
+        "omega_lengths": omega_lengths(t),
     }
     try:
         pq = partial_quotients(prefix)
         payload["partial_quotients"] = {
-            "ks": list(pq.ks),
-            "rules": "".join(str(int(r)) for r in pq.rules),
-            "times": list(pq.times),
+            "ks": pq.ks,
+            "rules": format_prefix(pq.rules),
+            "times": pq.times,
         }
     except DomainError:
         payload["partial_quotients"] = None
@@ -271,8 +291,8 @@ def cmd_words(args, config: RunConfig) -> int:
         "alphabet": args.alphabet,
         "stage": stage,
         "multiplicative": bool(args.multiplicative),
-        "words": dict(sorted(words.items())),
-        "heights": {"a": heights[0], "b": heights[1], "c": heights[2]},
+        "words": words,
+        "heights": dict(zip("abc", heights)),
     }
     _emit_json(payload, args, config)
     return 0
@@ -283,25 +303,21 @@ def cmd_orbit(args, config: RunConfig) -> int:
         raise ConfigError("--length must be nonnegative")
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    x = args.point
-    if x is None:
-        x = _sample_point(m, random.Random(config.random_seed))
+    x = _start_point(args, m, config)
     coding = trajectory(m, x, args.length, args.partition)
-    counts = {ch: coding.count(ch) for ch in sorted(set(coding))}
+    counts = {ch: coding.count(ch) for ch in set(coding)}
     payload = {
         "schema": "ar-iet/orbit/1",
-        "triple": [str(v) for v in t],
-        "order": str(args.order),
-        "point": str(x),
+        "triple": t,
+        "order": args.order,
+        "point": x,
         "length": args.length,
         "partition": args.partition,
         "coding": coding,
         "counts": counts,
     }
     _emit_json(payload, args, config)
-    if args.csv:
-        _write_csv(args.csv, ["letter", "count", "frequency", "decimal"],
-                   _frequency_rows(counts, args.length), config)
+    _write_frequency_csv(args.csv, counts, args.length, config)
     return 0
 
 
@@ -313,9 +329,9 @@ def cmd_induct(args, config: RunConfig) -> int:
     items = [
         {
             "index": stage.index,
-            "case": str(int(stage.case)),
-            "triple": [str(v) for v in stage.map.triple],
-            "order": str(stage.map.order),
+            "case": stage.case,
+            "triple": stage.map.triple,
+            "order": stage.map.order,
             "return_times": stage.return_times,
             "return_words": stage.return_words,
             "verified": stage.ok,
@@ -324,8 +340,8 @@ def cmd_induct(args, config: RunConfig) -> int:
     ]
     payload = {
         "schema": "ar-iet/induct/1",
-        "triple": [str(v) for v in t],
-        "order": str(args.order),
+        "triple": t,
+        "order": args.order,
         "steps": steps,
         "stages": items,
     }
@@ -356,24 +372,17 @@ def cmd_towers(args, config: RunConfig) -> int:
     _require_level_cap(stages, stage, config)
     family = towers_at_stage(m, stages, stage)
     nine = {
-        ch: {
-            "height": tower.height,
-            "word": tower.word,
-            "base": _iv(tower.base[0]),
-        }
+        ch: {"height": tower.height, "word": tower.word, "base": tower.base[0]}
         for ch, tower in family.nine.items()
     }
     three = {
-        ch: {
-            "height": tower.height,
-            "base": [_iv(p) for p in tower.base],
-        }
+        ch: {"height": tower.height, "base": tower.base}
         for ch, tower in family.three.items()
     }
     payload = {
         "schema": "ar-iet/towers/1",
-        "triple": [str(v) for v in t],
-        "order": str(args.order),
+        "triple": t,
+        "order": args.order,
         "stage": stage,
         "nine": nine,
         "three": three,
@@ -432,7 +441,7 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
         results["coding"] = words_ok and orbit_ok
     return {
         "prefix": format_prefix(prefix),
-        "triple": [str(v) for v in t],
+        "triple": t,
         "depth": depth,
         "checks": results,
         "ok": all(results.values()),
@@ -445,14 +454,7 @@ def cmd_check(args, config: RunConfig) -> int:
         selected = _CHECK_NAMES
     prefixes = list(args.prefix or [])
     if args.prefix_file:
-        try:
-            lines = Path(args.prefix_file).read_text().splitlines()
-        except OSError as e:
-            raise ConfigError(f"cannot read {args.prefix_file}: {e}") from e
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in _commented_lines(args.prefix_file, args.prefix_file):
             try:
                 prefixes.append(parse_prefix(line))
             except ValueError as e:
@@ -466,8 +468,8 @@ def cmd_check(args, config: RunConfig) -> int:
     ]
     payload = {
         "schema": "ar-iet/check/1",
-        "selected": list(selected),
-        "order": str(args.order),
+        "selected": selected,
+        "order": args.order,
         "targets": targets,
         "ok": all(item["ok"] for item in targets),
     }
@@ -489,45 +491,24 @@ def cmd_experiment(args, config: RunConfig) -> int:
                              tail_epsilon=config.tail_epsilon)
         payload = {
             "schema": "ar-iet/experiment-xi/1",
-            "ks": list(pq.ks),
-            "rules": "".join(str(int(r)) for r in pq.rules),
-            "xi": {str(n): str(v) for n, v in sorted(report.xi.items())},
-            "xi_partial_sums": [str(v) for v in report.xi_partial_sums],
-            "inv_k_partial_sums": [str(v) for v in report.inv_k_partial_sums],
-            "flags": {
-                "mtours_evidence": report.flags.mtours_evidence,
-                "nue_evidence": report.flags.nue_evidence,
-                "twm_pattern": report.flags.twm_pattern,
-                "bqp_bound": report.flags.bqp_bound,
-            },
-            "evidence_scope": report.evidence_scope,
+            "ks": pq.ks,
+            "rules": format_prefix(pq.rules),
+            **_encoded(report),
         }
     elif args.kind == "twm":
         report = twm_pattern(pq, tail_epsilon=config.tail_epsilon)
         patterns = tourab_patterns(pq)
         payload = {
             "schema": "ar-iet/experiment-twm/1",
-            "n_indices": list(report.n_indices),
-            "max_k_ni_plus_2": report.max_k_ni_plus_2,
-            "sum_inv_k_ni_plus_1": str(report.sum_inv_k_ni_plus_1),
-            "sum_inv_k_ni": str(report.sum_inv_k_ni),
-            "pattern_present": report.pattern_present,
-            "tourab_i": list(patterns.pattern_i),
-            "tourab_ii": list(patterns.pattern_ii),
+            **_encoded(report),
+            "tourab_i": patterns.pattern_i,
+            "tourab_ii": patterns.pattern_ii,
             "evidence_scope": "prefix-only",
         }
     elif args.kind == "eigen":
         scan = eigenvalue_scan(pq, args.theta, floor=args.floor,
                                persistence=args.persistence)
-        payload = {
-            "schema": "ar-iet/experiment-eigen/1",
-            "theta": str(scan.theta),
-            "floor": str(scan.floor),
-            "values": [str(v) for v in scan.values],
-            "hits": list(scan.hits),
-            "verdict": scan.verdict,
-            "rejected_at": scan.rejected_at,
-        }
+        payload = {"schema": "ar-iet/experiment-eigen/1", **_encoded(scan)}
     elif args.kind == "two-measure":
         top = pq.times[-1] if pq.ks else 0
         depth = args.depth if args.depth is not None else top
@@ -540,35 +521,28 @@ def cmd_experiment(args, config: RunConfig) -> int:
             "depth": report.depth,
             "orbit_length": report.orbit_length,
             "swapped": report.swapped,
-            "base_points": [str(x) for x in report.base_points],
-            "frequencies": [
-                {ch: str(f) for ch, f in v.frequencies.items()}
-                for v in report.vectors
-            ],
-            "l1": str(report.l1),
+            "base_points": report.base_points,
+            "frequencies": [v.frequencies for v in report.vectors],
+            "l1": report.l1,
             "l1_decimal": f"{float(report.l1):.12g}",
-            "l1_threshold": str(config.l1_threshold),
+            "l1_threshold": config.l1_threshold,
             "exceeds_threshold": report.l1 >= config.l1_threshold,
         }
     else:  # birkhoff
         t = _resolve_triple(args, config)
         m = build_ar9(t, order=args.order)
-        x = args.point
-        if x is None:
-            x = _sample_point(m, random.Random(config.random_seed))
+        x = _start_point(args, m, config)
         vector = birkhoff_frequencies(m, x, args.length)
         payload = {
             "schema": "ar-iet/experiment-birkhoff/1",
-            "triple": [str(v) for v in t],
-            "order": str(args.order),
-            "point": str(x),
+            "triple": t,
+            "order": args.order,
+            "point": x,
             "length": args.length,
-            "counts": dict(sorted(vector.counts.items())),
-            "frequencies": {ch: str(f) for ch, f in sorted(vector.frequencies.items())},
+            "counts": vector.counts,
+            "frequencies": vector.frequencies,
         }
-        if args.csv:
-            _write_csv(args.csv, ["letter", "count", "frequency", "decimal"],
-                       _frequency_rows(vector.counts, args.length), config)
+        _write_frequency_csv(args.csv, vector.counts, args.length, config)
     _emit_json(payload, args, config)
     return 0
 
@@ -749,7 +723,7 @@ def main(argv=None) -> int:
             "message": str(e),
             "detail": {k: str(v) for k, v in sorted(e.detail.items())},
         }
-        sys.stderr.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
+        sys.stderr.write(_json_text(error))
         return 1
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IncompletePrefix, Inadmissible, InvalidSeed, NotInGasket
@@ -161,11 +162,7 @@ class PartialQuotients:
 
     @property
     def times(self) -> tuple[int, ...]:
-        out, m = [], 0
-        for k in self.ks:
-            m += k
-            out.append(m)
-        return tuple(out)
+        return tuple(accumulate(self.ks))
 
     def expand(self) -> Prefix:
         out: list[Sym] = []

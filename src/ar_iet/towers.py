@@ -101,13 +101,24 @@ class ProjectedTower(NamedTuple):
 
 @dataclass(frozen=True)
 class TowerFamily:
-    """All towers of one stage: nine fine ones plus the three projected ones."""
+    """All towers of one stage: nine fine ones plus the three projected ones,
+    which are joined from the nine on first read."""
 
     stage: int
     order: OrderTag
     nine: dict[str, Tower]
-    three: dict[str, ProjectedTower]
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
+
+    @cached_property
+    def three(self) -> dict[str, ProjectedTower]:
+        three = {}
+        for letter, members in A3_MEMBERS.items():
+            towers = [self.nine[ch] for ch in members]
+            # one row of (left, right) pairs per level, one pair per member
+            rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
+            three[letter] = ProjectedTower(letter, self.stage, towers[0].D,
+                                           tuple(map(_merge, rows)))
+        return three
 
 
 def towers_at_stage(
@@ -133,21 +144,16 @@ def towers_at_stage(
         except RuntimeError as e:
             raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
         nine[ch] = Tower(ch, k, lat.D, right - left, tuple(lefts), "".join(letters))
-    three: dict[str, ProjectedTower] = {}
-    for letter, members in A3_MEMBERS.items():
-        towers = [nine[ch] for ch in members]
-        if any(t.height != towers[0].height for t in towers):
+    for members in A3_MEMBERS.values():
+        if len({nine[ch].height for ch in members}) > 1:
             raise RuntimeError(f"towers {', '.join(members)} differ in height")
-        # one row of (left, right) pairs per level, one pair per member
-        rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
-        three[letter] = ProjectedTower(letter, k, lat.D, tuple(map(_merge, rows)))
-    return TowerFamily(k, stage_map.order, nine, three, m0)
+    return TowerFamily(k, stage_map.order, nine, m0)
 
 
 def _lattice(f: TowerFamily) -> Lattice:
     """The base map's lattice, refined to the one every level is held on."""
     lat = f.base_map.lattice.refined(f.nine["1"].D)
-    if any(t.D != lat.D for t in (*f.nine.values(), *f.three.values())):
+    if any(t.D != lat.D for t in f.nine.values()):
         raise ValueError("tower levels are held on different lattices")
     return lat
 

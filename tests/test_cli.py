@@ -1,14 +1,17 @@
 """End-to-end tests of the ar-iet command line."""
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
 import ar_iet
-from ar_iet.cli import build_parser, load_config, main
+from ar_iet.cli import RunConfig, build_parser, load_config, main
 
 
 def run(capsys, *argv):
@@ -41,6 +44,41 @@ def test_config_defaults_and_overrides(tmp_path):
     assert config.output_dir == "out"
     assert config.random_seed == 7
     assert config.max_steps == 64  # untouched default
+
+
+def test_readme_config_keys_are_the_runconfig_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("* **Config.**")
+    keys = readme[readme.index("allowed):", start):readme.index("Flags override", start)]
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in fields(RunConfig)]
+
+
+# a value other than the default for every RunConfig field, in config syntax
+CONFIG_SAMPLES = {
+    "seed_triple": "7,4,2",
+    "max_steps": "9",
+    "word_cap": "99",
+    "return_time_cap": "3",
+    "refinement_depth": "0",
+    "l1_threshold": "3/7",
+    "xi_sum_threshold": "5/2",
+    "tail_epsilon": "1/3",
+    "output_dir": "out",
+    "random_seed": "-4",
+}
+
+
+def test_every_config_field_round_trips(tmp_path):
+    assert list(CONFIG_SAMPLES) == [f.name for f in fields(RunConfig)]
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {text}\n" for key, text in CONFIG_SAMPLES.items()))
+    config = load_config(str(path))
+    types = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        assert isinstance(value, types[f.name]) and value != f.default, f.name
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        assert text == CONFIG_SAMPLES[f.name]
 
 
 def test_config_errors_are_usage_errors(tmp_path, capsys):
@@ -239,6 +277,43 @@ def test_experiment_xi_tribonacci(capsys):
     assert payload["xi"] == {"1": "1/9", "2": "1/9"}
     assert payload["flags"]["bqp_bound"] == 1
     assert payload["evidence_scope"] == "prefix-only"
+
+
+def test_encoder_turns_library_values_into_json_data():
+    from fractions import Fraction as F
+
+    from ar_iet import Interval, PartialQuotients, Sym, parse_order, triple, twm_pattern
+    from ar_iet.cli import _encoded
+
+    pq = PartialQuotients((1, 2, 1), (Sym.I, Sym.I, Sym.II))
+    value = {
+        1: Interval(F(1, 3), F(1, 2)),
+        "order": parse_order("reversed-second"),
+        "case": Sym.III,
+        "triple": triple(7, 4, 2),
+        "report": twm_pattern(pq),  # a dataclass inside a dict: one walk
+        "kept": ("word", 3, True, None),
+    }
+    assert _encoded(value) == {
+        "1": ["1/3", "1/2"],
+        "order": "reversed-second",
+        "case": "3",
+        "triple": ["7", "4", "2"],
+        "report": {
+            "n_indices": [1, 2],
+            "max_k_ni_plus_2": 1,
+            "sum_inv_k_ni_plus_1": "3/2",
+            "sum_inv_k_ni": "3/2",
+            "pattern_present": False,
+        },
+        "kept": ["word", 3, True, None],
+    }
+
+
+def test_integer_keys_are_sorted_as_strings(capsys):
+    # json.loads keeps the order of the text, which sort_keys fixed
+    payload = run_json(capsys, "experiment", "--xi", "--prefix", "1" * 14)
+    assert list(payload["xi"]) == sorted(payload["xi"]) != sorted(payload["xi"], key=int)
 
 
 def test_experiment_twm_includes_recurrence_patterns(capsys):
@@ -443,6 +518,26 @@ def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds,
     payload = run_json(capsys, "check", *kinds, "--prefix", "1" * 12, "--depth", "8")
     assert payload["ok"]
     assert calls == built
+
+
+@pytest.mark.parametrize("kind, joined", [
+    ("--coding", False), ("--partition", False), ("--adjacency", False),
+    ("--components", True),
+])
+def test_check_joins_projected_towers_only_when_read(capsys, monkeypatch, kind, joined):
+    import ar_iet.cli as cli
+
+    families = []
+    real = cli.towers_at_stage
+
+    def recording(m, stages, k):
+        families.append(real(m, stages, k))
+        return families[-1]
+
+    monkeypatch.setattr(cli, "towers_at_stage", recording)
+    assert run_json(capsys, "check", kind, "--prefix", "1213", "--depth", "3")["ok"]
+    assert families
+    assert all(("three" in f.__dict__) == joined for f in families)
 
 
 def test_tower_level_cap_is_word_cap(capsys, tmp_path):

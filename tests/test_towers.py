@@ -161,6 +161,14 @@ def test_unequal_member_heights_raise(monkeypatch):
         family_for((I, I), 1)
 
 
+def test_checks_leave_the_projected_towers_unbuilt():
+    _, _, f = family_for((I, II, I), 3)
+    assert partition_check(f).ok and adjacency_check(f).ok
+    assert "three" not in f.__dict__
+    assert level_component_counts(f) == {"a": 3, "b": 2, "c": 1}
+    assert "three" in f.__dict__
+
+
 def test_adjacency_stage0_first_order():
     m0 = build_ar9(triple(7, 4, 2))
     f = towers_at_stage(m0, [], 0)
