@@ -31,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "gasket": (["gasket", "--triple", "13,7,4", "--steps", "10"], ()),
     "gasket-one-step": (["gasket", "--triple", "10,4,1", "--steps", "1"], ()),
+    "gasket-inadmissible": (["gasket", "--triple", "2,4,7"], ()),
     "words-a3": (["words", "--prefix", "1121", "--alphabet", "a3"], ()),
     "words-a9-mult": (["words", "--prefix", "1131", "--alphabet", "a9",
                        "--multiplicative"], ()),
@@ -65,6 +66,8 @@ CASES = {
                             "--length", "300"], ()),
     "config-birkhoff": (["--config", str(GOLDEN / "config.cfg"), "experiment",
                          "--birkhoff", "--prefix", "1111", "--length", "50"], ()),
+    "config-invalid-seed": (["--config", str(GOLDEN / "invalid-seed.cfg"), "gasket",
+                             "--prefix", "1111"], ()),
     "experiment-birkhoff": (["experiment", "--birkhoff", "--triple", "7,4,2",
                              "--point", "6", "--length", "100", "--csv", "b.csv"],
                             ("b.csv",)),
