@@ -51,11 +51,9 @@ from .words import (
     letter_height,
     multiplicative_heights,
     multiplicative_stage_words,
-    occurrence_horizon,
     project,
     sigma3,
     sigma9,
-    stable_factor_complexity,
     stage_words,
 )
 from .iet import (
@@ -68,7 +66,6 @@ from .iet import (
     ar6_apply,
     ar6_rotation_match,
     ar9_apply,
-    ar9_apply_inverse,
     build_ar6_canonical,
     build_ar9,
     glue_point,

@@ -609,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gasket", help="run the subtractive renormalization")
     _add_system_args(p, with_order=False)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--emit", default=None, help="also write the JSON to this file")
 
     p = sub.add_parser("words", help="materialize stage words")
     p.add_argument("--prefix", type=parse_prefix, required=True)
@@ -617,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplicative", action="store_true",
                    help="use the block-multiplicative rules (needs a complete prefix)")
     p.add_argument("--cap", type=int, default=None, help="total letter cap")
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("orbit", help="code an exact orbit")
     _add_system_args(p)
@@ -626,19 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--partition", choices=("nine", "three"), default="nine")
     p.add_argument("--csv", default=None, help="write letter frequencies as CSV")
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("induct", help="iterate verified induction steps")
     _add_system_args(p)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--cap", type=int, default=None, help="return-time cap")
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("towers", help="build stage towers and their checks")
     _add_system_args(p)
     p.add_argument("--stage", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("check", help="aggregated structural checks")
     p.add_argument("--all", action="store_true", help="run every check")
@@ -651,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--order", type=parse_order, default=FIRST_ORDER)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("experiment", help="ergodicity and eigenvalue probes")
     kind = p.add_mutually_exclusive_group(required=True)
@@ -678,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="orbit length for the frequency experiments")
     p.add_argument("--point", type=_fraction_arg, default=None, help="birkhoff only")
     p.add_argument("--csv", default=None)
-    p.add_argument("--emit", default=None)
 
     p = sub.add_parser("render", help="emit SVG figures")
     what = p.add_mutually_exclusive_group(required=True)
@@ -690,6 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", default=None, help="SVG file name (default: stdout)")
 
+    for name, p in sub.choices.items():
+        if name != "render":  # the one subcommand that writes SVG, not JSON
+            p.add_argument("--emit", default=None, help="also write the JSON to this file")
     return parser
 
 

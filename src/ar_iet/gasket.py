@@ -58,7 +58,7 @@ def is_admissible(t: Triple) -> bool:
 
 def require_admissible(t: Triple) -> None:
     if not is_admissible(t):
-        raise Inadmissible(f"triple {t} violates a > b > c > 0", triple=[str(x) for x in t])
+        raise Inadmissible(f"triple {t} violates a > b > c > 0", triple=t)
 
 
 def ar_step(t: Triple) -> tuple[Triple, Sym]:
@@ -120,7 +120,7 @@ def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Tr
     Each inverse lands strictly admissible, so the forward replay is exact.
     """
     if not is_admissible(seed):
-        raise InvalidSeed(f"seed {seed} violates a > b > c > 0", triple=[str(x) for x in seed])
+        raise InvalidSeed(f"seed {seed} violates a > b > c > 0", triple=seed)
     if len(prefix) > RECONSTRUCT_CAP:
         raise ValueError(f"prefix length {len(prefix)} exceeds cap {RECONSTRUCT_CAP}")
     a, b, c = seed

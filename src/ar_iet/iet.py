@@ -193,14 +193,20 @@ class Lattice:
     def interval(self, left: int, right: int) -> Interval:
         return Interval(Fraction(left, self.D), Fraction(right, self.D))
 
+    def find(self, k: int) -> int | None:
+        """The index of the piece that holds k; None when k lies in a gap or
+        outside the domain."""
+        i = bisect_right(self.lefts, k) - 1
+        return i if i >= 0 and k < self.rights[i] else None
+
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
 
         Raises OutOfDomain when left lies in a gap or outside the domain and
         RuntimeError when the interval straddles the end of its piece.
         """
-        i = bisect_right(self.lefts, left) - 1
-        if i < 0 or left >= self.rights[i]:
+        i = self.find(left)
+        if i is None:
             x = Fraction(left, self.D)
             raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
         if right > self.rights[i]:
@@ -294,12 +300,10 @@ class Ar9Map:
         # the piece ends are integers on the lattice, so floor(xD) lies in the
         # same piece as xD
         lat = self.lattice
-        k = x.numerator * lat.D // x.denominator
-        try:
-            return lat.push(k, k + 1)[0]
-        except OutOfDomain:
-            raise OutOfDomain(f"{x} lies in a gap or outside the domain",
-                              point=str(x)) from None
+        i = lat.find(x.numerator * lat.D // x.denominator)
+        if i is None:
+            raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+        return lat.letters[i]
 
 
 def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
@@ -396,14 +400,6 @@ def ar9_apply(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
     return x + m.offsets[ch], ch
 
 
-def ar9_apply_inverse(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
-    """One step of the inverse: x must lie in some image piece TI_i."""
-    for ch in A9:
-        if m.image[ch].contains(x):
-            return x - m.offsets[ch], ch
-    raise OutOfDomain(f"{x} lies outside every image piece", point=str(x))
-
-
 def trajectory(
     m: Ar9Map, x: Fraction, n: int, partition: Literal["nine", "three"] = "nine"
 ) -> str:
@@ -422,8 +418,10 @@ def trajectory(
 
 # six-letter circle exchanges ------------------------------------------------
 
-# constituent nine-letter domain pieces of each circle arc, by A6 label
-ARC_LETTERS = ("12", "34", "5", "67", "8", "9")
+# constituent nine-letter domain pieces of each circle arc, by A6 label: the
+# letters that the six-letter projection sends to the label
+ARC_LETTERS = tuple("".join(ch for ch in A9 if project(ch, "A6") == (arc,))
+                    for arc in range(6))
 
 
 @dataclass(frozen=True)
@@ -460,12 +458,11 @@ class Ar6Map:
         # floor(xD) mod LD lies in the arc piece that holds (x mod L)D, since
         # the piece ends and LD are integers
         lat = self.lattice
-        k = x.numerator * lat.D // x.denominator % lat.coordinate(self.length)
-        try:
-            return lat.push(k, k + 1)[0]
-        except OutOfDomain:
+        i = lat.find(x.numerator * lat.D // x.denominator % lat.coordinate(self.length))
+        if i is None:
             x = x % self.length
-            raise OutOfDomain(f"{x} not covered by any arc", point=str(x)) from None
+            raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
+        return lat.letters[i]
 
 
 def _circle(t: Triple, D: int, rows) -> Ar6Map:
@@ -490,12 +487,6 @@ def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
     """One step on the circle; returns (Tx mod L, arc label 0..5)."""
     label = m.label_of(x)
     return (x + m.offsets[label]) % m.length, label
-
-
-def ar6_image_pieces(m: Ar6Map) -> tuple[tuple[Interval, ...], ...]:
-    return _circle(m.triple, m.lattice.D, (
-        (left + offset, right + offset, label, 0)
-        for left, right, label, offset in m.lattice.rows())).arcs
 
 
 def build_ar6_canonical(t: Triple) -> Ar6Map:

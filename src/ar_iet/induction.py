@@ -17,13 +17,12 @@ geometric systems are glued together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import Ar9Map, Interval, Lattice, OrderTag, ar9_from_placements
+from .iet import Ar9Map, Lattice, OrderTag, ar9_from_placements
 from .words import A3_MEMBERS, A9, sigma9
 
 DEFAULT_RETURN_CAP = 8
@@ -67,8 +66,11 @@ def _position(left: int, right: int, regions) -> str:
 def _land(
     lat: Lattice, regions, left: int, right: int, cap: int
 ) -> tuple[int, int, str]:
-    """first_return on the lattice: the landed integer interval and the word,
-    with J_a given as merged integer regions."""
+    """Push [left, right) under T until it first re-enters J_a, given as
+    merged integer regions: the landed interval and the word of letters
+    visited before the return.  Raises RuntimeError if the interval ever
+    straddles a discontinuity or returns only partially (so it is not a
+    block of the induced partition), ReturnTimeCapExceeded past cap."""
     start = (left, right)
     word: list[str] = []
     for _ in range(cap):
@@ -90,22 +92,6 @@ def _land(
         piece=str(piece),
         cap=cap,
     )
-
-
-def first_return(
-    m: Ar9Map, piece: Interval, cap: int = DEFAULT_RETURN_CAP
-) -> tuple[Interval, str]:
-    """Push a whole interval under T until it first re-enters J_a.
-
-    Returns the landed interval and the word of letters visited before the
-    return.  Raises RuntimeError if the interval ever straddles a
-    discontinuity or returns only partially (both indicate the piece was not
-    a block of the induced partition) and ReturnTimeCapExceeded past cap.
-    """
-    lat = m.lattice.refined(math.lcm(piece.left.denominator, piece.right.denominator))
-    left, right, word = _land(lat, lat.union(J_A), lat.coordinate(piece.left),
-                              lat.coordinate(piece.right), cap)
-    return lat.interval(left, right), word
 
 
 def _predict(m: Ar9Map) -> tuple[Ar9Map, Sym]:

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import WordOverflow
-from .gasket import PartialQuotients, Prefix, Sym
+from .gasket import PartialQuotients, Sym
 
 A3 = "abc"
 A9 = "123456789"
-A6_NAMES = ("a-", "a+", "b-", "b+", "c-", "c+")
 
 AlphabetTag = Literal["A3", "A9"]
 
@@ -47,7 +46,6 @@ _PHI6 = {
     "8": 4,                  # c-
     "9": 5,                  # c+
 }
-_PHI6_TO_3 = {_PHI6[ch]: A9_CLASS[ch] for ch in A9}
 
 
 @dataclass(frozen=True)
@@ -151,24 +149,6 @@ def _require_cap(kind: str, k: int, length: int, cap: int) -> None:
         )
 
 
-def _stages(
-    prefix: Sequence[Sym], alphabet: AlphabetTag, cap: int
-) -> Iterator[dict[str, str]]:
-    """The words of every letter at stages 0..len(prefix), one stage at a time.
-
-    Raises WordOverflow for a stage, before building it, when its longest
-    word would exceed cap.
-    """
-    letters, sigmas = _tables(alphabet)
-    words = {ch: ch for ch in letters}
-    for k, hv in enumerate(heights_by_matrix(prefix)):
-        _require_cap("stage", k, max(hv), cap)
-        if k:
-            table = sigmas[prefix[k - 1]].table
-            words = {i: "".join(words[j] for j in table[i]) for i in letters}
-        yield words
-
-
 def stage_words(
     prefix: Sequence[Sym], alphabet: AlphabetTag, max_total_letters: int
 ) -> dict[str, str]:
@@ -178,8 +158,13 @@ def stage_words(
     max_total_letters; the stage that would overflow is reported so callers
     can fall back to heights_by_matrix.
     """
-    for words in _stages(prefix, alphabet, max_total_letters):
-        pass
+    letters, sigmas = _tables(alphabet)
+    words = {ch: ch for ch in letters}
+    for k, hv in enumerate(heights_by_matrix(prefix)):
+        _require_cap("stage", k, max(hv), max_total_letters)
+        if k:
+            table = sigmas[prefix[k - 1]].table
+            words = {i: "".join(words[j] for j in table[i]) for i in letters}
     return words
 
 
@@ -269,15 +254,6 @@ def project(word: str, target: Literal["A3", "A6"]) -> str | tuple[int, ...]:
     raise ValueError(f"unknown projection target {target!r}")
 
 
-def a6_to_a3(letters: Iterable[int]) -> str:
-    """Forget the signs: 0,1 -> a; 2,3 -> b; 4,5 -> c."""
-    return "".join(_PHI6_TO_3[x] for x in letters)
-
-
-def a6_to_str(letters: Iterable[int]) -> str:
-    return ",".join(A6_NAMES[x] for x in letters)
-
-
 # windows per block in the first pass of _factors
 _FACTOR_STRIDE = 64
 # shortest factor length that _factors is asked for
@@ -341,41 +317,3 @@ def factor_complexity(words: Iterable[str], n: int) -> int:
     for w in words:
         seen.update(w[i : i + n] for i in range(max(0, len(w) - m + 1), len(w) - n + 1))
     return len(seen)
-
-
-def stable_factor_complexity(
-    prefix: Sequence[Sym], alphabet: AlphabetTag, n: int, cap: int
-) -> int | None:
-    """Factor count once equal across two consecutive stages; None otherwise.
-
-    Walks stages upward within the prefix, comparing p(n) at stages K-1 and
-    K; returns the first stabilized value.
-    """
-    prev = None
-    for words in _stages(prefix, alphabet, cap):
-        cur = factor_complexity(words.values(), n)
-        if cur == prev and min(len(w) for w in words.values()) >= n:
-            return cur
-        prev = cur
-    return None
-
-
-def occurrence_horizon(
-    prefix: Sequence[Sym], letter: str, n: int, max_N: int, cap: int = 10**6
-) -> int | None:
-    """Least stage N <= max_N at which the stage-n word of `letter` occurs
-    in the stage-N words of all nine letters; None when the cap is reached.
-
-    Requires len(prefix) >= max_N >= n.
-    """
-    if letter not in A9:
-        raise ValueError(f"letter {letter!r} is not a nine-letter symbol")
-    if not 0 <= n <= max_N <= len(prefix):
-        raise ValueError(
-            f"need 0 <= n={n} <= max_N={max_N} <= len(prefix)={len(prefix)}"
-        )
-    target = stage_words(prefix[:n], "A9", cap)[letter]
-    for N, words in enumerate(_stages(prefix[:max_N], "A9", cap)):
-        if all(target in w for w in words.values()):
-            return N
-    return None

@@ -9,9 +9,8 @@ import pytest
 from ar_iet import induction
 from ar_iet.errors import NotInGasket, ReturnTimeCapExceeded
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, Interval, OrderTag, build_ar9
+from ar_iet.iet import ORDER_TAGS, OrderTag, build_ar9
 from ar_iet.induction import (
-    first_return,
     induce_step,
     iterate_induction,
     predicted_order,
@@ -174,15 +173,15 @@ def test_swapped_substitution_fails_the_word_check(monkeypatch):
         iterate_induction(m, 3)
 
 
-def test_return_cap_exceeded():
+def test_return_cap_exceeded(monkeypatch):
     with pytest.raises(ReturnTimeCapExceeded):
         induce_step(build_ar9(triple(12, 4, 3)), cap=1)
-
-
-def test_first_return_straddle_raises():
-    m = build_ar9(triple(7, 4, 2))
-    with pytest.raises(RuntimeError):
-        first_return(m, Interval(F(5), F(7)))
+    # induced on the wrong set, J_a without I_3: a piece that passes through
+    # I_3 and I_5 lands on [11,14), across the end of I_2 = [11,13)
+    monkeypatch.setattr(induction, "J_A", "124")
+    with pytest.raises(RuntimeError, match=r"^interval \[11,14\) returns to J_a only "
+                                           r"partially after \['3', '5'\]$"):
+        induce_step(build_ar9(triple(7, 4, 2)))
 
 
 def test_induction_insensitive_to_gaps():

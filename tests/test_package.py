@@ -1,4 +1,7 @@
-"""The package interface: `__all__` is the public names the package imports."""
+"""The package interface: `__all__` is the public names the package imports,
+and the library's checks survive `python -O`."""
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import ar_iet
@@ -20,3 +23,12 @@ def test_star_import_gives_every_listed_name():
     namespace: dict = {}
     exec("from ar_iet import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ar_iet.__all__)
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so an invariant written as one
+    # would go unchecked there
+    for path in sorted(Path(ar_iet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statements at lines {lines}"

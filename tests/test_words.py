@@ -1,4 +1,4 @@
-"""Substitutions, stage words, heights, projections, complexity, horizons."""
+"""Substitutions, stage words, heights, projections, complexity."""
 from __future__ import annotations
 
 import random
@@ -11,18 +11,14 @@ from ar_iet.words import (
     A3,
     A9,
     Substitution,
-    a6_to_a3,
-    a6_to_str,
     factor_complexity,
     heights_by_matrix,
     letter_height,
     multiplicative_heights,
     multiplicative_stage_words,
-    occurrence_horizon,
     project,
     sigma3,
     sigma9,
-    stable_factor_complexity,
     stage_words,
 )
 
@@ -87,8 +83,14 @@ def test_stage_words_empty_prefix():
 def test_stage_words_overflow():
     with pytest.raises(WordOverflow) as exc:
         stage_words((I,) * 20, "A3", 100)
-    assert exc.value.detail["stage"] <= 20
-    assert exc.value.detail["length"] > 100
+    # the first stage whose longest word exceeds the cap: h_a = 149 at stage 8
+    assert exc.value.detail == {"stage": 8, "length": 149, "cap": 100}
+    # a cap below 1 fails at stage 0, before any word is built
+    for prefix, alphabet in (((I, I), "A3"), ((), "A9")):
+        with pytest.raises(WordOverflow) as exc:
+            stage_words(prefix, alphabet, 0)
+        assert str(exc.value) == "stage 0 word length 1 exceeds cap 0"
+        assert exc.value.detail == {"stage": 0, "length": 1, "cap": 0}
 
 
 def test_heights_tribonacci():
@@ -196,7 +198,6 @@ def test_project_to_a3():
 
 def test_project_to_a6():
     assert project("4618", "A6") == (1, 3, 0, 4)
-    assert a6_to_str((1, 3, 0, 4)) == "a+,b+,a-,c-"
     assert project("", "A6") == ()
 
 
@@ -204,7 +205,7 @@ def test_projection_factors_through_a6():
     rng = random.Random(17)
     for _ in range(20):
         w = "".join(rng.choice(A9) for _ in range(30))
-        assert project(w, "A3") == a6_to_a3(project(w, "A6"))
+        assert project(w, "A3") == "".join("aabbcc"[x] for x in project(w, "A6"))
 
 
 def test_projected_stage_words_match_a3():
@@ -232,66 +233,3 @@ def test_tribonacci_complexity_oracles():
     words = stage_words((I,) * 12, "A3", CAP)
     assert factor_complexity(words.values(), 10) == 21
     assert factor_complexity(words.values(), 25) == 51
-
-
-def test_stable_complexity_tribonacci():
-    prefix = (I,) * 14
-    for n in (1, 2, 5, 10):
-        assert stable_factor_complexity(prefix, "A3", n, CAP) == 2 * n + 1
-
-
-def test_stable_complexity_unstabilized_returns_none():
-    # a two-step prefix cannot stabilize length-30 factor counts
-    assert stable_factor_complexity((I, I), "A3", 30, CAP) is None
-
-
-def test_stage_walks_stop_before_an_overflowing_stage():
-    # stage 1 stabilizes p(1) and stage 5 holds the letter 1 everywhere; the
-    # next stages are longer than the cap but never built
-    assert stable_factor_complexity((I,) * 14, "A3", 1, 2) == 3
-    assert occurrence_horizon((I,) * 8, "1", 0, 8, cap=24) == 5
-    with pytest.raises(WordOverflow) as exc:
-        occurrence_horizon((I,) * 8, "1", 0, 8, cap=23)
-    assert exc.value.detail["stage"] == 5
-
-
-def test_stage_walks_check_stage_zero():
-    # a cap below 1 fails at stage 0, before any word is built
-    for call in (
-        lambda: stable_factor_complexity((I, I), "A3", 1, 0),
-        lambda: stable_factor_complexity((), "A9", 1, 0),
-        lambda: occurrence_horizon((I,), "1", 0, 1, cap=0),
-    ):
-        with pytest.raises(WordOverflow) as exc:
-            call()
-        assert str(exc.value) == "stage 0 word length 1 exceeds cap 0"
-        assert exc.value.detail == {"stage": 0, "length": 1, "cap": 0}
-
-
-def test_occurrence_horizon_tribonacci_letter1():
-    prefix = (I,) * 8
-    assert occurrence_horizon(prefix, "1", 0, 8) == 5
-
-
-def test_occurrence_horizon_cap_returns_none():
-    prefix = (I,) * 3
-    assert occurrence_horizon(prefix, "1", 0, 3) is None
-
-
-def test_occurrence_horizon_letter8():
-    prefix = (I,) * 10
-    n8 = occurrence_horizon(prefix, "8", 1, 10)
-    # stage-1 word of letter 8 is "2"; check the reported stage honestly
-    assert n8 is not None
-    words = stage_words(prefix[:n8], "A9", CAP)
-    assert all("2" in w for w in words.values())
-    if n8 > 0:
-        prev = stage_words(prefix[: n8 - 1], "A9", CAP)
-        assert not all("2" in w for w in prev.values())
-
-
-def test_occurrence_horizon_validation():
-    with pytest.raises(ValueError):
-        occurrence_horizon((I,), "x", 0, 1)
-    with pytest.raises(ValueError):
-        occurrence_horizon((I,), "1", 2, 1)
