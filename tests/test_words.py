@@ -85,6 +85,9 @@ def test_stage_words_overflow():
         stage_words((I,) * 20, "A3", 100)
     # the first stage whose longest word exceeds the cap: h_a = 149 at stage 8
     assert exc.value.detail == {"stage": 8, "length": 149, "cap": 100}
+
+
+def test_stage_walks_check_stage_zero():
     # a cap below 1 fails at stage 0, before any word is built
     for prefix, alphabet in (((I, I), "A3"), ((), "A9")):
         with pytest.raises(WordOverflow) as exc:
