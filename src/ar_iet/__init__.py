@@ -21,6 +21,7 @@ from .errors import (
     NotAFactor,
     NotInGasket,
     OutOfDomain,
+    PrefixTooLong,
     ReturnTimeCapExceeded,
     WordOverflow,
 )

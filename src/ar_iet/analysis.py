@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
 from .iet import Ar9Map, Interval, _merge, build_ar9, trajectory
-from .induction import iterate_induction
+from .induction import DEFAULT_RETURN_CAP, iterate_induction
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
@@ -292,7 +292,7 @@ class TwoMeasureReport:
 
 
 def two_measure_experiment(
-    pq: PartialQuotients, depth: int, n: int, return_cap: int = 8
+    pq: PartialQuotients, depth: int, n: int, return_cap: int = DEFAULT_RETURN_CAP
 ) -> TwoMeasureReport:
     """Compare empirical letter frequencies seeded in towers 1-bar and 4-bar.
 

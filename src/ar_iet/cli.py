@@ -27,6 +27,9 @@ from typing import get_type_hints
 
 from . import __version__, svg
 from .analysis import (
+    DEFAULT_PERSISTENCE,
+    DEFAULT_TAIL_EPSILON,
+    DEFAULT_XI_SUM_THRESHOLD,
     birkhoff_frequencies,
     eigenvalue_scan,
     tourab_patterns,
@@ -36,6 +39,7 @@ from .analysis import (
 )
 from .errors import DomainError, WordOverflow
 from .gasket import (
+    DEFAULT_MAX_STEPS,
     DEFAULT_SEED,
     PartialQuotients,
     Sym,
@@ -49,7 +53,7 @@ from .gasket import (
     reconstruct_triple,
 )
 from .iet import FIRST_ORDER, Ar9Map, OrderTag, build_ar9, parse_order, trajectory
-from .induction import induce_step, iterate_induction
+from .induction import DEFAULT_RETURN_CAP, induce_step, iterate_induction
 from .towers import (
     adjacency_check,
     level_component_counts,
@@ -74,13 +78,13 @@ class RunConfig:
     """Tunable defaults shared by all subcommands."""
 
     seed_triple: Triple = DEFAULT_SEED
-    max_steps: int = 64
+    max_steps: int = DEFAULT_MAX_STEPS
     word_cap: int = 200_000
-    return_time_cap: int = 8
+    return_time_cap: int = DEFAULT_RETURN_CAP
     refinement_depth: int = 6
     l1_threshold: Fraction = Fraction(1, 10)
-    xi_sum_threshold: Fraction = Fraction(2)
-    tail_epsilon: Fraction = Fraction(1, 100)
+    xi_sum_threshold: Fraction = DEFAULT_XI_SUM_THRESHOLD
+    tail_epsilon: Fraction = DEFAULT_TAIL_EPSILON
     output_dir: str = "."
     random_seed: int = 0
 
@@ -664,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eigen only: candidate eigenvalue exponent")
     p.add_argument("--floor", type=_fraction_arg, default=None,
                    help="eigen only: rejection floor (default 1/(2 denominator))")
-    p.add_argument("--persistence", type=int, default=3,
+    p.add_argument("--persistence", type=int, default=DEFAULT_PERSISTENCE,
                    help="eigen only: hits needed to reject")
     p.add_argument("--depth", type=int, default=None,
                    help="two-measure only: additive stage of the tower bases")

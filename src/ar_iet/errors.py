@@ -30,6 +30,12 @@ class InvalidSeed(DomainError):
     code = "invalid-seed"
 
 
+class PrefixTooLong(DomainError):
+    """A directing prefix is longer than the reconstruction cap."""
+
+    code = "prefix-too-long"
+
+
 class IncompletePrefix(DomainError):
     """A trailing run of III is not closed by I or II."""
 

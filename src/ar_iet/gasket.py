@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import IncompletePrefix, Inadmissible, InvalidSeed, NotInGasket
+from .errors import IncompletePrefix, Inadmissible, InvalidSeed, NotInGasket, PrefixTooLong
 
 RECONSTRUCT_CAP = 10_000
 DEFAULT_MAX_STEPS = 64
@@ -122,7 +122,8 @@ def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Tr
     if not is_admissible(seed):
         raise InvalidSeed(f"seed {seed} violates a > b > c > 0", triple=seed)
     if len(prefix) > RECONSTRUCT_CAP:
-        raise ValueError(f"prefix length {len(prefix)} exceeds cap {RECONSTRUCT_CAP}")
+        raise PrefixTooLong(f"prefix length {len(prefix)} exceeds cap {RECONSTRUCT_CAP}",
+                            length=len(prefix), cap=RECONSTRUCT_CAP)
     a, b, c = seed
     for sym in reversed(prefix):
         s = a + b + c

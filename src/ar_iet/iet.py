@@ -146,12 +146,13 @@ def _merge(pairs) -> tuple[tuple[int, int], ...]:
 class Lattice:
     """A piecewise translation scaled by D: its pieces' integer ends, labels
     and offsets, sorted by left end.  The labels are the letters 1..9 of a
-    nine-piece map or the arc labels 0..5 of a circle exchange."""
+    nine-piece map, the arc labels 0..5 of a circle exchange or the (letter,
+    level) pairs of the levels of a tower family."""
 
     D: int
     lefts: tuple[int, ...]
     rights: tuple[int, ...]
-    letters: tuple[str | int, ...]
+    letters: tuple[str | int | tuple[str, int], ...]
     offsets: tuple[int, ...]
 
     @classmethod
@@ -198,6 +199,21 @@ class Lattice:
         outside the domain."""
         i = bisect_right(self.lefts, k) - 1
         return i if i >= 0 and k < self.rights[i] else None
+
+    def locate(self, x: Fraction, period: int | None = None) -> int | None:
+        """The index of the piece that holds the rational x, reduced mod
+        period / D on a circle of integer period; None in a gap."""
+        # the piece ends and the period are integers, so floor(xD), reduced,
+        # lies in the same piece as xD
+        k = x.numerator * self.D // x.denominator
+        return self.find(k if period is None else k % period)
+
+    def moved(self, x: Fraction, i: int, period: int | None = None) -> Fraction:
+        """x moved by the offset of piece i, reduced mod period / D on a
+        circle of integer period."""
+        q = x.denominator
+        n = x.numerator * self.D + self.offsets[i] * q
+        return Fraction(n if period is None else n % (period * q), q * self.D)
 
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
@@ -283,27 +299,20 @@ class Ar9Map:
         return tuple(lat.interval(*lat.union(letters)[0]) for letters in _ROLE_LETTERS)
 
     @cached_property
-    def placements(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Left ends of the blocks by role."""
-        return tuple(block.left for block in self.role_blocks)
-
-    @cached_property
-    def _glued_end(self) -> int | None:
-        """The support's lattice end when the blocks sit in first order, origin
-        0, with no gaps (the layout the gluing leaves in place), else None."""
+    def _glued(self) -> bool:
+        """True when the blocks sit in first order, origin 0, with no gaps:
+        the layout the gluing leaves in place."""
         support = self.lattice.union(A9)
-        if self.order != FIRST_ORDER or len(support) != 1 or support[0][0] != 0:
-            return None
-        return support[0][1]
+        return self.order == FIRST_ORDER and len(support) == 1 and support[0][0] == 0
 
-    def letter_of(self, x: Fraction) -> str:
-        # the piece ends are integers on the lattice, so floor(xD) lies in the
-        # same piece as xD
-        lat = self.lattice
-        i = lat.find(x.numerator * lat.D // x.denominator)
+    def _piece(self, x: Fraction) -> int:
+        i = self.lattice.locate(x)
         if i is None:
             raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
-        return lat.letters[i]
+        return i
+
+    def letter_of(self, x: Fraction) -> str:
+        return self.lattice.letters[self._piece(x)]
 
 
 def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
@@ -396,8 +405,8 @@ def build_ar9(
 
 def ar9_apply(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
     """One step: translate x by the offset of its piece; returns (Tx, letter)."""
-    ch = m.letter_of(x)
-    return x + m.offsets[ch], ch
+    i = m._piece(x)
+    return m.lattice.moved(x, i), m.lattice.letters[i]
 
 
 def trajectory(
@@ -430,7 +439,7 @@ class Ar6Map:
 
     The map is its integer lattice: the arc pieces scaled by D, cut at 0
     when an arc wraps, with their labels 0..5 and their offsets, which are
-    translations mod LD.  length, arcs and offsets are Fraction views of it.
+    translations mod its period LD.  length is a Fraction view of it.
     """
 
     triple: Triple
@@ -442,27 +451,19 @@ class Ar6Map:
         return 2 * (a + b + c)
 
     @cached_property
-    def arcs(self) -> tuple[tuple[Interval, ...], ...]:
-        """Arc pieces by label 0..5, each arc's sorted by left end."""
-        lat = self.lattice
-        return tuple(tuple(lat.interval(left, right) for left, right, label, _ in lat.rows()
-                           if label == arc) for arc in range(6))
+    def period(self) -> int:
+        """The circle's length on the lattice, LD."""
+        return self.lattice.coordinate(self.length)
 
-    @cached_property
-    def offsets(self) -> tuple[Fraction, ...]:
-        """Translations by label, reduced mod length."""
-        pieces = self.lattice.by_label()
-        return tuple(Fraction(pieces[label][2], self.lattice.D) for label in range(6))
-
-    def label_of(self, x: Fraction) -> int:
-        # floor(xD) mod LD lies in the arc piece that holds (x mod L)D, since
-        # the piece ends and LD are integers
-        lat = self.lattice
-        i = lat.find(x.numerator * lat.D // x.denominator % lat.coordinate(self.length))
+    def _piece(self, x: Fraction) -> int:
+        i = self.lattice.locate(x, self.period)
         if i is None:
             x = x % self.length
             raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
-        return lat.letters[i]
+        return i
+
+    def label_of(self, x: Fraction) -> int:
+        return self.lattice.letters[self._piece(x)]
 
 
 def _circle(t: Triple, D: int, rows) -> Ar6Map:
@@ -485,8 +486,8 @@ def _circle(t: Triple, D: int, rows) -> Ar6Map:
 
 def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
     """One step on the circle; returns (Tx mod L, arc label 0..5)."""
-    label = m.label_of(x)
-    return (x + m.offsets[label]) % m.length, label
+    i = m._piece(x)
+    return m.lattice.moved(x, i, m.period), m.lattice.letters[i]
 
 
 def build_ar6_canonical(t: Triple) -> Ar6Map:
@@ -508,7 +509,7 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
 
 def first_order_adjacent(m: Ar9Map) -> bool:
     """True when the blocks sit in first order, origin 0, with no gaps."""
-    return m._glued_end is not None
+    return m._glued
 
 
 def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
@@ -517,14 +518,10 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     Defined for first-order adjacent maps, where the gluing is the identity;
     kept explicit so conjugacy checks read as two genuine routes.
     """
-    end = m._glued_end
-    if end is None:
+    if not m._glued:
         raise ValueError("gluing requires the first-order adjacent layout")
-    # the support ends are integers, so floor(xD) lies in the support exactly
-    # when xD does
-    if 0 <= x.numerator * m.lattice.D // x.denominator < end:
-        return x
-    raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+    m._piece(x)  # the layout has no gaps, so this raises only outside the support
+    return x
 
 
 def glue_to_ar6(m: Ar9Map) -> Ar6Map:

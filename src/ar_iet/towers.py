@@ -16,7 +16,7 @@ Towers live on the lattice (1/D)Z of the stage-0 map refined to hold the
 stage-k pieces.  A nine-letter tower is one walk of its base (`Lattice.walk`)
 and holds the base width and one integer left end per level; a projected
 tower holds merged integer pieces per level.  The checks read those
-integers; pieces, base and levels are views of them.
+integers; base and levels are views of them.
 """
 from __future__ import annotations
 
@@ -59,22 +59,14 @@ class Tower:
         return len(self.lefts)
 
     @cached_property
-    def pieces(self) -> tuple[IntPieces, ...]:
-        """Each level as integer pieces."""
-        width = self.width
-        return tuple(((left, left + width),) for left in self.lefts)
-
-    @cached_property
     def base(self) -> Pieces:
         left = self.lefts[0]
         return _view(self.D, ((left, left + self.width),))
 
     @cached_property
     def levels(self) -> tuple[Pieces, ...]:
-        return tuple(_view(self.D, level) for level in self.pieces)
-
-    def measure(self) -> Fraction:
-        return Fraction(self.width * self.height, self.D)
+        width = self.width
+        return tuple(_view(self.D, ((left, left + width),)) for left in self.lefts)
 
 
 class ProjectedTower(NamedTuple):
@@ -93,10 +85,6 @@ class ProjectedTower(NamedTuple):
     @property
     def base(self) -> Pieces:
         return _view(self.D, self.pieces[0])
-
-    @property
-    def levels(self) -> tuple[Pieces, ...]:
-        return tuple(_view(self.D, level) for level in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -238,12 +226,10 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
     """The (tower letter, level index) pair containing a point."""
-    for ch in A9:
-        # the level ends are integers, so floor(xD) lies in a level exactly
-        # when xD does
-        t = f.nine[ch]
-        k = x.numerator * t.D // x.denominator
-        for j, left in enumerate(t.lefts):
-            if left <= k < left + t.width:
-                return ch, j
-    raise OutOfDomain(f"{x} lies in no tower level", point=str(x))
+    lat = Lattice.sorted_from(_lattice(f).D, (
+        (left, left + t.width, (ch, j), 0)
+        for ch, t in f.nine.items() for j, left in enumerate(t.lefts)))
+    i = lat.locate(x)
+    if i is None:
+        raise OutOfDomain(f"{x} lies in no tower level", point=str(x))
+    return lat.letters[i]

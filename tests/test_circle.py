@@ -119,9 +119,10 @@ def ref_glue(m, x):
     a, b, c = m.triple
     lengths = (a + b, b + c, a + c)
     cumulative = (F(0), lengths[0], lengths[0] + lengths[1])
-    if m.placements != cumulative:
+    placements = tuple(block.left for block in m.role_blocks)
+    if placements != cumulative:
         raise ValueError("gluing requires the first-order adjacent layout")
-    for role, left in enumerate(m.placements):
+    for role, left in enumerate(placements):
         if left <= x < left + lengths[role]:
             return x - left + cumulative[role]
     raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
@@ -160,7 +161,12 @@ def same_outcome(got, expected):
 
 
 def views(c):
-    return RefCircle(c.length, c.arcs, c.offsets)
+    """The circle's arc pieces by label and its offsets, read off its lattice."""
+    lat = c.lattice
+    arcs = tuple(tuple(lat.interval(left, right) for left, right, label, _ in lat.rows()
+                       if label == arc) for arc in range(6))
+    offsets = lat.by_label()
+    return RefCircle(c.length, arcs, tuple(F(offsets[arc][2], lat.D) for arc in range(6)))
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -209,22 +215,25 @@ def test_circle_lookup_matches_fraction_reference(index):
     m = build_ar9(t)
     for c in (glue_to_ar6(m), build_ar6_canonical(t)):
         L = c.length
-        pieces = [p for arc in c.arcs for p in arc]
+        ref = views(c)
+        arcs = ref.arcs
+        pieces = [p for arc in arcs for p in arc]
         ends = [v for p in pieces for v in p]
-        wrapped = [p for arc in c.arcs if len(arc) > 1 for p in arc]
+        wrapped = [p for arc in arcs if len(arc) > 1 for p in arc]
         base = ends + inner_points(rng, pieces, 6) + inner_points(rng, wrapped or pieces, 3)
         shifted = [x + k * L for x in base[::3] for k in (1, 2, -1, -3)]
         below = [-F(1, 997), -F(1, 2**61), -L, -L - F(1, 2)]
         for x in base + shifted + below:
-            assert same_outcome(lambda: c.label_of(x), lambda: ref_label(c, x)) == "value"
-            assert ar6_apply(c, x) == ref_apply(c, x)
+            assert same_outcome(lambda: c.label_of(x), lambda: ref_label(ref, x)) == "value"
+            assert ar6_apply(c, x) == ref_apply(ref, x)
 
         # an arc taken out leaves part of the circle uncovered, and the
         # lookup reports the reduced point
         holed = dataclasses.replace(c, lattice=Lattice.sorted_from(
             c.lattice.D, (row for row in c.lattice.rows() if row[2] != 1)))
-        hole = inner_points(rng, list(c.arcs[1]), 2)
-        outcomes = {same_outcome(lambda: holed.label_of(x), lambda: ref_label(holed, x))
+        ref_holed = ref._replace(arcs=(arcs[0], (), *arcs[2:]))
+        hole = inner_points(rng, list(arcs[1]), 2)
+        outcomes = {same_outcome(lambda: holed.label_of(x), lambda: ref_label(ref_holed, x))
                     for x in hole + [h + L for h in hole] + [h - L for h in hole]}
         assert outcomes == {"raised"}
 

@@ -81,6 +81,19 @@ def test_every_config_field_round_trips(tmp_path):
         assert text == CONFIG_SAMPLES[f.name]
 
 
+def test_shared_defaults_are_the_library_constants():
+    from ar_iet import analysis, gasket, induction
+
+    config = RunConfig()
+    assert config.max_steps == gasket.DEFAULT_MAX_STEPS
+    assert config.return_time_cap == induction.DEFAULT_RETURN_CAP
+    assert config.xi_sum_threshold == analysis.DEFAULT_XI_SUM_THRESHOLD
+    assert config.tail_epsilon == analysis.DEFAULT_TAIL_EPSILON
+    args = build_parser().parse_args(["experiment", "--eigen", "--ks", "1"])
+    assert args.persistence == analysis.DEFAULT_PERSISTENCE
+    assert analysis.two_measure_experiment.__defaults__ == (induction.DEFAULT_RETURN_CAP,)
+
+
 def test_config_errors_are_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text in ("word_cap = -3\n", "no_such_key = 1\n", "word_cap: 3\n",
@@ -116,6 +129,31 @@ def test_gasket_inadmissible_triple_is_domain_error(capsys):
     error = json.loads(err)
     assert error["schema"] == "ar-iet/error/1"
     assert error["code"] == "inadmissible"
+
+
+@pytest.mark.parametrize("argv,length", [
+    (("gasket", "--prefix", "1" * 10_001), 10_001),
+    (("check", "--induction", "--prefix", "1" * 10_001, "--depth", "0"), 10_001),
+    (("experiment", "--birkhoff", "--prefix", "12" * 5_001), 10_002),
+    (("experiment", "--two-measure", "--ks", "20000", "--rules", "1"), 20_000),
+], ids=["gasket", "check", "birkhoff", "two-measure"])
+def test_prefix_over_the_reconstruction_cap_is_domain_error(capsys, argv, length):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "prefix-too-long",
+        "message": f"prefix length {length} exceeds cap 10000",
+        "detail": {"cap": "10000", "length": str(length)},
+    }
+
+
+def test_readme_lists_every_error_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("* **Exit codes.**")
+    listed = readme[start:readme.index("\n* **", start + 1)]
+    codes = {error.code for error in ar_iet.DomainError.__subclasses__()}
+    assert set(re.findall(r"`([a-z-]+)`", listed)) >= codes
 
 
 # --- words -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ar_iet.errors import Inadmissible, IncompletePrefix, InvalidSeed, NotInGasket
+from ar_iet.errors import Inadmissible, IncompletePrefix, InvalidSeed, NotInGasket, PrefixTooLong
 from ar_iet.gasket import (
     DEFAULT_SEED,
     GasketExit,
@@ -112,8 +112,10 @@ def test_reconstruct_rejects_bad_seed():
 
 
 def test_reconstruct_rejects_oversized_prefix():
-    with pytest.raises(ValueError):
+    assert reconstruct_triple((III,) * 10_000)
+    with pytest.raises(PrefixTooLong, match="^prefix length 10001 exceeds cap 10000$") as e:
         reconstruct_triple((III,) * 10_001)
+    assert e.value.detail == {"length": 10_001, "cap": 10_000}
 
 
 def replay(prefix, seed=DEFAULT_SEED):

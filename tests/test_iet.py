@@ -39,6 +39,19 @@ def iv(left, right) -> Interval:
     return Interval(F(left), F(right))
 
 
+def placements(m):
+    """Left ends of the blocks by role."""
+    return tuple(block.left for block in m.role_blocks)
+
+
+def arcs_and_offsets(c):
+    """Arc pieces by label 0..5, sorted by left end, and the offsets by label."""
+    lat = c.lattice
+    arcs = tuple(tuple(lat.interval(left, right) for left, right, label, _ in lat.rows()
+                       if label == arc) for arc in range(6))
+    return arcs, tuple(F(lat.by_label()[arc][2], lat.D) for arc in range(6))
+
+
 def random_triple(rng: random.Random, lo=1, hi=10):
     prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(1, lo + 5)))
     return reconstruct_triple(prefix)
@@ -123,13 +136,13 @@ def test_from_placements_derives_order():
     for tag in ORDER_TAGS:
         m = build_ar9(triple(7, 4, 2), tag)
         assert m.order == tag
-        again = ar9_from_placements(m.triple, m.placements, tag.reversed)
+        again = ar9_from_placements(m.triple, placements(m), tag.reversed)
         assert again.domain == m.domain
         assert again.image == m.image
     with pytest.raises(ValueError):
         # first-order arrangement is not a reversed one
         m = build_ar9(triple(7, 4, 2))
-        ar9_from_placements(m.triple, m.placements, True)
+        ar9_from_placements(m.triple, placements(m), True)
 
 
 def test_from_placements_rejects_overlap():
@@ -223,13 +236,14 @@ def test_glue_742():
     c = glue_to_ar6(m)
     assert c.length == 26
     assert iet.ARC_LETTERS == ("12", "34", "5", "67", "8", "9")
+    arcs, offsets = arcs_and_offsets(c)
     # arc a- is the glued I1 u I2, contiguous of length a
-    assert c.arcs[0] == (iv(6, 13),)
+    assert arcs[0] == (iv(6, 13),)
     # arc c- is the image of I8 alone
-    assert c.arcs[4] == (iv(2, 4),)
-    assert sum(p.length for p in c.arcs[3]) == 4  # b+ wraps, pieces [24,26) + [0,2)
-    assert c.arcs[3] == (iv(0, 2), iv(24, 26))
-    assert c.offsets == (F(20), F(6), F(17), F(9), F(15), F(11))
+    assert arcs[4] == (iv(2, 4),)
+    assert sum(p.length for p in arcs[3]) == 4  # b+ wraps, pieces [24,26) + [0,2)
+    assert arcs[3] == (iv(0, 2), iv(24, 26))
+    assert offsets == (F(20), F(6), F(17), F(9), F(15), F(11))
 
 
 def test_glue_point_requires_first_order_adjacent():
@@ -274,11 +288,12 @@ def test_canonical_ar6_is_bijection():
     for _ in range(8):
         t = random_triple(rng)
         c = build_ar6_canonical(t)
+        arcs, offsets = arcs_and_offsets(c)
         # each arc piece moved by its arc's offset, cut at 0 where it wraps
         images = []
-        for label, pieces in enumerate(c.arcs):
+        for label, pieces in enumerate(arcs):
             for p in pieces:
-                left = (p.left + c.offsets[label]) % c.length
+                left = (p.left + offsets[label]) % c.length
                 right = left + p.length
                 images += [iv(left, right)] if right <= c.length else [
                     iv(left, c.length), iv(0, right - c.length)]
@@ -289,7 +304,7 @@ def test_canonical_ar6_is_bijection():
             run = p.right
         assert run == c.length
         # arc lengths are (a, a, b, b, c, c)
-        lens = [sum(p.length for p in pieces) for pieces in c.arcs]
+        lens = [sum(p.length for p in pieces) for pieces in arcs]
         assert lens == [t.a, t.a, t.b, t.b, t.c, t.c]
 
 

@@ -272,5 +272,5 @@ def test_induction_builds_no_fraction_views():
     stages = iterate_induction(m, 510)
     assert len(stages) == 510
     for stage in stages:
-        built = {"domain", "image", "offsets", "placements"} & set(vars(stage.map))
+        built = {"domain", "image", "offsets", "role_blocks"} & set(vars(stage.map))
         assert not built, (stage.index, built)

@@ -181,7 +181,7 @@ def ref_merge(pairs):
 def ref_partition(f):
     """partition_check as a sweep over every level piece, sorted as pairs."""
     lat = f.base_map.lattice.refined(f.nine["1"].D)
-    pieces = sorted(p for ch in A9 for level in f.nine[ch].pieces for p in level)
+    pieces = sorted((left, left + f.nine[ch].width) for ch in A9 for left in f.nine[ch].lefts)
     support = ref_merge(zip(lat.lefts, lat.rights))
     total = F(sum(r - l for l, r in pieces), lat.D)
     expected = F(sum(r - l for l, r in support), lat.D)
@@ -245,17 +245,13 @@ def test_column_towers_match_references(order, gapped):
             levels, word = ref_tower(m, bases[ch], tower.height)
             assert (tower.levels, tower.word, tower.base) == (levels, word, levels[0])
             assert F(tower.width, tower.D) == bases[ch].length
-            assert tower.measure() == bases[ch].length * tower.height
-            assert tower.pieces == tuple(((left, left + tower.width),) for left in tower.lefts)
         for letter, members in A3_MEMBERS.items():
             projected = f.three[letter]
-            rows = zip(*(f.nine[ch].pieces for ch in members))
-            assert projected.pieces == tuple(
-                ref_merge(p for level in row for p in level) for row in rows)
-            assert projected.levels == tuple(
-                tuple(Interval(F(left, f.nine["1"].D), F(right, f.nine["1"].D))
-                      for left, right in level) for level in projected.pieces)
-            assert projected.base == projected.levels[0]
+            rows = zip(*([(left, left + t.width) for left in t.lefts]
+                         for t in (f.nine[ch] for ch in members)))
+            assert projected.pieces == tuple(map(ref_merge, rows))
+            assert projected.base == tuple(Interval(F(left, projected.D), F(right, projected.D))
+                                           for left, right in projected.pieces[0])
         assert partition_check(f) == ref_partition(f)
 
 

@@ -32,3 +32,47 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def _imported_names(tree):
+    """Name bound -> line, for each import of a module but the future one."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree):
+    """Every name a module reads, in code and in quoted annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [arg.annotation for arg in (*args.posonlyargs, *args.args,
+                                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                           if arg is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= _used_names(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def test_library_modules_use_every_name_they_import():
+    # the package's __init__ imports names to re-export them
+    for path in sorted(Path(ar_iet.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+        assert not unused, f"{path.name}: unused imports (name: line) {unused}"

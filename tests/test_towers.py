@@ -75,7 +75,7 @@ def test_tower_heights_equal_matrix_heights():
 def test_total_measure():
     _, _, f = family_for((I, I, II, III, I), 5)
     t = f.base_map.triple
-    total = sum((tower.measure() for tower in f.nine.values()), F(0))
+    total = sum(F(tower.width * tower.height, tower.D) for tower in f.nine.values())
     assert total == 2 * (t.a + t.b + t.c)
 
 
