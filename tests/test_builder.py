@@ -109,13 +109,14 @@ def test_builder_matches_fraction_reference(order, gapped, origin):
     m = build_ar9(t, order, gaps, shift if origin else F(0))
     maps = [m] + [stage.map for stage in iterate_induction(m, rng.randint(1, 4))]
     for each in maps:
-        args = (each.triple, placements(each), each.order.reversed)
+        blocks = placements(each)
+        args = (each.triple, blocks, each.order.reversed)
         assert_same_map(ar9_from_placements(*args), ref_from_placements(*args))
 
         # overlapping blocks and a wrong mirror flag raise the same text
-        starts = sorted(args[1])
+        starts = sorted(blocks)
         overlapping = [starts[0], starts[0] + each.triple.c, starts[2]]
-        wrong_flag = (each.triple, args[1], not each.order.reversed)
+        wrong_flag = (each.triple, blocks, not each.order.reversed)
         for bad in ((each.triple, overlapping, False), (each.triple, overlapping, True),
                     wrong_flag):
             with pytest.raises(ValueError) as want:

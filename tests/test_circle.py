@@ -165,8 +165,8 @@ def views(c):
     lat = c.lattice
     arcs = tuple(tuple(lat.interval(left, right) for left, right, label, _ in lat.rows()
                        if label == arc) for arc in range(6))
-    offsets = lat.by_label()
-    return RefCircle(c.length, arcs, tuple(F(offsets[arc][2], lat.D) for arc in range(6)))
+    pieces = lat.by_label()
+    return RefCircle(c.length, arcs, tuple(F(pieces[arc][2], lat.D) for arc in range(6)))
 
 
 @pytest.mark.parametrize("index", range(6))
