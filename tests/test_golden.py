@@ -40,6 +40,9 @@ CASES = {
                    "--csv", "orbit.csv"], ("orbit.csv",)),
     "orbit-sampled": (["orbit", "--prefix", "1111", "--length", "30",
                        "--partition", "three"], ()),
+    "orbit-three-long": (["orbit", "--prefix", "3121213112", "--order", "reversed-second",
+                          "--point", "1234/7", "--length", "12000", "--partition", "three"],
+                         ()),
     "induct": (["induct", "--prefix", "12311", "--steps", "3"], ()),
     "towers": (["towers", "--prefix", "1111", "--stage", "2"], ()),
     "towers-reversed-third": (["towers", "--prefix", "1111", "--stage", "2",
@@ -71,6 +74,8 @@ CASES = {
     "experiment-birkhoff": (["experiment", "--birkhoff", "--triple", "7,4,2",
                              "--point", "6", "--length", "100", "--csv", "b.csv"],
                             ("b.csv",)),
+    "experiment-birkhoff-long": (["experiment", "--birkhoff", "--prefix", "121312131213",
+                                  "--length", "200000"], ()),
     "render-induction": (["render", "--induction", "--prefix", "1111",
                           "--stage", "2"], ()),
     "render-layout": (["render", "--layout", "--triple", "7,4,2"], ()),
