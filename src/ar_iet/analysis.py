@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
-from .iet import Ar9Map, Interval, _merge, build_ar9, trajectory
-from .induction import DEFAULT_RETURN_CAP, iterate_induction
+from .iet import Ar9Map, Interval, _merge, build_ar9
+from .induction import DEFAULT_RETURN_CAP, iterate_induction, jump_stages, orbit_counts
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
@@ -269,11 +269,11 @@ class FrequencyVector:
 
 
 def birkhoff_frequencies(m: Ar9Map, x: Fraction, n: int) -> FrequencyVector:
+    """The letter counts of the n-letter coding of x, added jump by jump
+    through the stages that jump_stages picks for n."""
     if n < 1:
         raise ValueError("orbit length must be positive")
-    word = trajectory(m, x, n, "nine")
-    counts = {ch: word.count(ch) for ch in A9 if ch in word}
-    return FrequencyVector(start=x, length=n, counts=counts)
+    return FrequencyVector(x, n, orbit_counts(m, jump_stages(m, n), x, n))
 
 
 def l1_distance(v1: FrequencyVector, v2: FrequencyVector) -> Fraction:
@@ -300,7 +300,8 @@ def two_measure_experiment(
     once per preceding I_m rule; `depth` is an additive stage index, and the
     swap count l counts I_m rules among blocks 1..N-1 where N is the number
     of blocks completed by stage `depth`.  Base points are the midpoints of
-    the two stage-`depth` bases; both orbits run under the stage-0 map.
+    the two stage-`depth` bases; both orbits run under the stage-0 map,
+    by jumps through stages that include the `depth` ones already induced.
     """
     prefix = pq.expand()
     if not 0 <= depth <= len(prefix):
@@ -318,7 +319,8 @@ def two_measure_experiment(
         (stage_map.domain[ch].left + stage_map.domain[ch].right) / 2
         for ch in (lo, hi)
     )
-    vectors = tuple(birkhoff_frequencies(m0, x, n) for x in points)
+    jumping = jump_stages(m0, n, stages)
+    vectors = tuple(FrequencyVector(x, n, orbit_counts(m0, jumping, x, n)) for x in points)
     return TwoMeasureReport(
         depth=depth,
         orbit_length=n,

@@ -215,6 +215,12 @@ class Lattice:
         n = x.numerator * self.D + self.offsets[i] * q
         return Fraction(n if period is None else n % (period * q), q * self.D)
 
+    def outside(self, k: int) -> OutOfDomain:
+        """The error for the integer k, which lies in a gap or outside the
+        domain."""
+        x = Fraction(k, self.D)
+        return OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
 
@@ -223,8 +229,7 @@ class Lattice:
         """
         i = self.find(left)
         if i is None:
-            x = Fraction(left, self.D)
-            raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+            raise self.outside(left)
         if right > self.rights[i]:
             raise RuntimeError(
                 f"interval {self.interval(left, right)} straddles the boundary "
@@ -415,13 +420,16 @@ def trajectory(
     """Length-n coding of the forward orbit of x.
 
     nine: letters 1..9 by domain piece; three: the same word projected
-    letterwise onto a, b, c.
+    letterwise onto a, b, c.  The orbit is coded by first-return jumps
+    through the checked induction stages that `jump_stages` picks for n;
+    it picks none, the plain walk under the map, for short orbits.
     """
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
-    lat = m.lattice.refined(x.denominator)
-    p = lat.coordinate(x)
-    word = "".join(lat.walk(p, p + 1, n)[0])
+    # imported here because induction imports this module at load time
+    from .induction import jump_stages, orbit_word
+
+    word = orbit_word(m, jump_stages(m, n), x, n)
     return project(word, "A3") if partition == "three" else word
 
 

@@ -14,18 +14,33 @@ a discontinuity (so the piece travels as a block and the return time is
 uniform on it).  The letters visited on the way spell out the
 nine-letter substitution of the branch, which is how the symbolic and
 geometric systems are glued together.
+
+The checked stages also code orbits.  Stage k is the first-return map of T
+to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
+return word of ch under T and then lands at its stage-map image.  An orbit
+that has landed in B_k is coded one return word per step of the stage-k
+map instead of one letter per step of T (`orbit_route`).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
 from .iet import Ar9Map, Lattice, OrderTag, ar9_from_placements
-from .words import A3_MEMBERS, A9, sigma9
+from .words import A3_MEMBERS, A9, iter_heights, sigma9
 
 DEFAULT_RETURN_CAP = 8
+
+# The cost of one checked induction stage in steps of the walk under T: over
+# the twelve 20,000-step orbits of the benchmark's orbit workload, induce_step
+# took 0.10-0.21 ms and one step of the walk 0.26-0.49 us (CPython 3.11 on a
+# shared 2-vCPU machine).
+STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on
 J_A = A3_MEMBERS["a"]
@@ -211,3 +226,129 @@ def iterate_induction(
         stages.append(stage)
         cur = stage.map
     return stages
+
+
+def jump_stages(
+    m0: Ar9Map, n: int, held: Sequence[InductionStage] = ()
+) -> list[InductionStage]:
+    """Stages 1..k of m0 whose jumps code an n-step orbit at the least
+    estimated cost, counted in steps of the walk under T:
+
+    * STAGE_COST for each stage beyond the held stages 1..len(held), which
+      come from iterate_induction(m0, len(held)) and cost nothing;
+    * h_max(k) steps of walk before the orbit lands in B_k: a point of a
+      stage-k tower reaches the base within the tower's height;
+    * n |B_k| / |X| jumps, since by Kac's lemma the mean return time to B_k
+      is |X| / |B_k|, and |B_k| / |X| = (a_k + b_k + c_k) / (a + b + c).
+
+    k is chosen from the triples (ar_step) and the heights alone, before
+    any stage is induced; k = 0, the walk, costs 1 + n.  A triple that
+    leaves the gasket caps k.  The stages past the held ones are induced
+    and checked by iterate_induction.
+    """
+    triples = [m0.triple, *(s.map.triple for s in held)]
+
+    def cases():
+        yield from (s.case for s in held)
+        t = triples[-1]
+        while True:
+            try:
+                t, case = ar_step(t)
+            except NotInGasket:
+                return
+            triples.append(t)
+            yield case
+
+    total = sum(m0.triple)
+    best, best_cost = 0, n + 1
+    for k, hv in enumerate(iter_heights(cases())):
+        fixed = max(k - len(held), 0) * STAGE_COST + max(hv)
+        if fixed >= best_cost:
+            break
+        cost = fixed + n * sum(triples[k]) / total
+        if cost < best_cost:
+            best, best_cost = k, cost
+    if best <= len(held):
+        return list(held[:best])
+    return [*held, *iterate_induction(held[-1].map if held else m0, best - len(held))]
+
+
+def composed_words(stages: Sequence[InductionStage]) -> dict[str, str]:
+    """The return word under T of each piece of the last stage: the checked
+    return words of the stages, composed (one letter each with no stage)."""
+    words = {ch: ch for ch in A9}
+    for stage in stages:
+        words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
+    return words
+
+
+def orbit_route(
+    m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
+) -> tuple[str, list[str], dict[str, str]]:
+    """The first n steps of the orbit of x under m0, by jumps through B_k,
+    the domain of the last of the stages (B_0, the support, with none).
+
+    Returns the letters walked under T until the orbit lands in B_k, the
+    letter of each piece of B_k that it then jumps from, and the return
+    words of those letters (composed_words).  A jump from the piece of ch
+    reads the return word of ch and moves by its stage-map offset; only the
+    last jump can read past step n.  With no stage this is the walk, one
+    letter per jump.
+
+    A point in a gap or outside the support raises OutOfDomain with the
+    point's index in the orbit as `level`, as Lattice.walk does.
+    """
+    words = composed_words(stages)
+    lat = m0.lattice.refined(x.denominator)
+    base = (stages[-1].map if stages else m0).lattice.refined(lat.D)
+    lat = lat.refined(base.D)
+    p = lat.coordinate(x)
+    walked: list[str] = []
+    while len(walked) < n and base.find(p) is None:
+        i = lat.find(p)
+        if i is None:
+            error = lat.outside(p)
+            error.level = len(walked)
+            raise error
+        walked.append(lat.letters[i])
+        p += lat.offsets[i]
+    starts, ends, letters, offsets = base.lefts, base.rights, base.letters, base.offsets
+    heights = [len(words[ch]) for ch in letters]
+    jumps: list[str] = []
+    covered = len(walked)
+    while covered < n:
+        i = bisect_right(starts, p) - 1
+        if i < 0 or p >= ends[i]:
+            raise RuntimeError(f"the orbit of {x} left B_{len(stages)} at "
+                               f"{Fraction(p, base.D)}")
+        jumps.append(letters[i])
+        covered += heights[i]
+        p += offsets[i]
+    return "".join(walked), jumps, words
+
+
+def orbit_word(
+    m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
+) -> str:
+    """The n-letter coding of the orbit of x, by orbit_route: the walked
+    letters, then the return word of each jump, the last one cut at n."""
+    walked, jumps, words = orbit_route(m0, stages, x, n)
+    return (walked + "".join(map(words.__getitem__, jumps)))[:n]
+
+
+def orbit_counts(
+    m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
+) -> dict[str, int]:
+    """The letter counts of orbit_word, nonzero ones in A9 order, added
+    jump by jump from the counts of the return words; no orbit word is
+    built."""
+    walked, jumps, words = orbit_route(m0, stages, x, n)
+    counts = Counter(walked)
+    covered = len(walked)
+    for ch, times in Counter(jumps).items():
+        covered += times * len(words[ch])
+        for letter, count in Counter(words[ch]).items():
+            counts[letter] += times * count
+    if covered > n:
+        counts.subtract(words[jumps[-1]][n - covered:])
+    return {ch: counts[ch] for ch in A9 if counts[ch]}

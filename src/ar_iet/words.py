@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import WordOverflow
 from .gasket import PartialQuotients, Sym
@@ -110,15 +110,11 @@ def _tables(alphabet: AlphabetTag) -> tuple[str, dict[Sym, Substitution]]:
     raise ValueError(f"unknown alphabet tag {alphabet!r}")
 
 
-def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
-    """Per-class word lengths (h_a, h_b, h_c) at stages 0..len(prefix).
-
-    The nine-letter classes follow the same recurrence as the three letters
-    (1-4 share h_a, 5-7 share h_b, 8-9 share h_c), so one triple per stage
-    covers both alphabets.
-    """
+def iter_heights(prefix: Iterable[Sym]) -> Iterator[tuple[int, int, int]]:
+    """heights_by_matrix, one stage at a time: stage 0, then one stage per
+    symbol read, so a caller can stop before reading the rest of prefix."""
     h = (1, 1, 1)
-    out = [h]
+    yield h
     for sym in prefix:
         a, b, c = h
         if sym is Sym.I:
@@ -127,8 +123,17 @@ def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
             h = (a + b, a, a + c)
         else:
             h = (a, a + b, a + c)
-        out.append(h)
-    return out
+        yield h
+
+
+def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
+    """Per-class word lengths (h_a, h_b, h_c) at stages 0..len(prefix).
+
+    The nine-letter classes follow the same recurrence as the three letters
+    (1-4 share h_a, 5-7 share h_b, 8-9 share h_c), so one triple per stage
+    covers both alphabets.
+    """
+    return list(iter_heights(prefix))
 
 
 def letter_height(letter: str, hv: tuple[int, int, int]) -> int:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ar_iet.iet as iet
+import ar_iet.induction as induction
 from ar_iet.errors import Inadmissible, OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple, triple
 from ar_iet.iet import (
@@ -207,6 +208,7 @@ def test_trajectory_checks_the_partition_before_walking(monkeypatch):
         raise AssertionError("the orbit was walked")
 
     monkeypatch.setattr(iet.Lattice, "walk", walk)
+    monkeypatch.setattr(induction, "jump_stages", walk)
     m = build_ar9(triple(7, 4, 2))
     with pytest.raises(ValueError, match="unknown partition 'bogus'"):
         trajectory(m, F(6), 10**7, "bogus")

@@ -11,9 +11,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = r"""
 import contextlib, io, json
+from fractions import Fraction
 import ar_iet.iet as iet
 from ar_iet.cli import main
-from ar_iet.gasket import triple
+from ar_iet.gasket import reconstruct_triple, parse_prefix, triple
+from ar_iet.induction import jump_stages
 
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -32,8 +34,16 @@ try:
     broken = None
 except RuntimeError as e:
     broken = str(e)
+iet._piece_layout = real
+
+# a long orbit, coded by jumps, against the walk
+m = iet.build_ar9(reconstruct_triple(parse_prefix("3121213112")))
+x = Fraction(1234, 7)
+lat = m.lattice.refined(7)
+walk = "".join(lat.walk(lat.coordinate(x), lat.coordinate(x) + 1, 12000)[0])
 print(json.dumps({"debug": __debug__, "code": code, "check": json.loads(out.getvalue()),
-                  "broken": broken}))
+                  "broken": broken, "stages": len(jump_stages(m, 12000)),
+                  "orbit_ok": iet.trajectory(m, x, 12000) == walk}))
 """
 
 
@@ -48,3 +58,5 @@ def test_checks_survive_python_O():
     assert result["check"]["ok"] is True
     assert len(result["check"]["targets"][0]["checks"]) == 5
     assert result["broken"].startswith("pieces of block 0 end at")
+    assert result["stages"] == 5
+    assert result["orbit_ok"] is True

@@ -1,10 +1,18 @@
 """The package interface: `__all__` is the public names the package imports,
-and the library's checks survive `python -O`."""
+each module imports on its own, and the library's checks survive `python -O`."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import ar_iet
+
+MODULES = sorted(path.stem for path in Path(ar_iet.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
 
 
 def test_all_lists_resolvable_public_names_and_no_module():
@@ -23,6 +31,16 @@ def test_star_import_gives_every_listed_name():
     namespace: dict = {}
     exec("from ar_iet import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ar_iet.__all__)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # a fresh interpreter imports the module first, so a cycle of
+    # module-level imports between two modules fails here in either order
+    env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", f"import ar_iet.{module}"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_library_has_no_assert_statements():
