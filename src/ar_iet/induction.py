@@ -262,12 +262,13 @@ def jump_stages(
     total = sum(m0.triple)
     best, best_cost = 0, n + 1
     for k, hv in enumerate(iter_heights(cases())):
-        fixed = max(k - len(held), 0) * STAGE_COST + max(hv)
-        if fixed >= best_cost:
-            break
-        cost = fixed + n * sum(triples[k]) / total
+        cost = max(k - len(held), 0) * STAGE_COST + max(hv) + n * sum(triples[k]) / total
         if cost < best_cost:
             best, best_cost = k, cost
+        # h_max grows by at least 1 per stage, so every later stage costs
+        # at least this much; stop before the next ar_step
+        if max(k + 1 - len(held), 0) * STAGE_COST + max(hv) + 1 >= best_cost:
+            break
     if best <= len(held):
         return list(held[:best])
     return [*held, *iterate_induction(held[-1].map if held else m0, best - len(held))]

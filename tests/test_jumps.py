@@ -146,6 +146,21 @@ def test_jump_stage_minimizes_the_estimated_cost():
     assert all(ref_jump_stage(reconstruct_triple((s,) * 30), 752) == 0 for s in Sym)
 
 
+def test_orbits_shorter_than_one_stage_step_no_triple(monkeypatch):
+    # the check --coding orbits and the preimage ladders are this short
+    import ar_iet.induction as induction
+
+    def ar_step(t):
+        raise AssertionError("the triple was stepped")
+
+    m = build_ar9(reconstruct_triple((Sym.I, Sym.II, Sym.III) * 10))
+    monkeypatch.setattr(induction, "ar_step", ar_step)
+    for n in (0, 1, 500, STAGE_COST + 1):
+        assert jump_stages(m, n) == []
+    with pytest.raises(AssertionError):
+        jump_stages(m, STAGE_COST + 2)
+
+
 def test_jump_stage_is_capped_where_the_triple_leaves_the_gasket():
     m = build_ar9(triple(7, 4, 2))  # (7,4,2) -> (4,2,1), which ties
     assert len(jump_stages(m, 10**9)) == 1
