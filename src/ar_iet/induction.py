@@ -259,12 +259,13 @@ def jump_stages(
             triples.append(t)
             yield case
 
-    total = sum(m0.triple)
-    best, best_cost = 0, n + 1
+    best, best_cost = 0, n + 1  # the walk: h_max(0) = 1 and B_0 = X
     for k, hv in enumerate(iter_heights(cases())):
-        cost = max(k - len(held), 0) * STAGE_COST + max(hv) + n * sum(triples[k]) / total
-        if cost < best_cost:
-            best, best_cost = k, cost
+        if k:
+            cost = (max(k - len(held), 0) * STAGE_COST + max(hv)
+                    + n * sum(triples[k]) / sum(triples[0]))
+            if cost < best_cost:
+                best, best_cost = k, cost
         # h_max grows by at least 1 per stage, so every later stage costs
         # at least this much; stop before the next ar_step
         if max(k + 1 - len(held), 0) * STAGE_COST + max(hv) + 1 >= best_cost:
@@ -301,7 +302,7 @@ def orbit_route(
     """
     words = composed_words(stages)
     lat = m0.lattice.refined(x.denominator)
-    base = (stages[-1].map if stages else m0).lattice.refined(lat.D)
+    base = stages[-1].map.lattice.refined(lat.D) if stages else lat
     lat = lat.refined(base.D)
     p = lat.coordinate(x)
     walked: list[str] = []
