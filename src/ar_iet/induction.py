@@ -275,15 +275,6 @@ def jump_stages(
     return [*held, *iterate_induction(held[-1].map if held else m0, best - len(held))]
 
 
-def composed_words(stages: Sequence[InductionStage]) -> dict[str, str]:
-    """The return word under T of each piece of the last stage: the checked
-    return words of the stages, composed (one letter each with no stage)."""
-    words = {ch: ch for ch in A9}
-    for stage in stages:
-        words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
-    return words
-
-
 def orbit_route(
     m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
 ) -> tuple[str, list[str], dict[str, str]]:
@@ -292,15 +283,17 @@ def orbit_route(
 
     Returns the letters walked under T until the orbit lands in B_k, the
     letter of each piece of B_k that it then jumps from, and the return
-    words of those letters (composed_words).  A jump from the piece of ch
-    reads the return word of ch and moves by its stage-map offset; only the
-    last jump can read past step n.  With no stage this is the walk, one
-    letter per jump.
+    word under T of each piece: the checked return words of the stages,
+    composed.  A jump from the piece of ch reads the return word of ch and
+    moves by its stage-map offset; only the last jump can read past step
+    n.  With no stage this is the walk, one letter per jump.
 
     A point in a gap or outside the support raises OutOfDomain with the
     point's index in the orbit as `level`, as Lattice.walk does.
     """
-    words = composed_words(stages)
+    words = {ch: ch for ch in A9}
+    for stage in stages:
+        words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
     lat = m0.lattice.refined(x.denominator)
     base = stages[-1].map.lattice.refined(lat.D) if stages else lat
     lat = lat.refined(base.D)
