@@ -36,10 +36,11 @@ from .words import A3_MEMBERS, A9, iter_heights, sigma9
 
 DEFAULT_RETURN_CAP = 8
 
-# The cost of one checked induction stage in steps of the walk under T: over
-# the twelve 20,000-step orbits of the benchmark's orbit workload, induce_step
-# took 0.10-0.21 ms and one step of the walk 0.26-0.49 us (CPython 3.11 on a
-# shared 2-vCPU machine).
+# The cost of one checked induction stage in steps of the walk under T: on
+# the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
+# (seed 1), induce_step took 0.09-0.17 ms and one step of Lattice.walk
+# 0.21-0.39 us, ratios of 235 to 787 (CPython 3.11 on a shared 2-vCPU
+# machine; BENCH_13.json, "in_process").
 STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on

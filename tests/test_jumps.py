@@ -2,11 +2,13 @@
 
 The reference is `Lattice.walk`, one bisection per letter, on the lattice
 of the stage-0 map refined to hold the point.  Each of the six
-arrangements, adjacent and gapped, gets a seeded 20-40 letter prefix and
-one point for each denominator 997, 2^61 - 1 and 2^127 - 1.  Orbits are
-coded with every stage k that `jump_stages` may pick for 50,000 steps, at
-n = 0, 1, each class height h - 1, h, h + 1 of stages 0..k, 20,000 and
-50,000, and must equal the walk letter for letter, with the same errors.
+arrangements, adjacent and gapped, gets a seeded 20-40 letter prefix, one
+point for each denominator 997, 2^61 - 1 and 2^127 - 1, and a piece end
+on the map's own lattice.  Orbits are
+coded by jumps through each stage k = 0..K, K the stage that `jump_stages`
+picks for 50,000 steps, at n = 0, 1 and each class height h - 1, h, h + 1
+of stages 0..K, and through stage K also at 20,000 and 50,000.  Words and
+letter counts must equal the walk's, and errors must be the walk's.
 """
 from __future__ import annotations
 
@@ -58,6 +60,9 @@ def system(order, gapped):
     for den in DENOMINATORS:
         piece = m.domain[rng.choice(A9)]
         points.append(piece.left + piece.length * F(rng.randrange(1, den), den))
+    # and a piece end, on the map's own lattice, where an offset one unit
+    # off moves the orbit by a whole unit
+    points.append(m.domain[rng.choice(A9)].left)
     return m, points
 
 
@@ -105,13 +110,14 @@ def test_jumps_raise_the_errors_of_the_walk(order, gapped):
         for n in (0, 1, 2) + LONG:
             want = walked(m, x, n)
             assert want == "" if n == 0 else isinstance(want, OutOfDomain)
-            runs = [lambda k=k: orbit_word(m, stages[:k], x, n) for k in range(len(stages) + 1)]
+            runs = [lambda k=k, f=f: f(m, stages[:k], x, n)
+                    for k in range(len(stages) + 1) for f in (orbit_word, orbit_counts)]
             runs += [lambda: trajectory(m, x, n), lambda: trajectory(m, x, n, "three")]
             if n:
                 runs.append(lambda: birkhoff_frequencies(m, x, n))
             for run in runs:
                 if n == 0:
-                    assert run() == ""
+                    assert run() in ("", {})
                     continue
                 with pytest.raises(OutOfDomain) as got:
                     run()

@@ -35,8 +35,9 @@ def test_star_import_gives_every_listed_name():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_alone(module):
-    # a fresh interpreter imports the module first, so a cycle of
-    # module-level imports between two modules fails here in either order
+    # a fresh interpreter has imported nothing yet, so the import runs from
+    # scratch; a cycle of module-level imports between two modules fails it
+    # whichever of the two the package reaches first
     env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", f"import ar_iet.{module}"],
                           capture_output=True, text=True, env=env, timeout=60)
