@@ -305,6 +305,9 @@ def cmd_words(args, config: RunConfig) -> int:
 def cmd_orbit(args, config: RunConfig) -> int:
     if args.length < 0:
         raise ConfigError("--length must be nonnegative")
+    if args.length > config.word_cap:
+        raise WordOverflow(f"orbit length {args.length} exceeds cap {config.word_cap}",
+                           length=args.length, cap=config.word_cap)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     x = _start_point(args, m, config)

@@ -316,9 +316,6 @@ class Ar9Map:
             raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
         return i
 
-    def letter_of(self, x: Fraction) -> str:
-        return self.lattice.letters[self._piece(x)]
-
 
 def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
     """The values times D, each on (1/D)Z."""
@@ -427,9 +424,9 @@ def trajectory(
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
     # imported here because induction imports this module at load time
-    from .induction import jump_stages, orbit_word
+    from .induction import jump_stages, orbit_route
 
-    word = orbit_word(m, jump_stages(m, n), x, n)
+    word = "".join(orbit_route(m, jump_stages(m, n), x, n))
     return project(word, "A3") if partition == "three" else word
 
 
@@ -469,9 +466,6 @@ class Ar6Map:
             x = x % self.length
             raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
         return i
-
-    def label_of(self, x: Fraction) -> int:
-        return self.lattice.letters[self._piece(x)]
 
 
 def _circle(t: Triple, D: int, rows) -> Ar6Map:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,16 +278,17 @@ def jump_stages(
 
 def orbit_route(
     m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
-) -> tuple[str, list[str], dict[str, str]]:
-    """The first n steps of the orbit of x under m0, by jumps through B_k,
-    the domain of the last of the stages (B_0, the support, with none).
+) -> Iterator[str]:
+    """The coding of the first n steps of the orbit of x under m0, as the
+    words it reads by jumps through B_k, the domain of the last of the
+    stages (B_0, the support, with none).
 
-    Returns the letters walked under T until the orbit lands in B_k, the
-    letter of each piece of B_k that it then jumps from, and the return
-    word under T of each piece: the checked return words of the stages,
-    composed.  A jump from the piece of ch reads the return word of ch and
-    moves by its stage-map offset; only the last jump can read past step
-    n.  With no stage this is the walk, one letter per jump.
+    Yields one letter per step of the walk under T until the orbit lands in
+    B_k, then the return word under T of each piece of B_k that it jumps
+    from: the checked return words of the stages, composed.  A jump from
+    the piece of ch moves by its stage-map offset.  The last word is cut so
+    that the words hold exactly n letters.  With no stage this is the walk,
+    one letter per jump.
 
     A point in a gap or outside the support raises OutOfDomain with the
     point's index in the orbit as `level`, as Lattice.walk does.
@@ -299,52 +300,37 @@ def orbit_route(
     base = stages[-1].map.lattice.refined(lat.D) if stages else lat
     lat = lat.refined(base.D)
     p = lat.coordinate(x)
-    walked: list[str] = []
-    while len(walked) < n and base.find(p) is None:
+    rest = n  # the letters still to read
+    while rest > 0 and base.find(p) is None:
         i = lat.find(p)
         if i is None:
             error = lat.outside(p)
-            error.level = len(walked)
+            error.level = n - rest
             raise error
-        walked.append(lat.letters[i])
+        yield lat.letters[i]
+        rest -= 1
         p += lat.offsets[i]
-    starts, ends, letters, offsets = base.lefts, base.rights, base.letters, base.offsets
-    heights = [len(words[ch]) for ch in letters]
-    jumps: list[str] = []
-    covered = len(walked)
-    while covered < n:
+    starts, ends, offsets = base.lefts, base.rights, base.offsets
+    route = [words[ch] for ch in base.letters]
+    while rest > 0:
         i = bisect_right(starts, p) - 1
         if i < 0 or p >= ends[i]:
             raise RuntimeError(f"the orbit of {x} left B_{len(stages)} at "
                                f"{Fraction(p, base.D)}")
-        jumps.append(letters[i])
-        covered += heights[i]
+        word = route[i]
+        rest -= len(word)
+        yield word if rest >= 0 else word[:rest]
         p += offsets[i]
-    return "".join(walked), jumps, words
-
-
-def orbit_word(
-    m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
-) -> str:
-    """The n-letter coding of the orbit of x, by orbit_route: the walked
-    letters, then the return word of each jump, the last one cut at n."""
-    walked, jumps, words = orbit_route(m0, stages, x, n)
-    return (walked + "".join(map(words.__getitem__, jumps)))[:n]
 
 
 def orbit_counts(
     m0: Ar9Map, stages: Sequence[InductionStage], x: Fraction, n: int
 ) -> dict[str, int]:
-    """The letter counts of orbit_word, nonzero ones in A9 order, added
-    jump by jump from the counts of the return words; no orbit word is
-    built."""
-    walked, jumps, words = orbit_route(m0, stages, x, n)
-    counts = Counter(walked)
-    covered = len(walked)
-    for ch, times in Counter(jumps).items():
-        covered += times * len(words[ch])
-        for letter, count in Counter(words[ch]).items():
+    """The letter counts of the n-step coding of x, nonzero ones in A9
+    order: the distinct words of orbit_route (at most 19, the cut last word
+    included) are counted, then expanded; no orbit word is built."""
+    counts = Counter()
+    for word, times in Counter(orbit_route(m0, stages, x, n)).items():
+        for letter, count in Counter(word).items():
             counts[letter] += times * count
-    if covered > n:
-        counts.subtract(words[jumps[-1]][n - covered:])
     return {ch: counts[ch] for ch in A9 if counts[ch]}

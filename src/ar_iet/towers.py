@@ -47,8 +47,6 @@ class Tower:
     stage piece, each held as its integer left end on (1/D)Z; every level is
     `width` long."""
 
-    label: str
-    stage: int
     D: int
     width: int
     lefts: tuple[int, ...]  # by level
@@ -73,8 +71,6 @@ class ProjectedTower(NamedTuple):
     """A three-letter tower: the levels of the nine-letter towers of its
     member letters, joined level by level into merged integer pieces."""
 
-    label: str
-    stage: int
     D: int
     pieces: tuple[IntPieces, ...]  # by level
 
@@ -104,8 +100,7 @@ class TowerFamily:
             towers = [self.nine[ch] for ch in members]
             # one row of (left, right) pairs per level, one pair per member
             rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
-            three[letter] = ProjectedTower(letter, self.stage, towers[0].D,
-                                           tuple(map(_merge, rows)))
+            three[letter] = ProjectedTower(towers[0].D, tuple(map(_merge, rows)))
         return three
 
 
@@ -131,7 +126,7 @@ def towers_at_stage(
             letters, lefts = lat.walk(left, right, letter_height(ch, hv))
         except RuntimeError as e:
             raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
-        nine[ch] = Tower(ch, k, lat.D, right - left, tuple(lefts), "".join(letters))
+        nine[ch] = Tower(lat.D, right - left, tuple(lefts), "".join(letters))
     for members in A3_MEMBERS.values():
         if len({nine[ch].height for ch in members}) > 1:
             raise RuntimeError(f"towers {', '.join(members)} differ in height")

@@ -207,6 +207,26 @@ def test_orbit_three_letter_partition(capsys):
     assert payload["coding"] == "abaca"
 
 
+def test_orbit_length_cap_is_word_cap(capsys, tmp_path, monkeypatch):
+    import ar_iet.cli as cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("word_cap = 40\n")
+    argv = ("--config", str(cfg), "orbit", "--triple", "7,4,2", "--point", "6", "--length")
+    assert len(run_json(capsys, *argv, "40")["coding"]) == 40
+
+    def trajectory(*args):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(cli, "trajectory", trajectory)
+    code, out, err = run(capsys, *argv, "41")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "word-overflow"
+    assert error["message"] == "orbit length 41 exceeds cap 40"
+    assert error["detail"] == {"length": "41", "cap": "40"}
+
+
 # --- induct and towers -------------------------------------------------------
 
 def test_induct_tribonacci_three_stages(capsys):

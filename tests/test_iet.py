@@ -223,7 +223,7 @@ def test_trajectory_projection_consistency():
         hi = max(b.right for b in m.role_blocks)
         x = lo + (hi - lo) * F(rng.randint(0, 999), 1000)
         try:
-            m.letter_of(x)
+            ar9_apply(m, x)
         except OutOfDomain:
             continue
         w9 = trajectory(m, x, 300, "nine")

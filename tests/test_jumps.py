@@ -29,7 +29,7 @@ from ar_iet.induction import (
     iterate_induction,
     jump_stages,
     orbit_counts,
-    orbit_word,
+    orbit_route,
 )
 from ar_iet.words import A9, heights_by_matrix, project
 
@@ -86,7 +86,7 @@ def test_jumps_code_the_orbit_of_the_walk(order, gapped):
         reference = walked(m, x, LONG[-1])
         for k in range(K + 1):
             for n in short + (list(LONG) if k == K else []):
-                assert orbit_word(m, stages[:k], x, n) == reference[:n], (k, n)
+                assert "".join(orbit_route(m, stages[:k], x, n)) == reference[:n], (k, n)
                 want = Counter(reference[:n])
                 assert orbit_counts(m, stages[:k], x, n) == {ch: want[ch] for ch in A9 if want[ch]}
         for n in short + list(LONG):
@@ -110,8 +110,9 @@ def test_jumps_raise_the_errors_of_the_walk(order, gapped):
         for n in (0, 1, 2) + LONG:
             want = walked(m, x, n)
             assert want == "" if n == 0 else isinstance(want, OutOfDomain)
-            runs = [lambda k=k, f=f: f(m, stages[:k], x, n)
-                    for k in range(len(stages) + 1) for f in (orbit_word, orbit_counts)]
+            runs = [run for k in range(len(stages) + 1) for run in (
+                lambda k=k: "".join(orbit_route(m, stages[:k], x, n)),
+                lambda k=k: orbit_counts(m, stages[:k], x, n))]
             runs += [lambda: trajectory(m, x, n), lambda: trajectory(m, x, n, "three")]
             if n:
                 runs.append(lambda: birkhoff_frequencies(m, x, n))
@@ -221,6 +222,21 @@ def test_long_orbits_keep_no_left_ends(n, k, kib):
         tracemalloc.stop()
     assert len(word) == n
     assert peak < kib * 1024, f"{peak // 1024} KiB"
+
+
+def test_frequencies_keep_nothing_per_jump():
+    # (7,4,2) leaves the gasket after one step, so 10^5 steps take about
+    # 54,000 jumps through B_1
+    m = build_ar9(triple(7, 4, 2))
+    assert len(jump_stages(m, 10**5)) == 1
+    tracemalloc.start()
+    try:
+        counts = birkhoff_frequencies(m, F(6), 10**5).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**5
+    assert peak <= 64 * 1024, f"{peak // 1024} KiB"
 
 
 def test_birkhoff_on_the_two_measure_regime_at_ten_million_steps():
