@@ -81,7 +81,6 @@ from .induction import (
     predicted_order,
 )
 from .towers import (
-    ProjectedTower,
     Tower,
     TowerFamily,
     adjacency_check,

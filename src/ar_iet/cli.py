@@ -52,7 +52,7 @@ from .gasket import (
     partial_quotients,
     reconstruct_triple,
 )
-from .iet import FIRST_ORDER, Ar9Map, OrderTag, build_ar9, parse_order, trajectory
+from .iet import FIRST_ORDER, Ar9Map, OrderTag, _merge, build_ar9, parse_order, trajectory
 from .induction import DEFAULT_RETURN_CAP, induce_step, iterate_induction
 from .towers import (
     adjacency_check,
@@ -61,6 +61,7 @@ from .towers import (
     towers_at_stage,
 )
 from .words import (
+    A3_MEMBERS,
     A9,
     heights_by_matrix,
     letter_height,
@@ -169,8 +170,11 @@ def _emit_json(payload: dict, args, config: RunConfig) -> None:
 
 def _write_file(name: str, text: str, config: RunConfig) -> Path:
     path = Path(config.output_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
     return path
 
 
@@ -379,12 +383,15 @@ def cmd_towers(args, config: RunConfig) -> int:
     _require_level_cap(stages, stage, config)
     family = towers_at_stage(m, stages, stage)
     nine = {
-        ch: {"height": tower.height, "word": tower.word, "base": tower.base[0]}
+        ch: {"height": tower.height, "word": tower.word, "base": tower.base}
         for ch, tower in family.nine.items()
     }
+    # a three-letter tower is the union of its member towers, whose heights
+    # towers_at_stage has checked equal
     three = {
-        ch: {"height": tower.height, "base": tower.base}
-        for ch, tower in family.three.items()
+        letter: {"height": family.nine[members[0]].height,
+                 "base": _merge(family.nine[ch].base for ch in members)}
+        for letter, members in A3_MEMBERS.items()
     }
     payload = {
         "schema": "ar-iet/towers/1",
@@ -442,8 +449,7 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
         orbit_ok = True
         for ch in A9:
             tower = family.nine[ch]
-            base = tower.base[0]
-            mid = (base.left + base.right) / 2
+            mid = (tower.base.left + tower.base.right) / 2
             orbit_ok = orbit_ok and trajectory(m, mid, tower.height) == tower.word
         results["coding"] = words_ok and orbit_ok
     return {

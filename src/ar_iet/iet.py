@@ -125,7 +125,8 @@ def _piece_layout(t: Triple):
 
 
 def _merge(pairs) -> tuple[tuple[int, int], ...]:
-    """Sort integer intervals, drop empty ones and join touching ones."""
+    """Sort intervals, drop empty ones and join touching ones; the ends are
+    integers on a lattice, or the Fractions of its views."""
     merged: list[tuple[int, int]] = []
     end = None  # of the open piece [start, end), appended when the next one opens
     for left, right in sorted(pairs):

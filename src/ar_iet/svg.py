@@ -142,10 +142,8 @@ def render_towers(f: TowerFamily) -> str:
     for ch in A9:
         tower = f.nine[ch]
         for j, level in enumerate(tower.levels):
-            y = base_y - (j + 1) * row
-            for piece in level:
-                cv.rect(piece.left, piece.right, y, row)
-        base = tower.base[0]
+            cv.rect(level.left, level.right, base_y - (j + 1) * row, row)
+        base = tower.base
         cv.text((cv.x(base.left) + cv.x(base.right)) / 2, base_y + 14, ch)
         cv.text(cv.x(base.left), base_y + 28, str(base.left), size=8,
                 anchor="start")

@@ -10,13 +10,13 @@ the geometric towers back to the substitutive words.
 
 Grouping bases by projected letter (1-4 -> a, 5-7 -> b, 8-9 -> c) gives
 three coarser towers whose levels are unions of at most three, two, and one
-intervals respectively.
+intervals respectively.  They are not built: `level_component_counts` joins
+the member levels row by row and keeps only the counts.
 
 Towers live on the lattice (1/D)Z of the stage-0 map refined to hold the
 stage-k pieces.  A nine-letter tower is one walk of its base (`Lattice.walk`)
-and holds the base width and one integer left end per level; a projected
-tower holds merged integer pieces per level.  The checks read those
-integers; base and levels are views of them.
+and holds the base width and one integer left end per level.  The checks
+read those integers; base and levels are views of them.
 """
 from __future__ import annotations
 
@@ -26,19 +26,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import eq
-from typing import NamedTuple
 
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
 from .induction import InductionStage
 from .words import A3_MEMBERS, A9, heights_by_matrix, letter_height
-
-Pieces = tuple[Interval, ...]
-IntPieces = tuple[tuple[int, int], ...]
-
-
-def _view(D: int, level: IntPieces) -> Pieces:
-    return tuple(Interval(Fraction(left, D), Fraction(right, D)) for left, right in level)
 
 
 @dataclass(frozen=True)
@@ -57,51 +49,25 @@ class Tower:
         return len(self.lefts)
 
     @cached_property
-    def base(self) -> Pieces:
+    def base(self) -> Interval:
         left = self.lefts[0]
-        return _view(self.D, ((left, left + self.width),))
+        return Interval(Fraction(left, self.D), Fraction(left + self.width, self.D))
 
     @cached_property
-    def levels(self) -> tuple[Pieces, ...]:
-        width = self.width
-        return tuple(_view(self.D, ((left, left + width),)) for left in self.lefts)
-
-
-class ProjectedTower(NamedTuple):
-    """A three-letter tower: the levels of the nine-letter towers of its
-    member letters, joined level by level into merged integer pieces."""
-
-    D: int
-    pieces: tuple[IntPieces, ...]  # by level
-
-    @property
-    def height(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def base(self) -> Pieces:
-        return _view(self.D, self.pieces[0])
+    def levels(self) -> tuple[Interval, ...]:
+        D, width = self.D, self.width
+        return tuple(Interval(Fraction(left, D), Fraction(left + width, D))
+                     for left in self.lefts)
 
 
 @dataclass(frozen=True)
 class TowerFamily:
-    """All towers of one stage: nine fine ones plus the three projected ones,
-    which are joined from the nine on first read."""
+    """The nine towers of one stage."""
 
     stage: int
     order: OrderTag
     nine: dict[str, Tower]
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
-
-    @cached_property
-    def three(self) -> dict[str, ProjectedTower]:
-        three = {}
-        for letter, members in A3_MEMBERS.items():
-            towers = [self.nine[ch] for ch in members]
-            # one row of (left, right) pairs per level, one pair per member
-            rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
-            three[letter] = ProjectedTower(towers[0].D, tuple(map(_merge, rows)))
-        return three
 
 
 def towers_at_stage(
@@ -215,8 +181,15 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
 
 
 def level_component_counts(f: TowerFamily) -> dict[str, int]:
-    """Largest number of intervals in any level of each projected tower."""
-    return {letter: max(map(len, t.pieces)) for letter, t in f.three.items()}
+    """Largest number of intervals in any level of each three-letter tower,
+    the level-by-level union of the towers of its member letters."""
+    counts = {}
+    for letter, members in A3_MEMBERS.items():
+        towers = [f.nine[ch] for ch in members]
+        # one row of (left, right) pairs per level, one pair per member
+        rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
+        counts[letter] = max(len(_merge(row)) for row in rows)
+    return counts
 
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:

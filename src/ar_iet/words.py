@@ -26,18 +26,7 @@ A9 = "123456789"
 
 AlphabetTag = Literal["A3", "A9"]
 
-# nine-letter class structure: 1-4 behave like a, 5-7 like b, 8-9 like c
-A9_CLASS = {
-    "1": "a", "2": "a", "3": "a", "4": "a",
-    "5": "b", "6": "b", "7": "b",
-    "8": "c", "9": "c",
-}
-
-# the pieces of each three-letter class, in nine-letter order
-A3_MEMBERS = {x: "".join(ch for ch in A9 if A9_CLASS[ch] == x) for x in A3}
-
 # letter-to-letter projections
-_PHI3 = str.maketrans(A9_CLASS)
 _PHI6 = {
     "1": 0, "2": 0,          # a-
     "3": 1, "4": 1,          # a+
@@ -46,6 +35,14 @@ _PHI6 = {
     "8": 4,                  # c-
     "9": 5,                  # c+
 }
+
+# nine-letter class structure: 1-4 behave like a, 5-7 like b, 8-9 like c;
+# forgetting the sign of the six-letter projection gives it
+A9_CLASS = {ch: A3[arc // 2] for ch, arc in _PHI6.items()}
+_PHI3 = str.maketrans(A9_CLASS)
+
+# the pieces of each three-letter class, in nine-letter order
+A3_MEMBERS = {x: "".join(ch for ch in A9 if A9_CLASS[ch] == x) for x in A3}
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,21 @@ def test_emit_writes_stdout_copy(capsys, tmp_path):
     assert on_disk == payload
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("gasket", "--triple", "7,4,2", "--emit", "a.json"), "a.json"),
+    (("orbit", "--triple", "7,4,2", "--point", "6", "--length", "5", "--csv", "f.csv"),
+     "f.csv"),
+    (("render", "--layout", "--triple", "7,4,2", "--out", "l.svg"), "l.svg"),
+], ids=["emit", "csv", "out"])
+def test_failed_write_is_usage_error(capsys, tmp_path, argv, name):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "--output-dir", str(blocker), *argv)
+    assert code == 2
+    assert err.startswith(f"ar-iet: cannot write {blocker / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_malformed_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gasket", "--triple", "7,x,2"])
@@ -585,17 +600,17 @@ def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds,
 def test_check_joins_projected_towers_only_when_read(capsys, monkeypatch, kind, joined):
     import ar_iet.cli as cli
 
-    families = []
-    real = cli.towers_at_stage
+    counted = []
+    real = cli.level_component_counts
 
-    def recording(m, stages, k):
-        families.append(real(m, stages, k))
-        return families[-1]
+    def counting(f):
+        counted.append(f.stage)
+        return real(f)
 
-    monkeypatch.setattr(cli, "towers_at_stage", recording)
+    monkeypatch.setattr(cli, "level_component_counts", counting)
     assert run_json(capsys, "check", kind, "--prefix", "1213", "--depth", "3")["ok"]
-    assert families
-    assert all(("three" in f.__dict__) == joined for f in families)
+    # --components joins the member levels of every stage, the others none
+    assert counted == ([0, 1, 2, 3] if joined else [])
 
 
 def test_tower_level_cap_is_word_cap(capsys, tmp_path):

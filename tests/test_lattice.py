@@ -6,9 +6,9 @@ intervals and translates with Fraction additions; it shares no code with
 its own seeded random prefix.
 
 `Lattice.walk` is compared with step-by-step `Lattice.push`, the column
-towers with `ref_tower`, the projected towers with `ref_merge` and
-`partition_check` with `ref_partition`, the sorted-pairs sweep it used to
-run on every family.
+towers with `ref_tower`, the component counts and bases of their
+three-letter unions with `ref_merge`, and `partition_check` with
+`ref_partition`, the sorted-pairs sweep it used to run on every family.
 """
 from __future__ import annotations
 
@@ -20,9 +20,15 @@ import pytest
 
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple
-from ar_iet.iet import ORDER_TAGS, Interval, ar9_apply, build_ar9, trajectory
+from ar_iet.iet import ORDER_TAGS, _merge, ar9_apply, build_ar9, trajectory
 from ar_iet.induction import iterate_induction
-from ar_iet.towers import PartitionReport, adjacency_check, partition_check, towers_at_stage
+from ar_iet.towers import (
+    PartitionReport,
+    adjacency_check,
+    level_component_counts,
+    partition_check,
+    towers_at_stage,
+)
 from ar_iet.words import A3_MEMBERS, A9
 
 F = Fraction
@@ -52,7 +58,7 @@ def ref_tower(m0, base, height):
     for _ in range(height):
         ch = ref_letter(m0, cur.left)
         assert cur.right <= m0.domain[ch].right
-        levels.append((cur,))
+        levels.append(cur)
         letters.append(ch)
         cur = cur.translate(m0.offsets[ch])
     return tuple(levels), "".join(letters)
@@ -245,13 +251,18 @@ def test_column_towers_match_references(order, gapped):
             levels, word = ref_tower(m, bases[ch], tower.height)
             assert (tower.levels, tower.word, tower.base) == (levels, word, levels[0])
             assert F(tower.width, tower.D) == bases[ch].length
+        counts = {}
         for letter, members in A3_MEMBERS.items():
-            projected = f.three[letter]
-            rows = zip(*([(left, left + t.width) for left in t.lefts]
-                         for t in (f.nine[ch] for ch in members)))
-            assert projected.pieces == tuple(map(ref_merge, rows))
-            assert projected.base == tuple(Interval(F(left, projected.D), F(right, projected.D))
-                                           for left, right in projected.pieces[0])
+            towers = [f.nine[ch] for ch in members]
+            rows = [ref_merge(row) for row in zip(*([(left, left + t.width) for left in t.lefts]
+                                                    for t in towers))]
+            counts[letter] = max(map(len, rows))
+            # the three-letter base `ar-iet towers` prints: the member bases merged
+            bases = [t.base for t in towers]
+            D = towers[0].D
+            assert ref_merge(bases) == tuple((F(left, D), F(right, D)) for left, right in rows[0])
+            assert _merge(bases) == ref_merge(bases)
+        assert level_component_counts(f) == counts
         assert partition_check(f) == ref_partition(f)
 
 

@@ -37,8 +37,8 @@ def test_stage_zero_towers_are_the_pieces():
     for ch in A9:
         tower = f.nine[ch]
         assert tower.height == 1
-        assert tower.base == (m0.domain[ch],)
-        assert tower.levels == ((m0.domain[ch],),)
+        assert tower.base == m0.domain[ch]
+        assert tower.levels == (m0.domain[ch],)
         assert tower.word == ch
     assert partition_check(f).ok
 
@@ -107,7 +107,7 @@ def test_partition_check_names_the_first_overlap():
     f = dataclasses.replace(f, nine={**f.nine, "2": copy})
     report = partition_check(f)
     assert not report.ok
-    first = min(p for level in f.nine["1"].levels for p in level)
+    first = min(f.nine["1"].levels)
     assert report.defect == f"levels {first} and {first} overlap"
 
 
@@ -164,9 +164,9 @@ def test_unequal_member_heights_raise(monkeypatch):
 def test_checks_leave_the_projected_towers_unbuilt():
     _, _, f = family_for((I, II, I), 3)
     assert partition_check(f).ok and adjacency_check(f).ok
-    assert "three" not in f.__dict__
     assert level_component_counts(f) == {"a": 3, "b": 2, "c": 1}
-    assert "three" in f.__dict__
+    # the three-letter towers are counted from the nine, never built
+    assert not hasattr(f, "three")
 
 
 def test_adjacency_stage0_first_order():
@@ -175,7 +175,7 @@ def test_adjacency_stage0_first_order():
     report = adjacency_check(f)
     assert report.ok
     # 2 leftmost: I2=[11,13) then I3=[13,17)
-    assert f.nine["2"].levels[0][0].right == f.nine["3"].levels[0][0].left
+    assert f.nine["2"].levels[0].right == f.nine["3"].levels[0].left
 
 
 def test_adjacency_sweep_with_sidedness():
@@ -189,12 +189,25 @@ def test_adjacency_sweep_with_sidedness():
         report = adjacency_check(f)
         assert report.ok, report.violations[:2]
         # explicit sidedness of the 8|9 pair at level 0
-        p8 = f.nine["8"].levels[0][0]
-        p9 = f.nine["9"].levels[0][0]
+        p8 = f.nine["8"].levels[0]
+        p9 = f.nine["9"].levels[0]
         if f.order.reversed:
             assert p9.right == p8.left
         else:
             assert p8.right == p9.left
+
+
+def test_component_counts_read_every_level():
+    # members adjacent at level 0 and spread apart at level 1: the count is
+    # the largest over all levels, not the base's
+    _, _, f = family_for((I, I), 2)
+    nine = {}
+    for start, members in ((0, "1234"), (100, "567"), (200, "89")):
+        for i, ch in enumerate(members):
+            nine[ch] = dataclasses.replace(f.nine[ch], width=1,
+                                           lefts=(start + i, start + 50 + 2 * i))
+    f = dataclasses.replace(f, nine=nine)
+    assert level_component_counts(f) == {"a": 4, "b": 3, "c": 2}
 
 
 def test_component_bounds_sweep():
