@@ -161,11 +161,12 @@ def _json_text(data: dict) -> str:
 
 
 def _emit_json(payload: dict, args, config: RunConfig) -> None:
+    """Print the payload after its --emit copy: a failed write prints nothing."""
     text = _json_text(_encoded(payload))
-    sys.stdout.write(text)
     name = getattr(args, "emit", None)
     if name:
         _write_file(name, text, config)
+    sys.stdout.write(text)
 
 
 def _write_file(name: str, text: str, config: RunConfig) -> Path:
@@ -327,8 +328,8 @@ def cmd_orbit(args, config: RunConfig) -> int:
         "coding": coding,
         "counts": counts,
     }
-    _emit_json(payload, args, config)
     _write_frequency_csv(args.csv, counts, args.length, config)
+    _emit_json(payload, args, config)
     return 0
 
 

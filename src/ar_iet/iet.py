@@ -20,8 +20,8 @@ Every piece end and offset lies on one lattice (1/D)Z, and so does every
 coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
 Both maps are therefore stored as integers times D (`Lattice`), and their
 Fraction tables are views of them, built on first read.  Pushing an interval
-is a bisection over integer left ends, and the builders lay their pieces out
-in integers.
+is a bisection over integer left ends, and one integer routine lays out the
+pieces of the built and the induced maps alike.
 """
 from __future__ import annotations
 
@@ -323,22 +323,14 @@ def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (D // v.denominator) for v in values]
 
 
-def ar9_from_placements(
-    t: Triple, placements: Sequence[Fraction], reversed_: bool
+def _lay_out(
+    t: Triple, D: int, abc: Sequence[int], starts: Sequence[int], reversed_: bool
 ) -> Ar9Map:
-    """Assemble the map from the triple and the three block left ends.
-
-    The block arrangement determines the order tag: the role permutation
-    read off the line is cyclic exactly when the layout is non-reversed, so
-    only the mirror flag needs to be supplied.
-    """
+    """Lay the map of t out on (1/D)Z from abc, t times D, and starts, the
+    block left ends times D by role; t must be admissible.  The builders and
+    induction, which lays an induced map on its parent's lattice, share it."""
     require_admissible(t)
-    placements = tuple(Fraction(p) for p in placements)
-    # lay the pieces out on the lattice that holds the triple and the
-    # placements; every piece end and offset lies on it
-    D = math.lcm(*(v.denominator for v in (*t, *placements)))
-    a, b, c = _scaled(D, t)
-    starts = _scaled(D, placements)
+    a, b, c = abc
     ends = [s + n for s, n in zip(starts, (a + b, b + c, a + c))]  # as omega_lengths
 
     def interval(left: int, right: int) -> Interval:
@@ -375,6 +367,22 @@ def ar9_from_placements(
             raise RuntimeError(f"piece {ch} and its image differ in length")
     return Ar9Map(t, order, Lattice.sorted_from(
         D, ((*dom[ch], ch, img[ch][0] - dom[ch][0]) for ch in A9)))
+
+
+def ar9_from_placements(
+    t: Triple, placements: Sequence[Fraction], reversed_: bool
+) -> Ar9Map:
+    """Assemble the map from the triple and the three block left ends.
+
+    The block arrangement determines the order tag: the role permutation
+    read off the line is cyclic exactly when the layout is non-reversed, so
+    only the mirror flag needs to be supplied.
+    """
+    placements = tuple(Fraction(p) for p in placements)
+    # lay the pieces out on the lattice that holds the triple and the
+    # placements; every piece end and offset lies on it
+    D = math.lcm(*(v.denominator for v in (*t, *placements)))
+    return _lay_out(t, D, _scaled(D, t), _scaled(D, placements), reversed_)
 
 
 def build_ar9(

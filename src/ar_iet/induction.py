@@ -7,12 +7,13 @@ whose arrangement follows a fixed transition table in the branch taken
 blocks: the span of I_1, the span of I_2 u I_3 (always the whole middle
 block Omega'), and the span of I_4.
 
-The implementation predicts the induced map from that table, then checks
-it by honest interval iteration: each predicted piece is pushed forward
-under T, once, until it first re-enters J_a, raising if it ever straddles
-a discontinuity (so the piece travels as a block and the return time is
-uniform on it).  The letters visited on the way spell out the
-nine-letter substitution of the branch, which is how the symbolic and
+The implementation predicts the induced map from that table, lays it out
+on the parent's lattice with the builder's integer routine (no Fraction on
+the way), and checks it by honest interval iteration: each predicted piece
+is pushed forward under T, once, until it first re-enters J_a, raising if it
+ever straddles a discontinuity (so the piece travels as a block and the
+return time is uniform on it).  The letters visited on the way spell out
+the nine-letter substitution of the branch, which is how the symbolic and
 geometric systems are glued together.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
@@ -23,7 +24,8 @@ map instead of one letter per step of T (`orbit_route`).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -31,16 +33,16 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import Ar9Map, Lattice, OrderTag, ar9_from_placements
+from .iet import Ar9Map, Lattice, OrderTag, _lay_out
 from .words import A3_MEMBERS, A9, iter_heights, sigma9
 
 DEFAULT_RETURN_CAP = 8
 
 # The cost of one checked induction stage in steps of the walk under T: on
 # the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
-# (seed 1), induce_step took 0.09-0.17 ms and one step of Lattice.walk
-# 0.21-0.39 us, ratios of 235 to 787 (CPython 3.11 on a shared 2-vCPU
-# machine; BENCH_13.json, "in_process").
+# (seed 1), induce_step took 0.10-0.11 ms and one step of Lattice.walk
+# 0.36-0.39 us, ratios of 267 to 296 (CPython 3.11 on a shared 2-vCPU
+# machine; BENCH_16.json, "in_process"; 235 to 787 in BENCH_13.json).
 STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on
@@ -69,24 +71,15 @@ def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
     )
 
 
-def _position(left: int, right: int, regions) -> str:
-    """inside / outside / straddling the union of disjoint sorted regions."""
-    for r_left, r_right in regions:
-        if r_left <= left and right <= r_right:
-            return "inside"
-    if all(right <= r_left or r_right <= left for r_left, r_right in regions):
-        return "outside"
-    return "straddling"
-
-
 def _land(
     lat: Lattice, regions, left: int, right: int, cap: int
 ) -> tuple[int, int, str]:
-    """Push [left, right) under T until it first re-enters J_a, given as
-    merged integer regions: the landed interval and the word of letters
-    visited before the return.  Raises RuntimeError if the interval ever
-    straddles a discontinuity or returns only partially (so it is not a
-    block of the induced partition), ReturnTimeCapExceeded past cap."""
+    """Push [left, right) under T until it first re-enters J_a, given as the
+    (lefts, rights) of its merged regions: the landed interval and the word
+    of letters visited before the return.  Raises RuntimeError if the
+    interval ever straddles a discontinuity or returns only partially (so it
+    is not a block of the induced partition), ReturnTimeCapExceeded past cap."""
+    r_lefts, r_rights = regions
     start = (left, right)
     word: list[str] = []
     for _ in range(cap):
@@ -94,10 +87,12 @@ def _land(
         word.append(ch)
         left += offset
         right += offset
-        pos = _position(left, right, regions)
-        if pos == "inside":
+        # the regions are sorted and apart: the interval is inside the one
+        # that holds its left end, or else must meet none of them
+        i = bisect_right(r_lefts, left) - 1
+        if i >= 0 and right <= r_rights[i]:
             return left, right, "".join(word)
-        if pos == "straddling":
+        if bisect_right(r_rights, left) < bisect_left(r_lefts, right):
             raise RuntimeError(
                 f"interval {lat.interval(left, right)} returns to J_a only "
                 f"partially after {word}"
@@ -108,26 +103,6 @@ def _land(
         piece=str(piece),
         cap=cap,
     )
-
-
-def _predict(m: Ar9Map) -> tuple[Ar9Map, Sym]:
-    new_triple, case = ar_step(m.triple)
-    # the left ends of the three spans of J_a: I_1, the whole middle block
-    # I_2 u I_3, and I_4
-    lat = m.lattice
-    pieces = lat.by_label()
-    starts = (pieces["1"][0], min(pieces["2"][0], pieces["3"][0]), pieces["4"][0])
-    placements = [Fraction(0)] * 3
-    for start, role in zip(starts, _SPAN_ROLES[case]):
-        placements[role] = Fraction(start, lat.D)
-    reversed_ = m.order.reversed != (case is Sym.II)
-    induced = ar9_from_placements(new_triple, placements, reversed_)
-    if induced.order != predicted_order(m.order, case):
-        raise RuntimeError(
-            f"span arrangement {induced.order} disagrees with the "
-            f"transition table {predicted_order(m.order, case)}"
-        )
-    return induced, case
 
 
 _FLAGS = ("lengths_ok", "endpoints_ok", "translations_ok", "words_ok")
@@ -164,41 +139,57 @@ def induce_step(
     Each predicted piece is pushed under T once.  A disagreement clears its
     flag instead of raising; iterate_induction refuses to go on from it.
     """
-    induced, case = _predict(m)
-    # the induced map's coordinates lie on the parent's lattice, so its
-    # pieces, rescaled, and the landed intervals compare as integers
-    lat = m.lattice.refined(induced.lattice.D)
+    new_triple, case = ar_step(m.triple)
+    # the left ends of the three spans of J_a: I_1, the whole middle block
+    # I_2 u I_3, and I_4, on the parent's lattice, placed by the table
+    lat = m.lattice
+    parent = lat.by_label()
+    spans = (parent["1"][0], min(parent["2"][0], parent["3"][0]), parent["4"][0])
+    starts = [0] * 3
+    for start, role in zip(spans, _SPAN_ROLES[case]):
+        starts[role] = start
+    a, b, c = abc = [lat.coordinate(v) for v in new_triple]
+    # laid out on the coarsest lattice that holds the triple and the spans,
+    # the one the Fraction builder picks
+    g = math.gcd(lat.D, *abc, *starts)
+    predicted = predicted_order(m.order, case)
+    induced = _lay_out(new_triple, lat.D // g, [v // g for v in abc],
+                       [v // g for v in starts], predicted.reversed)
+    if induced.order != predicted:
+        raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
+                           f"transition table {predicted}")
+    # the induced pieces, back on the parent's lattice, are pushed under T
+    # and compared with what they land on as integers
     pieces = induced.lattice.refined(lat.D).by_label()
-    regions = lat.union(J_A)
-    returns = {ch: _land(lat, regions, *pieces[ch][:2], cap) for ch in A9}
-    a, b, c = (lat.coordinate(v) for v in induced.triple)
+    regions = tuple(zip(*lat.union(J_A)))
     expected_lengths = {
         "7": b - c, "8": c, "9": c, "1": a - c,
         "2": c, "3": b,
         "4": a - b, "5": b, "6": c,
     }
     table = sigma9(case).table
+    words: dict[str, str] = {}
+    lengths_ok = endpoints_ok = translations_ok = True
+    for ch in A9:
+        left, right, offset = pieces[ch]
+        landed_left, landed_right, words[ch] = _land(lat, regions, left, right, cap)
+        # the builder already refuses an image whose length differs from
+        # its piece, so only the pieces are held against the table
+        lengths_ok &= right - left == expected_lengths[ch]
+        translations_ok &= landed_left - left == offset
+        endpoints_ok &= landed_left - left == offset == landed_right - right
     return InductionStage(
         index=index,
         case=case,
         map=induced,
-        return_times={ch: len(word) for ch, (_, _, word) in returns.items()},
-        return_words={ch: word for ch, (_, _, word) in returns.items()},
+        return_times={ch: len(word) for ch, word in words.items()},
+        return_words=words,
         parent_triple=m.triple,
         parent_order=m.order,
-        # the builder already refuses an image whose length differs from
-        # its piece, so only the pieces are held against the table
-        lengths_ok=all(
-            right - left == expected_lengths[ch] for ch, (left, right, _) in pieces.items()
-        ),
-        endpoints_ok=all(
-            returns[ch][:2] == (left + offset, right + offset)
-            for ch, (left, right, offset) in pieces.items()
-        ),
-        translations_ok=all(
-            returns[ch][0] - left == offset for ch, (left, _, offset) in pieces.items()
-        ),
-        words_ok=all(word == table[ch] for ch, (_, _, word) in returns.items()),
+        lengths_ok=lengths_ok,
+        endpoints_ok=endpoints_ok,
+        translations_ok=translations_ok,
+        words_ok=words == table,
     )
 
 

@@ -457,11 +457,15 @@ def test_emit_writes_stdout_copy(capsys, tmp_path):
     (("orbit", "--triple", "7,4,2", "--point", "6", "--length", "5", "--csv", "f.csv"),
      "f.csv"),
     (("render", "--layout", "--triple", "7,4,2", "--out", "l.svg"), "l.svg"),
-], ids=["emit", "csv", "out"])
+    (("experiment", "--birkhoff", "--triple", "7,4,2", "--point", "6", "--length", "5",
+      "--csv", "b.csv"), "b.csv"),
+], ids=["emit", "csv", "out", "birkhoff-csv"])
 def test_failed_write_is_usage_error(capsys, tmp_path, argv, name):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = run(capsys, "--output-dir", str(blocker), *argv)
+    code, out, err = run(capsys, "--output-dir", str(blocker), *argv)
+    # every file is written before stdout, so a failed write prints nothing there
+    assert out == ""
     assert code == 2
     assert err.startswith(f"ar-iet: cannot write {blocker / name}: ")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -95,6 +95,8 @@ def test_build_742_first_order_full_table():
 def test_build_rejects_inadmissible():
     with pytest.raises(Inadmissible):
         build_ar9(triple(2, 4, 7))
+    with pytest.raises(Inadmissible):
+        ar9_from_placements(triple(2, 4, 7), (F(0), F(20), F(40)), False)
 
 
 def test_build_reversed_second_matches_mirror_layout():

@@ -9,7 +9,7 @@ import pytest
 from ar_iet import induction
 from ar_iet.errors import NotInGasket, ReturnTimeCapExceeded
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, OrderTag, build_ar9
+from ar_iet.iet import ORDER_TAGS, Ar9Map, OrderTag, ar9_from_placements, build_ar9
 from ar_iet.induction import (
     induce_step,
     iterate_induction,
@@ -184,6 +184,25 @@ def test_return_cap_exceeded(monkeypatch):
         induce_step(build_ar9(triple(7, 4, 2)))
 
 
+def test_wrong_span_roles_fail_the_order_check(monkeypatch):
+    # case I spans placed as case III places them: the blocks are relabeled
+    # cyclically, and the gaps leave them room, so the layout holds but its
+    # arrangement is not the table's
+    monkeypatch.setitem(induction._SPAN_ROLES, I, (0, 1, 2))
+    with pytest.raises(RuntimeError, match=r"^span arrangement first disagrees with "
+                                           r"the transition table third$"):
+        induce_step(build_ar9(triple(7, 4, 2), gaps=(F(3), F(5))))
+
+
+def test_partial_return_from_outside_j_a(monkeypatch):
+    # induced on I_3 = [13,17) alone: the piece that passes through I_3 and
+    # I_5 lands on [11,14), which starts outside J_a and ends inside it
+    monkeypatch.setattr(induction, "J_A", "3")
+    with pytest.raises(RuntimeError, match=r"^interval \[11,14\) returns to J_a only "
+                                           r"partially after \['3', '5'\]$"):
+        induce_step(build_ar9(triple(7, 4, 2)))
+
+
 def test_induction_insensitive_to_gaps():
     t = triple(9, 4, 2)
     plain = induce_step(build_ar9(t))
@@ -274,3 +293,63 @@ def test_induction_builds_no_fraction_views():
     for stage in stages:
         built = {"domain", "image", "offsets", "role_blocks"} & set(vars(stage.map))
         assert not built, (stage.index, built)
+
+
+@pytest.mark.parametrize("t,order,gaps,message,detail", [
+    # stage 1 is induced on (1/21)Z, then the stage-1 triple ties at step 2
+    (triple(F(7, 3), F(4, 3), F(2, 3)), OrderTag("second", True), (F(1, 7), F(0)),
+     "a-b-c = 1/3 ties another entry of (4/3,2/3,1/3)",
+     {"reason": "tie", "at_step": 2}),
+    # seven stages on (1/6)Z, then a-b-c turns negative
+    (reconstruct_triple((I, II, III, I, II), seed=triple(F(5, 2), F(3, 2), F(1, 3))),
+     OrderTag("third"), (F(0), F(0)),
+     "a-b-c = -1/6 is not positive for (2/3,1/2,1/3)",
+     {"reason": "nonpositive", "at_step": 8}),
+])
+def test_not_in_gasket_off_the_integer_lattice(t, order, gaps, message, detail):
+    m = build_ar9(t, order, gaps=gaps)
+    assert m.lattice.D > 1
+    with pytest.raises(NotInGasket) as exc:
+        iterate_induction(m, 10)
+    assert str(exc.value) == message
+    assert exc.value.detail == detail
+
+
+# the new block of each span of J_a (I_1, Omega', I_4) per case, as role
+# indices 0 = Omega, 1 = Omega', 2 = Omega'': the paper's transition table
+SPAN_ROLES = {I: (2, 0, 1), II: (0, 2, 1), III: (0, 1, 2)}
+
+
+def _reference_stage_map(parent, stage):
+    """The stage map rebuilt by the Fraction builder from the spans of J_a
+    in the parent's Fraction view."""
+    dom = parent.domain
+    spans = (dom["1"].left, min(dom["2"].left, dom["3"].left), dom["4"].left)
+    placements = [None] * 3
+    for start, role in zip(spans, SPAN_ROLES[stage.case]):
+        placements[role] = start
+    reversed_ = parent.order.reversed != (stage.case is II)
+    return ar9_from_placements(stage.map.triple, placements, reversed_)
+
+
+def test_stage_maps_match_the_fraction_builder():
+    rng = random.Random(67)
+    seeds = (triple(4, 2, 1), triple(F(5, 2), F(3, 2), F(1, 3)), triple(F(9, 7), F(4, 5), F(1, 3)))
+    reduced = compared = 0
+    for trial in range(36):
+        prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(3, 9)))
+        t = reconstruct_triple(prefix, seed=seeds[trial % 3])
+        gaps = (F(0), F(0)) if trial % 2 else (F(1, 5), F(3, 2))
+        m = build_ar9(t, ORDER_TAGS[trial % 6], gaps=gaps)
+        if trial % 4 == 3:
+            # the same map held on a finer lattice than it needs: its
+            # induced maps fall back to the builder's lattice
+            m = Ar9Map(m.triple, m.order, m.lattice.refined(2 * 3 * m.lattice.D))
+        parent = m
+        for stage in iterate_induction(m, len(prefix)):
+            assert stage.map == _reference_stage_map(parent, stage), (trial, stage.index)
+            reduced += stage.map.lattice.D < parent.lattice.D
+            compared += 1
+            parent = stage.map
+    assert compared > 200
+    assert reduced > 0
