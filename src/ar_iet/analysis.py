@@ -22,16 +22,14 @@ Conventions for a partial-quotient sequence (k_1, rule_1), ..., (k_N, rule_N):
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
-from .iet import Ar9Map, Interval, _merge, build_ar9
+from .iet import Ar9Map, Interval, build_ar9
 from .induction import DEFAULT_RETURN_CAP, iterate_induction, jump_stages, orbit_counts
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
@@ -348,18 +346,20 @@ def preimage_clusters(m: Ar9Map, target: str) -> PreimageReport:
     """The set of points whose three-letter coding starts with `target`,
     as merged intervals, via exact backward refinement.
 
-    Each step runs on the map's integer lattice: the current intervals are
-    cut by the image pieces of the next letter's class and translated back,
-    which pulls them back under T and restricts them to that letter at once.
+    Each step is one ordered sweep on the map's integer lattice: the current
+    intervals are cut by the image pieces of the next letter's class, taken in
+    the order of their domain pieces, and translated back.  That pulls them
+    back under T and restricts them to the letter at once.  Each part lies in
+    its piece's domain, so the parts come out sorted and disjoint, and
+    touching ones are joined as they are appended.
 
-    Raises NotAFactor when the refinement empties: the word never occurs.
+    Raises NotAFactor as soon as the refinement empties: the word never occurs.
     """
     if not target or set(target) - set("abc"):
         raise ValueError(f"target must be a nonempty word over abc: {target!r}")
     lat = m.lattice
     images = {
-        letter: [(left + off, right + off, off) for left, right, ch, off
-                 in zip(lat.lefts, lat.rights, lat.letters, lat.offsets)
+        letter: [(left + off, right + off, off) for left, right, ch, off in lat.rows()
                  if ch in members]
         for letter, members in A3_MEMBERS.items()
     }
@@ -367,15 +367,18 @@ def preimage_clusters(m: Ar9Map, target: str) -> PreimageReport:
     for letter in reversed(target[:-1]):
         parts = []
         for lo, hi, off in images[letter]:
-            k = bisect_right(current, lo, key=itemgetter(1))
-            while k < len(current) and current[k][0] < hi:
-                left, right = current[k]
-                parts.append((max(left, lo) - off, min(right, hi) - off))
-                k += 1
-        current = _merge(parts)
-    if not current:
-        raise NotAFactor(f"{target!r} is not a factor of the coding language",
-                         target=target)
+            for left, right in current:
+                if left >= hi:
+                    break
+                if right > lo:
+                    left = (lo if left < lo else left) - off
+                    if parts and parts[-1][1] == left:
+                        left = parts.pop()[0]
+                    parts.append((left, (hi if right > hi else right) - off))
+        if not parts:
+            raise NotAFactor(f"{target!r} is not a factor of the coding language",
+                             target=target)
+        current = parts
     witnesses = tuple(lat.interval(left, right) for left, right in current)
     return PreimageReport(
         target=target, depth=len(target), count=len(witnesses), witnesses=witnesses

@@ -4,7 +4,8 @@ Subcommands wrap the library one-to-one and emit deterministic JSON on
 stdout (sorted keys, library values turned into JSON by one encoder,
 `_encoded`), optional CSV and SVG files under the configured output
 directory.  Exit codes: 0 success, 1 domain error (a structured JSON
-object goes to stderr), 2 usage error.
+object goes to stderr), 2 usage error, 3 internal fault (the same object,
+with code internal-fault).
 
 A plain-text config file (`--config`) holds `key=value` lines with `#`
 comments; keys mirror RunConfig fields.  With a fixed config and fixed
@@ -727,14 +728,22 @@ def main(argv=None) -> int:
         sys.stderr.write(f"ar-iet: {e}\n")
         return 2
     except DomainError as e:
-        error = {
-            "schema": "ar-iet/error/1",
-            "code": e.code,
-            "message": str(e),
-            "detail": {k: str(v) for k, v in sorted(e.detail.items())},
-        }
-        sys.stderr.write(_json_text(error))
-        return 1
+        return _report(e.code, e, e.detail, 1)
+    except RuntimeError as e:
+        # an internal consistency check failed: a fault of the program, not of the input
+        return _report("internal-fault", e, {"type": type(e).__name__}, 3)
+
+
+def _report(code: str, e: Exception, detail: dict, status: int) -> int:
+    """Write the ar-iet/error/1 object for e to stderr; return the exit status."""
+    error = {
+        "schema": "ar-iet/error/1",
+        "code": code,
+        "message": str(e),
+        "detail": {k: str(v) for k, v in sorted(detail.items())},
+    }
+    sys.stderr.write(_json_text(error))
+    return status
 
 
 if __name__ == "__main__":

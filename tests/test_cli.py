@@ -244,6 +244,32 @@ def test_induct_not_in_gasket_is_domain_error(capsys):
     assert error["detail"]["at_step"] == "2"
 
 
+@pytest.mark.parametrize("argv", [
+    ("induct", "--prefix", "1111", "--steps", "2"),
+    ("check", "--induction", "--prefix", "1111", "--depth", "2"),
+], ids=["induct", "check"])
+def test_internal_fault_is_exit_3(capsys, monkeypatch, argv):
+    import ar_iet.induction as induction
+    from ar_iet.words import Substitution, sigma9
+
+    def swapped(case):
+        table = dict(sigma9(case).table)
+        table["1"], table["2"] = table["2"], table["1"]
+        return Substitution("A9", table)
+
+    # a wrong substitution table makes the stage check fail: a bug, not bad input
+    monkeypatch.setattr(induction, "sigma9", swapped)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "internal-fault",
+        "message": "induction stage 1 disagrees with the prediction: words_ok",
+        "detail": {"type": "RuntimeError"},
+    }
+
+
 def test_towers_stage2_heights_and_checks(capsys):
     payload = run_json(capsys, "towers", "--prefix", "111111", "--stage", "2")
     assert payload["nine"]["1"]["height"] == 4

@@ -102,6 +102,41 @@ def test_preimage_matches_fraction_reference(order, gapped):
             assert any(w.contains(x) for w in preimage_clusters(m, word[:n]).witnesses)
 
 
+# the ladder of the benchmark's language workload
+BENCH_LADDER = (25, 50, 100, 200, 350, 500)
+
+
+def crosses_a_piece_boundary(m, w):
+    return not any(p.left <= w.left and w.right <= p.right for p in m.domain.values())
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_preimage_matches_fraction_reference_at_bench_depth(order, gapped):
+    rng, m = system(order, gapped)
+    # code from a point where two pieces of one class touch: the witnesses
+    # that straddle it join parts pulled back through both pieces
+    members = {ch: letter for letter, chs in CLASS_MEMBERS.items() for ch in chs}
+    touching = [q for p in A9 for q in A9
+                if m.domain[p].right == m.domain[q].left and members[p] == members[q]]
+    x = m.domain[rng.choice(touching)].left
+    word = trajectory(m, x, BENCH_LADDER[-1], "three")
+    crossing = 0
+    for n in BENCH_LADDER:
+        assert assert_same_as_reference(m, word[:n])
+        witnesses = preimage_clusters(m, word[:n]).witnesses
+        assert any(w.contains(x) for w in witnesses)
+        crossing += sum(crosses_a_piece_boundary(m, w) for w in witnesses)
+    assert crossing
+    # one letter changed halfway: already the 25 letters around it are no
+    # factor, so the refinement empties long before it reaches the first letter
+    i = len(word) // 2
+    target = word[:i] + rng.choice([ch for ch in A3 if ch != word[i]]) + word[i + 1:]
+    assert not assert_same_as_reference(m, target)
+    with pytest.raises(NotAFactor):
+        ref_preimage_clusters(m, target[i - 12:i + 13])
+
+
 # --- factor complexity ---------------------------------------------------------
 
 def ref_factor_complexity(words, n):
