@@ -421,32 +421,32 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
     m = build_ar9(t, order=order)
     depth = min(depth, len(prefix))
     stages = iterate_induction(m, depth, cap=cap)
-    results: dict[str, bool] = {}
+    # each check that reads every stage holds true until a stage refutes it
+    results: dict[str, bool] = {
+        n: True for n in ("partition", "adjacency", "components") if n in selected}
     if set(selected) - {"induction"}:  # every other check reads the towers
         # the level count grows with the stage, so the deepest stage bounds them all
         _require_level_cap(stages, depth, config)
-        # coding reads only the deepest family; the others read every stage
-        every_stage = {"partition", "adjacency", "components"} & set(selected)
-        first = 0 if every_stage else depth
-        families = [towers_at_stage(m, stages, k) for k in range(first, depth + 1)]
-    if "partition" in selected:
-        results["partition"] = all(partition_check(f).ok for f in families)
-    if "adjacency" in selected:
-        results["adjacency"] = all(adjacency_check(f).ok for f in families)
-    if "components" in selected:
+        # coding reads only the deepest family; the others read every stage.
+        # One family is built, checked and dropped at a time.
         bounds = {"a": 3, "b": 2, "c": 1}
-        results["components"] = all(
-            count <= bounds[letter]
-            for f in families
-            for letter, count in level_component_counts(f).items()
-        )
+        for k in range(0 if results else depth, depth + 1):
+            family = towers_at_stage(m, stages, k)
+            if results.get("partition"):
+                results["partition"] = partition_check(family).ok
+            if results.get("adjacency"):
+                results["adjacency"] = adjacency_check(family).ok
+            if results.get("components"):
+                results["components"] = all(
+                    count <= bounds[letter]
+                    for letter, count in level_component_counts(family).items()
+                )
     if "induction" in selected:
         # at depth 0 there is no stage yet, so induce once to have one to check
         checked = stages or [induce_step(m, cap=cap)]
         results["induction"] = all(s.ok for s in checked)
     if "coding" in selected:
         expected = stage_words(tuple(s.case for s in stages), "A9", config.word_cap)
-        family = families[-1]
         words_ok = all(family.nine[ch].word == expected[ch] for ch in A9)
         orbit_ok = True
         for ch in A9:

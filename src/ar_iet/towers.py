@@ -10,13 +10,15 @@ the geometric towers back to the substitutive words.
 
 Grouping bases by projected letter (1-4 -> a, 5-7 -> b, 8-9 -> c) gives
 three coarser towers whose levels are unions of at most three, two, and one
-intervals respectively.  They are not built: `level_component_counts` joins
-the member levels row by row and keeps only the counts.
+intervals respectively.  They are not built: `level_component_counts`
+counts, column by column, the member right ends that meet another member's
+left end, and keeps only the counts.
 
 Towers live on the lattice (1/D)Z of the stage-0 map refined to hold the
 stage-k pieces.  A nine-letter tower is one walk of its base (`Lattice.walk`)
 and holds the base width and one integer left end per level.  The checks
-read those integers; base and levels are views of them.
+read those integers and the right-end column built from them once; base and
+levels are views of them.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, permutations
 from operator import eq
 
 from .errors import OutOfDomain
@@ -47,6 +49,11 @@ class Tower:
     @property
     def height(self) -> int:
         return len(self.lefts)
+
+    @cached_property
+    def rights(self) -> tuple[int, ...]:
+        """The integer right end of each level."""
+        return tuple(map(self.width.__add__, self.lefts))
 
     @cached_property
     def base(self) -> Interval:
@@ -93,10 +100,18 @@ def towers_at_stage(
         except RuntimeError as e:
             raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
         nine[ch] = Tower(lat.D, right - left, tuple(lefts), "".join(letters))
+    if uneven := _uneven(nine):
+        raise RuntimeError(uneven)
+    return TowerFamily(k, stage_map.order, nine, m0)
+
+
+def _uneven(nine: dict[str, Tower]) -> str | None:
+    """What is wrong when the member towers of a three-letter tower differ in
+    height; None when no two do."""
     for members in A3_MEMBERS.values():
         if len({nine[ch].height for ch in members}) > 1:
-            raise RuntimeError(f"towers {', '.join(members)} differ in height")
-    return TowerFamily(k, stage_map.order, nine, m0)
+            return f"towers {', '.join(members)} differ in height"
+    return None
 
 
 def _lattice(f: TowerFamily) -> Lattice:
@@ -104,6 +119,15 @@ def _lattice(f: TowerFamily) -> Lattice:
     lat = f.base_map.lattice.refined(f.nine["1"].D)
     if any(t.D != lat.D for t in f.nine.values()):
         raise ValueError("tower levels are held on different lattices")
+    return lat
+
+
+def _row_lattice(f: TowerFamily) -> Lattice:
+    """`_lattice`, for the checks that read the member towers level by level:
+    a row is one level of each member, so they must be of equal height."""
+    lat = _lattice(f)
+    if uneven := _uneven(f.nine):
+        raise ValueError(uneven)
     return lat
 
 
@@ -129,8 +153,7 @@ def partition_check(f: TowerFamily) -> PartitionReport:
     # decide it in one hashing pass.
     size = len(support) + sum(t.height for t in towers)
     opened = set(chain((r for _, r in support), *(t.lefts for t in towers)))
-    closed = set(chain((l for l, _ in support),
-                       *(map(t.width.__add__, t.lefts) for t in towers)))
+    closed = set(chain((l for l, _ in support), *(t.rights for t in towers)))
     if all(t.width > 0 for t in towers) and len(opened) == len(closed) == size \
             and opened == closed:
         return PartitionReport(True, total, expected)
@@ -161,12 +184,12 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     """Levels of towers 2|3, 5|6, 8|9 at equal height are adjacent, with
     2, 5, 8 on the left exactly when the stage order is not reversed."""
     reversed_ = f.order.reversed
-    lat = _lattice(f)
+    lat = _row_lattice(f)
     violations: list[str] = []
     for lo, hi in ADJACENT_PAIRS:
         t_lo, t_hi = f.nine[lo], f.nine[hi]
         on_left, on_right = (t_hi, t_lo) if reversed_ else (t_lo, t_hi)
-        if all(map(eq, map(on_left.width.__add__, on_left.lefts), on_right.lefts)):
+        if all(map(eq, on_left.rights, on_right.lefts)):
             continue
         for j, (l_lo, l_hi) in enumerate(zip(t_lo.lefts, t_hi.lefts)):
             p_lo, p_hi = (l_lo, l_lo + t_lo.width), (l_hi, l_hi + t_hi.width)
@@ -182,13 +205,30 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
 
 def level_component_counts(f: TowerFamily) -> dict[str, int]:
     """Largest number of intervals in any level of each three-letter tower,
-    the level-by-level union of the towers of its member letters."""
+    the level-by-level union of the towers of its member letters.
+
+    A union of n pairwise disjoint nonempty intervals has n components less
+    one for each right end that is another member's left end, so each level
+    is counted from the ordered member pairs (p, q) with rights_p == lefts_q,
+    column by column, with no sort or merge.  The levels of a family that
+    `towers_at_stage` builds are such intervals:
+
+    - T is a bijection of the support: `_lay_out` tiles every block with the
+      domain pieces and again with the image pieces;
+    - the stage-k bases are disjoint and nonempty, being the stage map's
+      laid-out pieces;
+    - `Lattice.walk` has checked that every level lies in one piece, so T^j
+      is a translation on each base.
+
+    So level j of the members, the images of disjoint bases under the
+    injective T^j, are disjoint intervals of width > 0.
+    """
+    _row_lattice(f)
     counts = {}
     for letter, members in A3_MEMBERS.items():
         towers = [f.nine[ch] for ch in members]
-        # one row of (left, right) pairs per level, one pair per member
-        rows = zip(*(zip(t.lefts, map(t.width.__add__, t.lefts)) for t in towers))
-        counts[letter] = max(len(_merge(row)) for row in rows)
+        touches = [map(eq, p.rights, q.lefts) for p, q in permutations(towers, 2)]
+        counts[letter] = len(towers) - min(map(sum, zip(*touches)))
     return counts
 
 

@@ -1,17 +1,30 @@
 """End-to-end tests of the ar-iet command line."""
+import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
-from dataclasses import fields
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
 import ar_iet
-from ar_iet.cli import RunConfig, build_parser, load_config, main
+from ar_iet.cli import (
+    RunConfig,
+    _fraction_arg,
+    _ks_arg,
+    _rules_arg,
+    build_parser,
+    load_config,
+    main,
+)
+from ar_iet.gasket import parse_prefix, parse_triple
+from ar_iet.iet import ORDER_TAGS, parse_order
 
 
 def run(capsys, *argv):
@@ -623,6 +636,49 @@ def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds,
     assert calls == built
 
 
+@pytest.mark.parametrize("kind, name", [
+    ("partition", "partition_check"), ("adjacency", "adjacency_check"),
+    ("components", "level_component_counts"),
+])
+def test_check_is_false_from_the_first_refuting_stage(capsys, monkeypatch, kind, name):
+    import ar_iet.cli as cli
+
+    called = []
+    real = getattr(cli, name)
+
+    def refuting_stage_1(f):
+        called.append(f.stage)
+        result = real(f)
+        if f.stage != 1:
+            return result
+        return {**result, "c": 2} if kind == "components" else replace(result, ok=False)
+
+    monkeypatch.setattr(cli, name, refuting_stage_1)
+    payload = run_json(capsys, "check", f"--{kind}", "--prefix", "1213", "--depth", "3")
+    assert payload["targets"][0]["checks"] == {kind: False}
+    assert not payload["ok"]
+    # a refuted check is not run on the later stages
+    assert called == [0, 1]
+
+
+def test_check_holds_one_tower_family_at_a_time(capsys, monkeypatch):
+    import ar_iet.cli as cli
+
+    built = []
+    real = cli.towers_at_stage
+
+    def tracking(m, stages, k):
+        # the family checked last may still be held while the next is built
+        assert sum(ref() is not None for ref in built) <= 1
+        family = real(m, stages, k)
+        built.append(weakref.ref(family))
+        return family
+
+    monkeypatch.setattr(cli, "towers_at_stage", tracking)
+    assert run_json(capsys, "check", "--all", "--prefix", "1" * 12, "--depth", "8")["ok"]
+    assert len(built) == 9
+
+
 @pytest.mark.parametrize("kind, joined", [
     ("--coding", False), ("--partition", False), ("--adjacency", False),
     ("--components", True),
@@ -653,3 +709,150 @@ def test_tower_level_cap_is_word_cap(capsys, tmp_path):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert json.loads(err)["message"] == "stage 2 towers have 29 levels, exceeding cap 28"
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+def fuzz_value(rng, good, bad):
+    """good(rng) with probability 9/10, else one of the bad values."""
+    return good(rng) if rng.random() < 0.9 else rng.choice(bad)
+
+
+def fuzz_prefix(rng):
+    letters = "".join(rng.choices("123", k=rng.randint(0, 14)))
+    names = ",".join(("I", "II", "III")[int(ch) - 1] for ch in letters)
+    return fuzz_value(rng, lambda rng: rng.choice([letters] * 9 + [names]),
+                      [letters + "4", "x" + letters, "I,IV"])
+
+
+def fuzz_rational(rng):
+    return fuzz_value(rng, lambda rng: f"{rng.randint(-3, 40)}/{rng.randint(1, 13)}",
+                      ["1/0", "x", "2^61", "", "1/-2"])
+
+
+def fuzz_triple(rng):
+    return fuzz_value(
+        rng, lambda rng: ",".join(f"{rng.randint(1, 40)}/{rng.randint(1, 9)}" for _ in range(3)),
+        ["1,1,1", "0,1,2", "-1,2,3", "1,2", "1/0,1,1", "a,b,c", "7,4,2,1"])
+
+
+def fuzz_count(rng):
+    return fuzz_value(rng, lambda rng: str(rng.randint(1, 12)), ["0", "-1", "-3", "2.5", ""])
+
+
+def fuzz_quotients(rng):
+    return fuzz_value(
+        rng, lambda rng: ",".join(str(rng.randint(1, 4)) for _ in range(rng.randint(1, 6))),
+        ["0,1", "-1", "", "1,x"])
+
+
+def fuzz_rules(rng):
+    return fuzz_value(rng, lambda rng: "".join(rng.choices("12", k=rng.randint(0, 6))),
+                      ["3", "1,2", "x"])
+
+
+def fuzz_order(rng):
+    return fuzz_value(rng, lambda rng: rng.choice([str(o) for o in ORDER_TAGS]),
+                      ["fourth", "reversed-", ""])
+
+
+CONFIG_LINES = ["word_cap = 200", "word_cap = 0", "return_time_cap = 3", "max_steps = 5",
+                "refinement_depth = -1", "seed_triple = 7,4,2", "seed_triple = 1,1,1",
+                "l1_threshold = 1/0", "random_seed = 3", "no_such_key = 1", "no equals sign"]
+
+
+def fuzz_file(rng, tmp_path, dest):
+    """A path for a file-name option: a file to read, an output name, or an
+    output directory that is a file."""
+    if dest == "config":
+        path = tmp_path / f"run{rng.randrange(10**6)}.cfg"
+        path.write_text("\n".join(rng.sample(CONFIG_LINES, rng.randint(0, 3))) + "\n")
+        return str(path)
+    if dest == "prefix_file":
+        path = tmp_path / f"prefixes{rng.randrange(10**6)}.txt"
+        path.write_text("\n".join(fuzz_prefix(rng) for _ in range(rng.randint(0, 3))) + "\n")
+        return str(path)
+    if dest == "output_dir":
+        return rng.choice(["out", "not-a-directory"])
+    return rng.choice(["emitted.json", "sub/emitted.csv", "missing.txt/x"])
+
+
+def subcommands():
+    """The subcommand parsers, by name, from the parser's own table."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def fuzz_argv(rng, tmp_path):
+    """Random argv built from the parser's own option table: one random
+    subcommand with its required options, one choice of each required group
+    (a second one with probability 1/20) and each other option with
+    probability 1/3 or 2/3, after the global options with probability 1/5."""
+    values = {parse_prefix: fuzz_prefix, parse_triple: fuzz_triple, parse_order: fuzz_order,
+              int: fuzz_count, _fraction_arg: fuzz_rational, _ks_arg: fuzz_quotients,
+              _rules_arg: fuzz_rules}
+
+    def options(parser, chosen, p):
+        grouped = {a for g in parser._mutually_exclusive_groups for a in g._group_actions}
+        argv = []
+        for action in parser._actions:
+            if not action.option_strings or isinstance(
+                    action, (argparse._HelpAction, argparse._VersionAction)):
+                continue
+            if action not in chosen and (
+                    action.required or rng.random() >= (0.05 if action in grouped else p)):
+                continue
+            argv.append(action.option_strings[0])
+            if action.nargs == 0:
+                continue
+            if action.choices is not None:
+                argv.append(fuzz_value(rng, lambda rng: rng.choice(action.choices),
+                                       ["bogus"]))
+            elif action.type is None:
+                argv.append(fuzz_file(rng, tmp_path, action.dest))
+            else:
+                argv.append(values[action.type](rng))
+        return argv
+
+    name = rng.choice(sorted(subcommands()))
+    sub = subcommands()[name]
+    chosen = {a for a in sub._actions if a.required}
+    for group in sub._mutually_exclusive_groups:
+        if group.required and rng.random() < 0.95:
+            chosen.add(rng.choice(group._group_actions))
+    density = rng.choice((1 / 3, 2 / 3))
+    return name, [*options(build_parser(), set(), 1 / 5), name, *options(sub, chosen, density)]
+
+
+def vacuous_ok(value) -> bool:
+    """Whether some object in the payload is "ok": true over no checks."""
+    if isinstance(value, list):
+        return any(map(vacuous_ok, value))
+    if not isinstance(value, dict):
+        return False
+    empty = any(k in value and not value[k] for k in ("checks", "targets"))
+    return (value.get("ok") is True and empty) or any(map(vacuous_ok, value.values()))
+
+
+def test_fuzzed_argv_ends_in_a_documented_way(capsys, monkeypatch, tmp_path):
+    # every run ends in an answer or a documented exit code, never a
+    # traceback or an "ok": true that checked nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-a-directory").write_text("")
+    rng = random.Random("cli-fuzz/1")
+    names, codes = set(), set()
+    for _ in range(400):
+        name, argv = fuzz_argv(rng, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 0 and out.startswith("{"):
+            assert not vacuous_ok(json.loads(out)), argv
+        names.add(name)
+        codes.add(code)
+    assert names == set(subcommands())
+    assert codes >= {0, 1, 2}

@@ -9,7 +9,7 @@ import pytest
 
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, Interval, Lattice, build_ar9
+from ar_iet.iet import ORDER_TAGS, Interval, Lattice, _merge, build_ar9
 from ar_iet.induction import iterate_induction
 from ar_iet.towers import (
     adjacency_check,
@@ -18,7 +18,7 @@ from ar_iet.towers import (
     partition_check,
     towers_at_stage,
 )
-from ar_iet.words import A9, heights_by_matrix, letter_height, stage_words
+from ar_iet.words import A3_MEMBERS, A9, heights_by_matrix, letter_height, stage_words
 
 I, II, III = Sym.I, Sym.II, Sym.III
 F = Fraction
@@ -161,6 +161,19 @@ def test_unequal_member_heights_raise(monkeypatch):
         family_for((I, I), 1)
 
 
+@pytest.mark.parametrize("check", [adjacency_check, level_component_counts])
+def test_row_checks_refuse_members_of_unequal_height(check):
+    # a row is one level of each member: compared with zip, the longer
+    # columns' extra levels would go unread
+    _, _, f = family_for((I, I, I), 2)
+    tower = f.nine["3"]
+    short = dataclasses.replace(tower, lefts=tower.lefts[:-1])
+    f = dataclasses.replace(f, nine={**f.nine, "3": short})
+    assert not partition_check(f).ok
+    with pytest.raises(ValueError, match="towers 1, 2, 3, 4 differ in height"):
+        check(f)
+
+
 def test_checks_leave_the_projected_towers_unbuilt():
     _, _, f = family_for((I, II, I), 3)
     assert partition_check(f).ok and adjacency_check(f).ok
@@ -208,6 +221,64 @@ def test_component_counts_read_every_level():
                                            lefts=(start + i, start + 50 + 2 * i))
     f = dataclasses.replace(f, nine=nine)
     assert level_component_counts(f) == {"a": 4, "b": 3, "c": 2}
+
+
+def ref_component_counts(f):
+    """The largest component count of any row, each row merged on its own."""
+    return {letter: max(len(_merge(row)) for row in zip(*(
+                [(left, left + f.nine[ch].width) for left in f.nine[ch].lefts]
+                for ch in members)))
+            for letter, members in A3_MEMBERS.items()}
+
+
+def untouched(f, letter):
+    """f on the lattice refined by 2, with one level moved by one unit off the
+    member it touches, in a row of the largest count: the row stays disjoint,
+    as the gap on the level's other side is at least 2 units."""
+    f = dataclasses.replace(f, nine={
+        ch: dataclasses.replace(t, D=2 * t.D, width=2 * t.width,
+                                lefts=tuple(2 * left for left in t.lefts))
+        for ch, t in f.nine.items()})
+    members = A3_MEMBERS[letter]
+    top = ref_component_counts(f)[letter]
+    for j in reversed(range(f.nine[members[0]].height)):
+        row = {ch: (f.nine[ch].lefts[j], f.nine[ch].lefts[j] + f.nine[ch].width)
+               for ch in members}
+        if len(_merge(row.values())) < top:
+            continue
+        for ch, (left, right) in row.items():
+            others = [ends for other, ends in row.items() if other != ch]
+            on_left = any(end == left for _, end in others)
+            on_right = any(start == right for start, _ in others)
+            if on_left != on_right:
+                lefts = list(f.nine[ch].lefts)
+                lefts[j] += 1 if on_left else -1
+                moved = dataclasses.replace(f.nine[ch], lefts=tuple(lefts))
+                return dataclasses.replace(f, nine={**f.nine, ch: moved})
+    raise AssertionError(f"no level of a {letter}-row of the largest count touches one member")
+
+
+CASES = [(order, gapped) for order in ORDER_TAGS for gapped in (False, True)]
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_component_counts_match_merge_at_bench_depth(order, gapped):
+    rng = random.Random(f"components/{order}/{gapped}")
+    prefix = tuple(rng.choice((I, II, III)) for _ in range(16))
+    gaps = (F(rng.randint(1, 9), rng.randint(2, 12)), F(rng.randint(1, 9), rng.randint(2, 12))) \
+        if gapped else (F(0), F(0))
+    m0 = build_ar9(reconstruct_triple(prefix), order, gaps)
+    stages = iterate_induction(m0, 12)
+    for k in range(13):
+        f = towers_at_stage(m0, stages, k)
+        counts = level_component_counts(f)
+        assert counts == ref_component_counts(f), k
+    # negative control at the deepest stage: one touch fewer in a row of the
+    # largest count raises that count by exactly one
+    broken = untouched(f, "a")
+    assert level_component_counts(broken) == ref_component_counts(broken) \
+        == {**counts, "a": counts["a"] + 1}
 
 
 def test_component_bounds_sweep():
