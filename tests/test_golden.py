@@ -64,6 +64,9 @@ CASES = {
                           "--theta", "1/2"], ()),
     "experiment-two-measure": (["experiment", "--two-measure", "--ks", "1,1,1",
                                 "--rules", "111", "--length", "300"], ()),
+    "experiment-two-measure-deep": (["experiment", "--two-measure", "--ks",
+                                     "2,4,8,16,32,64,128,256", "--rules", "11111111",
+                                     "--length", "10000"], ()),
     "config-two-measure": (["--config", str(GOLDEN / "config.cfg"), "experiment",
                             "--two-measure", "--ks", "1,1,1", "--rules", "111",
                             "--length", "300"], ()),
