@@ -300,7 +300,10 @@ def two_measure_experiment(
     of blocks completed by stage `depth`.  Base points are the midpoints of
     the two stage-`depth` bases; both orbits run under the stage-0 map,
     by jumps through stages that include the `depth` ones already induced.
+    A nonpositive orbit length raises ValueError before any stage is induced.
     """
+    if n < 1:
+        raise ValueError("orbit length must be positive")
     prefix = pq.expand()
     if not 0 <= depth <= len(prefix):
         raise ValueError(f"depth {depth} outside 0..{len(prefix)}")

@@ -21,7 +21,10 @@ coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
 Both maps are therefore stored as integers times D (`Lattice`), and their
 Fraction tables are views of them, built on first read.  Pushing an interval
 is a bisection over integer left ends, and one integer routine lays out the
-pieces of the built and the induced maps alike.
+pieces of the built and the induced maps alike, checking the triple on its
+integers.  A rational point is moved by one integer lookup: its ratio is
+read once, its piece found by one bisection, and one Fraction built for its
+image.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from functools import cached_property
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import OutOfDomain
-from .gasket import Triple, omega_lengths, require_admissible
+from .gasket import Triple, is_admissible, omega_lengths, require_admissible
 from .words import A9, project
 
 
@@ -89,13 +92,15 @@ def screen_roles(order: OrderTag) -> tuple[int, int, int]:
     return tuple(reversed(seq)) if order.reversed else seq
 
 
+_ORDER_OF_ROLES = {screen_roles(tag): tag for tag in ORDER_TAGS}
+
+
 def order_from_roles(roles: Sequence[int]) -> OrderTag:
     """The unique arrangement with the given left-to-right role sequence."""
     roles = tuple(roles)
-    for tag in ORDER_TAGS:
-        if screen_roles(tag) == roles:
-            return tag
-    raise ValueError(f"not a role permutation: {roles}")
+    if roles not in _ORDER_OF_ROLES:
+        raise ValueError(f"not a role permutation: {roles}")
+    return _ORDER_OF_ROLES[roles]
 
 
 def parse_order(text: str) -> OrderTag:
@@ -143,6 +148,11 @@ def _merge(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
+def _outside(x: Fraction) -> OutOfDomain:
+    """The error for the rational x, which lies in a gap or outside the domain."""
+    return OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A piecewise translation scaled by D: its pieces' integer ends, labels
@@ -178,7 +188,7 @@ class Lattice:
 
     def by_label(self) -> dict[str | int, tuple[int, int, int]]:
         """label -> (left, right, offset)"""
-        return {label: (left, right, offset) for left, right, label, offset in self.rows()}
+        return dict(zip(self.letters, zip(self.lefts, self.rights, self.offsets)))
 
     def coordinate(self, x: Fraction) -> int:
         """x times D; x must lie on the lattice."""
@@ -204,23 +214,30 @@ class Lattice:
     def locate(self, x: Fraction, period: int | None = None) -> int | None:
         """The index of the piece that holds the rational x, reduced mod
         period / D on a circle of integer period; None in a gap."""
+        p, q = x.as_integer_ratio()
         # the piece ends and the period are integers, so floor(xD), reduced,
         # lies in the same piece as xD
-        k = x.numerator * self.D // x.denominator
+        k = p * self.D // q
         return self.find(k if period is None else k % period)
 
-    def moved(self, x: Fraction, i: int, period: int | None = None) -> Fraction:
-        """x moved by the offset of piece i, reduced mod period / D on a
-        circle of integer period."""
-        q = x.denominator
-        n = x.numerator * self.D + self.offsets[i] * q
-        return Fraction(n if period is None else n % (period * q), q * self.D)
+    def step(self, x: Fraction, period: int | None = None) -> tuple[Fraction, str | int] | None:
+        """x moved by the offset of the piece that holds it, reduced mod
+        period / D on a circle of integer period, and the piece's label;
+        None when x lies in a gap or outside the domain.  x is found as
+        locate finds it, and its image is the one Fraction built."""
+        p, q = x.as_integer_ratio()
+        n = p * self.D
+        k = n // q
+        i = self.find(k if period is None else k % period)
+        if i is None:
+            return None
+        n += self.offsets[i] * q
+        return Fraction(n if period is None else n % (period * q), q * self.D), self.letters[i]
 
     def outside(self, k: int) -> OutOfDomain:
         """The error for the integer k, which lies in a gap or outside the
         domain."""
-        x = Fraction(k, self.D)
-        return OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
+        return _outside(Fraction(k, self.D))
 
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
@@ -311,12 +328,6 @@ class Ar9Map:
         support = self.lattice.union(A9)
         return self.order == FIRST_ORDER and len(support) == 1 and support[0][0] == 0
 
-    def _piece(self, x: Fraction) -> int:
-        i = self.lattice.locate(x)
-        if i is None:
-            raise OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
-        return i
-
 
 def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
     """The values times D, each on (1/D)Z."""
@@ -324,14 +335,16 @@ def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
 
 
 def _lay_out(
-    t: Triple, D: int, abc: Sequence[int], starts: Sequence[int], reversed_: bool
+    t: Triple, D: int, abc: Triple, starts: Sequence[int], reversed_: bool
 ) -> Ar9Map:
-    """Lay the map of t out on (1/D)Z from abc, t times D, and starts, the
-    block left ends times D by role; t must be admissible.  The builders and
-    induction, which lays an induced map on its parent's lattice, share it."""
-    require_admissible(t)
+    """Lay the map of t out on (1/D)Z from abc, t times D as a Triple of
+    integers, and starts, the block left ends times D by role; t must be
+    admissible, which is checked on abc.  The builders and induction, which
+    lays an induced map on its parent's lattice, share it."""
+    if not is_admissible(abc):
+        require_admissible(t)  # raises, in the Fractions of t
     a, b, c = abc
-    ends = [s + n for s, n in zip(starts, (a + b, b + c, a + c))]  # as omega_lengths
+    ends = (starts[0] + a + b, starts[1] + b + c, starts[2] + a + c)  # as omega_lengths
 
     def interval(left: int, right: int) -> Interval:
         return Interval(Fraction(left, D), Fraction(right, D))
@@ -343,16 +356,18 @@ def _lay_out(
                     f"role blocks {r} and {s} overlap: "
                     f"{interval(starts[r], ends[r])} {interval(starts[s], ends[s])}"
                 )
-    roles = tuple(sorted(range(3), key=lambda r: starts[r]))
+    roles = tuple(sorted(range(3), key=starts.__getitem__))
     order = order_from_roles(roles)
     if order.reversed != reversed_:
         raise ValueError(
             f"block arrangement {roles} implies reversed={order.reversed}, got {reversed_}"
         )
-    dom_layout, img_layout = _piece_layout((a, b, c))
+    dom_layout, img_layout = _piece_layout(abc)
     dom: dict[str, tuple[int, int]] = {}
     img: dict[str, tuple[int, int]] = {}
-    for role in range(3):
+    # the blocks, laid left to right, are apart and tiled by nonempty pieces,
+    # so dom fills in the order of the pieces' left ends
+    for role in roles:
         for layout, target in ((dom_layout, dom), (img_layout, img)):
             pieces = layout[role][::-1] if reversed_ else layout[role]
             x = starts[role]
@@ -365,8 +380,8 @@ def _lay_out(
     for ch in A9:
         if img[ch][1] - img[ch][0] != dom[ch][1] - dom[ch][0]:
             raise RuntimeError(f"piece {ch} and its image differ in length")
-    return Ar9Map(t, order, Lattice.sorted_from(
-        D, ((*dom[ch], ch, img[ch][0] - dom[ch][0]) for ch in A9)))
+    return Ar9Map(t, order, Lattice(D, *zip(*(
+        (left, right, ch, img[ch][0] - left) for ch, (left, right) in dom.items()))))
 
 
 def ar9_from_placements(
@@ -382,7 +397,7 @@ def ar9_from_placements(
     # lay the pieces out on the lattice that holds the triple and the
     # placements; every piece end and offset lies on it
     D = math.lcm(*(v.denominator for v in (*t, *placements)))
-    return _lay_out(t, D, _scaled(D, t), _scaled(D, placements), reversed_)
+    return _lay_out(t, D, Triple(*_scaled(D, t)), _scaled(D, placements), reversed_)
 
 
 def build_ar9(
@@ -416,8 +431,10 @@ def build_ar9(
 
 def ar9_apply(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
     """One step: translate x by the offset of its piece; returns (Tx, letter)."""
-    i = m._piece(x)
-    return m.lattice.moved(x, i), m.lattice.letters[i]
+    step = m.lattice.step(x)
+    if step is None:
+        raise _outside(x)
+    return step
 
 
 def trajectory(
@@ -428,10 +445,13 @@ def trajectory(
     nine: letters 1..9 by domain piece; three: the same word projected
     letterwise onto a, b, c.  The orbit is coded by first-return jumps
     through the checked induction stages that `jump_stages` picks for n;
-    it picks none, the plain walk under the map, for short orbits.
+    it picks none, the plain walk under the map, for short orbits.  n = 0
+    codes as the empty word; a negative n raises ValueError.
     """
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
+    if n < 0:
+        raise ValueError(f"orbit length must be nonnegative, got {n}")
     # imported here because induction imports this module at load time
     from .induction import jump_stages, orbit_route
 
@@ -469,13 +489,6 @@ class Ar6Map:
         """The circle's length on the lattice, LD."""
         return self.lattice.coordinate(self.length)
 
-    def _piece(self, x: Fraction) -> int:
-        i = self.lattice.locate(x, self.period)
-        if i is None:
-            x = x % self.length
-            raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
-        return i
-
 
 def _circle(t: Triple, D: int, rows) -> Ar6Map:
     """The circle exchange of t with the (left, right, label, offset) rows on
@@ -497,8 +510,11 @@ def _circle(t: Triple, D: int, rows) -> Ar6Map:
 
 def ar6_apply(m: Ar6Map, x: Fraction) -> tuple[Fraction, int]:
     """One step on the circle; returns (Tx mod L, arc label 0..5)."""
-    i = m._piece(x)
-    return m.lattice.moved(x, i, m.period), m.lattice.letters[i]
+    step = m.lattice.step(x, m.period)
+    if step is None:
+        x = x % m.length
+        raise OutOfDomain(f"{x} not covered by any arc", point=str(x))
+    return step
 
 
 def build_ar6_canonical(t: Triple) -> Ar6Map:
@@ -531,7 +547,9 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     """
     if not m._glued:
         raise ValueError("gluing requires the first-order adjacent layout")
-    m._piece(x)  # the layout has no gaps, so this raises only outside the support
+    # the layout has no gaps, so this raises only outside the support
+    if m.lattice.locate(x) is None:
+        raise _outside(x)
     return x
 
 

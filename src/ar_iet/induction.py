@@ -7,9 +7,12 @@ whose arrangement follows a fixed transition table in the branch taken
 blocks: the span of I_1, the span of I_2 u I_3 (always the whole middle
 block Omega'), and the span of I_4.
 
-The implementation predicts the induced map from that table, lays it out
-on the parent's lattice with the builder's integer routine (no Fraction on
-the way), and checks it by honest interval iteration: each predicted piece
+The implementation steps the parent's triple as integers on the parent's
+lattice (exact, since an Arnoux-Rauzy step only subtracts), predicts the
+induced map from that table, lays it out there with the builder's integer
+routine, and builds the stage's Fraction triple once, as a view of its
+integers; a triple that leaves the gasket is reported in its Fractions.  The
+map is checked by honest interval iteration: each predicted piece
 is pushed forward under T, once, until it first re-enters J_a, raising if it
 ever straddles a discontinuity (so the piece travels as a block and the
 return time is uniform on it).  The letters visited on the way spell out
@@ -33,16 +36,18 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import Ar9Map, Lattice, OrderTag, _lay_out
+from .iet import Ar9Map, Lattice, OrderTag, _lay_out, _scaled
 from .words import A3_MEMBERS, A9, iter_heights, sigma9
 
 DEFAULT_RETURN_CAP = 8
 
 # The cost of one checked induction stage in steps of the walk under T: on
 # the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
-# (seed 1), induce_step took 0.10-0.11 ms and one step of Lattice.walk
-# 0.36-0.39 us, ratios of 267 to 296 (CPython 3.11 on a shared 2-vCPU
-# machine; BENCH_16.json, "in_process"; 235 to 787 in BENCH_13.json).
+# (seed 1), induce_step took 0.039-0.046 ms and one step of Lattice.walk
+# 0.19-0.21 us, ratios of 199 to 234 (CPython 3.11 on a shared 2-vCPU
+# machine; BENCH_19.json, "in_process"; 267 to 296 in BENCH_16.json, 235 to
+# 787 in BENCH_13.json).  Left at 500: retuning it changes which stages
+# orbits jump through, a change of its own.
 STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on
@@ -80,11 +85,16 @@ def _land(
     interval ever straddles a discontinuity or returns only partially (so it
     is not a block of the induced partition), ReturnTimeCapExceeded past cap."""
     r_lefts, r_rights = regions
+    p_lefts, p_rights, letters, offsets = lat.lefts, lat.rights, lat.letters, lat.offsets
     start = (left, right)
     word: list[str] = []
     for _ in range(cap):
-        ch, offset = lat.push(left, right)
-        word.append(ch)
+        # push's lookup, inline; push itself raises where the interval is refused
+        i = bisect_right(p_lefts, left) - 1
+        if i < 0 or not left < p_rights[i] >= right:
+            lat.push(left, right)
+        word.append(letters[i])
+        offset = offsets[i]
         left += offset
         right += offset
         # the regions are sorted and apart: the interval is inside the one
@@ -129,6 +139,17 @@ class InductionStage:
         return all(getattr(self, flag) for flag in _FLAGS)
 
 
+def _step_on(t: Triple, D: int) -> tuple[Triple, Sym]:
+    """ar_step on t times D, the integers of t on (1/D)Z, which it keeps
+    exact, since a step only subtracts.  A triple that leaves the gasket
+    raises what ar_step raises on t itself."""
+    try:
+        return ar_step(Triple(*_scaled(D, t)))
+    except NotInGasket:
+        pass
+    return ar_step(t)  # raises again, in the Fractions of t
+
+
 def induce_step(
     m: Ar9Map, index: int = 1, cap: int = DEFAULT_RETURN_CAP
 ) -> InductionStage:
@@ -139,28 +160,34 @@ def induce_step(
     Each predicted piece is pushed under T once.  A disagreement clears its
     flag instead of raising; iterate_induction refuses to go on from it.
     """
-    new_triple, case = ar_step(m.triple)
+    lat = m.lattice
+    D = lat.D
+    abc, case = _step_on(m.triple, D)
+    a, b, c = abc
     # the left ends of the three spans of J_a: I_1, the whole middle block
     # I_2 u I_3, and I_4, on the parent's lattice, placed by the table
-    lat = m.lattice
-    parent = lat.by_label()
-    spans = (parent["1"][0], min(parent["2"][0], parent["3"][0]), parent["4"][0])
+    lefts = dict(zip(lat.letters, lat.lefts))
+    spans = (lefts["1"], min(lefts["2"], lefts["3"]), lefts["4"])
     starts = [0] * 3
     for start, role in zip(spans, _SPAN_ROLES[case]):
         starts[role] = start
-    a, b, c = abc = [lat.coordinate(v) for v in new_triple]
     # laid out on the coarsest lattice that holds the triple and the spans,
     # the one the Fraction builder picks
-    g = math.gcd(lat.D, *abc, *starts)
+    g = math.gcd(D, *abc, *starts)
+    if g > 1:
+        abc = Triple(a // g, b // g, c // g)
+        starts = [v // g for v in starts]
     predicted = predicted_order(m.order, case)
-    induced = _lay_out(new_triple, lat.D // g, [v // g for v in abc],
-                       [v // g for v in starts], predicted.reversed)
+    # the stage's Fraction triple, the view of its integers
+    Dg = D // g
+    t = Triple(Fraction(abc.a, Dg), Fraction(abc.b, Dg), Fraction(abc.c, Dg))
+    induced = _lay_out(t, Dg, abc, starts, predicted.reversed)
     if induced.order != predicted:
         raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
                            f"transition table {predicted}")
     # the induced pieces, back on the parent's lattice, are pushed under T
     # and compared with what they land on as integers
-    pieces = induced.lattice.refined(lat.D).by_label()
+    pieces = (induced.lattice.refined(D) if g > 1 else induced.lattice).by_label()
     regions = tuple(zip(*lat.union(J_A)))
     expected_lengths = {
         "7": b - c, "8": c, "9": c, "1": a - c,
@@ -196,12 +223,15 @@ def induce_step(
 def iterate_induction(
     m: Ar9Map, K: int, cap: int = DEFAULT_RETURN_CAP
 ) -> list[InductionStage]:
-    """Stages 1..K of repeated induction; empty for K = 0.
+    """Stages 1..K of repeated induction; empty for K = 0, and a negative K
+    raises ValueError.
 
     A triple that leaves the admissible region mid-way raises NotInGasket
     carrying the failing stage as at_step; a stage that disagrees with its
     prediction raises RuntimeError naming the stage and its failed checks.
     """
+    if K < 0:
+        raise ValueError(f"stage count must be nonnegative, got {K}")
     stages: list[InductionStage] = []
     cur = m
     for k in range(1, K + 1):
@@ -235,32 +265,39 @@ def jump_stages(
 
     k is chosen from the triples (ar_step) and the heights alone, before
     any stage is induced; k = 0, the walk, costs 1 + n.  A triple that
-    leaves the gasket caps k.  The stages past the held ones are induced
-    and checked by iterate_induction.
+    leaves the gasket caps k.  The triples are stepped as integers on m0's
+    lattice, which holds every stage's, and the costs are compared times
+    a + b + c, so the Kac term is exact.  The stages past the held ones are
+    induced and checked by iterate_induction.
     """
-    triples = [m0.triple, *(s.map.triple for s in held)]
+    D = m0.lattice.D
+    start = Triple(*_scaled(D, m0.triple))
+    sizes = [sum(start)]  # (a_k + b_k + c_k) D, by stage
 
-    def cases():
-        yield from (s.case for s in held)
-        t = triples[-1]
+    def cases(t):
+        for stage in held:
+            t = Triple(*_scaled(D, stage.map.triple))
+            sizes.append(sum(t))
+            yield stage.case
         while True:
             try:
                 t, case = ar_step(t)
             except NotInGasket:
                 return
-            triples.append(t)
+            sizes.append(sum(t))
             yield case
 
-    best, best_cost = 0, n + 1  # the walk: h_max(0) = 1 and B_0 = X
-    for k, hv in enumerate(iter_heights(cases())):
+    # every cost below is times sizes[0], so that n |B_k| / |X| is n sizes[k]
+    best, best_cost = 0, (n + 1) * sizes[0]  # the walk: h_max(0) = 1 and B_0 = X
+    for k, hv in enumerate(iter_heights(cases(start))):
         if k:
-            cost = (max(k - len(held), 0) * STAGE_COST + max(hv)
-                    + n * sum(triples[k]) / sum(triples[0]))
+            cost = ((max(k - len(held), 0) * STAGE_COST + max(hv)) * sizes[0]
+                    + n * sizes[k])
             if cost < best_cost:
                 best, best_cost = k, cost
         # h_max grows by at least 1 per stage, so every later stage costs
         # at least this much; stop before the next ar_step
-        if max(k + 1 - len(held), 0) * STAGE_COST + max(hv) + 1 >= best_cost:
+        if (max(k + 1 - len(held), 0) * STAGE_COST + max(hv) + 1) * sizes[0] >= best_cost:
             break
     if best <= len(held):
         return list(held[:best])

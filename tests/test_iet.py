@@ -9,7 +9,7 @@ import pytest
 import ar_iet.iet as iet
 import ar_iet.induction as induction
 from ar_iet.errors import Inadmissible, OutOfDomain
-from ar_iet.gasket import Sym, reconstruct_triple, triple
+from ar_iet.gasket import Sym, Triple, reconstruct_triple, triple
 from ar_iet.iet import (
     FIRST_ORDER,
     ORDER_TAGS,
@@ -203,6 +203,26 @@ def test_trajectory_oracles():
     assert trajectory(m, F(6), 0) == ""
     assert trajectory(m, F(6), 1) == "1"
     assert trajectory(m, F(6), 1, "three") == "a"
+
+
+def test_triples_of_plain_integers_run_every_path():
+    # a Triple of ints, not coerced to Fractions, is stepped, laid out,
+    # induced and moved on the line and the circle as its Fraction twin is
+    t, twin = Triple(7, 4, 2), triple(7, 4, 2)
+    m = build_ar9(t)
+    assert m.lattice == build_ar9(twin).lattice
+    assert [s.map for s in induction.iterate_induction(m, 1)] == [
+        s.map for s in induction.iterate_induction(build_ar9(twin), 1)]
+    assert trajectory(m, 6, 600) == trajectory(build_ar9(twin), F(6), 600)
+    assert ar9_apply(m, 6) == ar9_apply(build_ar9(twin), F(6))
+    assert ar6_apply(build_ar6_canonical(t), 6) == ar6_apply(build_ar6_canonical(twin), F(6))
+
+
+def test_trajectory_refuses_a_negative_length():
+    m = build_ar9(triple(7, 4, 2))
+    for partition in ("nine", "three"):
+        with pytest.raises(ValueError, match="orbit length must be nonnegative, got -1"):
+            trajectory(m, F(6), -1, partition)
 
 
 def test_trajectory_checks_the_partition_before_walking(monkeypatch):

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ar_iet import induction
-from ar_iet.errors import NotInGasket, ReturnTimeCapExceeded
+from ar_iet.errors import NotInGasket, OutOfDomain, ReturnTimeCapExceeded
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Ar9Map, OrderTag, ar9_from_placements, build_ar9
 from ar_iet.induction import (
@@ -150,6 +151,11 @@ def test_iterate_induction_k0():
     assert iterate_induction(build_ar9(triple(7, 4, 2)), 0) == []
 
 
+def test_iterate_induction_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="stage count must be nonnegative, got -1"):
+        iterate_induction(build_ar9(triple(7, 4, 2)), -1)
+
+
 def test_iterate_induction_reports_failing_stage():
     with pytest.raises(NotInGasket) as exc:
         iterate_induction(build_ar9(triple(7, 4, 2)), 3)
@@ -182,6 +188,57 @@ def test_return_cap_exceeded(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^interval \[11,14\) returns to J_a only "
                                            r"partially after \['3', '5'\]$"):
         induce_step(build_ar9(triple(7, 4, 2)))
+
+
+def _pushed(lat, regions, left, right, cap):
+    """What _land finds, with every piece looked up by Lattice.push: the
+    landed interval and word, "partial" or "cap"; push's errors propagate."""
+    word = ""
+    for _ in range(cap):
+        ch, offset = lat.push(left, right)
+        word += ch
+        left, right = left + offset, right + offset
+        for lo, hi in zip(*regions):
+            if lo <= left and right <= hi:
+                return left, right, word
+            if left < hi and lo < right:
+                return "partial"
+    return "cap"
+
+
+def test_land_refuses_what_push_refuses():
+    # every interval of width 1-3 units that starts in the hull of a gapped
+    # map on (1/2)Z, under caps of 1 and 4 steps: starts in the gaps,
+    # intervals across piece ends at once or after some steps, partial
+    # returns and capped ones included
+    m = build_ar9(triple(F(7, 2), 2, 1), OrderTag("second", True), gaps=(F(1), F(3, 2)))
+    lat = m.lattice
+    regions = tuple(zip(*lat.union(induction.J_A)))
+    outcomes = Counter()
+    for left in range(lat.lefts[0] - 1, lat.rights[-1] + 1):
+        for right in range(left + 1, left + 4):
+            for cap in (1, 4):
+                try:
+                    expected = _pushed(lat, regions, left, right, cap)
+                except (OutOfDomain, RuntimeError) as e:
+                    with pytest.raises(type(e)) as exc:
+                        induction._land(lat, regions, left, right, cap)
+                    assert str(exc.value) == str(e)
+                    late = isinstance(e, RuntimeError) and lat.find(left) is not None \
+                        and right <= lat.rights[lat.find(left)]
+                    outcomes[type(e).__name__ + ("-late" if late else "")] += 1
+                    continue
+                if expected == "partial":
+                    with pytest.raises(RuntimeError, match="returns to J_a only partially"):
+                        induction._land(lat, regions, left, right, cap)
+                elif expected == "cap":
+                    with pytest.raises(ReturnTimeCapExceeded):
+                        induction._land(lat, regions, left, right, cap)
+                else:
+                    assert induction._land(lat, regions, left, right, cap) == expected
+                outcomes[expected if isinstance(expected, str) else "landed"] += 1
+    assert set(outcomes) == {"OutOfDomain", "RuntimeError", "RuntimeError-late", "partial",
+                             "cap", "landed"}, outcomes
 
 
 def test_wrong_span_roles_fail_the_order_check(monkeypatch):
@@ -284,15 +341,65 @@ def test_relabeled_pieces_fail_the_length_check(monkeypatch):
         iterate_induction(m, 3)
 
 
-def test_induction_builds_no_fraction_views():
+def _count_fraction_comparisons(monkeypatch) -> Counter:
+    """Wrap Fraction's rich comparisons so that each call is counted."""
+    counts = Counter()
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, _name=name, _compare=getattr(F, name)):
+            counts[_name] += 1
+            return _compare(a, b)
+        monkeypatch.setattr(F, name, counted)
+    return counts
+
+
+def test_induction_builds_no_fraction_views(monkeypatch):
     # the criterion-9 regime: k = 2^n over eight I-blocks, 510 stages
     ks = tuple(2 ** n for n in range(1, 9))
     m = build_ar9(reconstruct_triple(PartialQuotients(ks, (I,) * 8).expand()))
+    counts = _count_fraction_comparisons(monkeypatch)
     stages = iterate_induction(m, 510)
+    assert not counts, counts  # the stages are stepped and checked on integers
+    ar_step(m.triple)
+    assert counts  # and the wrappers do count
     assert len(stages) == 510
     for stage in stages:
         built = {"domain", "image", "offsets", "role_blocks"} & set(vars(stage.map))
         assert not built, (stage.index, built)
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+@pytest.mark.parametrize("gapped", (False, True), ids=("adjacent", "gapped"))
+def test_integer_stages_follow_the_fraction_step(order, gapped):
+    # each stage is stepped on its parent's integers; seeded triples on
+    # lattices with D > 1 run until they leave the gasket or reach 30 stages
+    rng = random.Random(f"integer-step/{order}/{gapped}")
+    stepped = left = 0
+    for _ in range(6):
+        prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(4, 12)))
+        seed = triple(*sorted((F(rng.randint(1, 60), rng.randint(2, 9)) for _ in range(3)),
+                              reverse=True))
+        if not seed.a > seed.b > seed.c:
+            continue
+        gaps = tuple(F(rng.randint(1, 9), rng.randint(2, 7)) for _ in range(2)) if gapped \
+            else (F(0), F(0))
+        m = build_ar9(reconstruct_triple(prefix, seed=seed), order, gaps=gaps)
+        assert m.lattice.D > 1
+        for k in range(1, 31):
+            try:
+                expected = ar_step(m.triple)
+            except NotInGasket as e:
+                with pytest.raises(NotInGasket) as exc:
+                    induce_step(m, index=k)
+                assert str(exc.value) == str(e)
+                assert exc.value.detail == e.detail
+                left += 1
+                break
+            stage = induce_step(m, index=k)
+            assert (stage.map.triple, stage.case) == expected, (prefix, seed, k)
+            assert all(type(v) is F for v in stage.map.triple)
+            stepped += 1
+            m = stage.map
+    assert stepped > 30 and left > 0
 
 
 @pytest.mark.parametrize("t,order,gaps,message,detail", [

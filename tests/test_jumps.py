@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from ar_iet import analysis
 from ar_iet.analysis import birkhoff_frequencies, two_measure_experiment
 from ar_iet.errors import NotInGasket, OutOfDomain
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
@@ -237,6 +238,17 @@ def test_frequencies_keep_nothing_per_jump():
         tracemalloc.stop()
     assert sum(counts.values()) == 10**5
     assert peak <= 64 * 1024, f"{peak // 1024} KiB"
+
+
+def test_two_measure_refuses_an_empty_orbit_before_inducing(monkeypatch):
+    def induce(*args, **kwargs):
+        raise AssertionError("a stage was induced")
+
+    monkeypatch.setattr(analysis, "iterate_induction", induce)
+    pq = PartialQuotients(tuple(2**k for k in range(1, 9)), (Sym.I,) * 8)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="orbit length must be positive"):
+            two_measure_experiment(pq, pq.times[-1], n)
 
 
 def test_birkhoff_on_the_two_measure_regime_at_ten_million_steps():

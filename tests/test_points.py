@@ -4,7 +4,7 @@
 The reference reads each map's pieces off `lattice.rows()` as Fractions,
 scans them linearly with Fraction comparisons and translates by Fraction
 additions, reducing mod L on the circle; it shares no code with
-`Lattice.locate` or `Lattice.moved`.  Each of the six arrangements, adjacent
+`Lattice.locate` or `Lattice.step`.  Each of the six arrangements, adjacent
 at origin 0 and gapped at a negative origin, gets its own seeded prefix, and
 each is probed on the lattice refined to hold the denominators 997,
 2^61 - 1 and 2^127 - 1.
