@@ -76,6 +76,7 @@ from .iet import (
 )
 from .induction import (
     InductionStage,
+    StageChain,
     induce_step,
     iterate_induction,
     predicted_order,

@@ -30,7 +30,8 @@ from typing import Iterable, Sequence
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, reconstruct_triple
 from .iet import Ar9Map, Interval, build_ar9
-from .induction import DEFAULT_RETURN_CAP, iterate_induction, jump_stages, orbit_counts
+from .induction import (DEFAULT_RETURN_CAP, StageChain, iterate_induction, jump_stages,
+                        orbit_counts)
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
@@ -271,7 +272,7 @@ def birkhoff_frequencies(m: Ar9Map, x: Fraction, n: int) -> FrequencyVector:
     through the stages that jump_stages picks for n."""
     if n < 1:
         raise ValueError("orbit length must be positive")
-    return FrequencyVector(x, n, orbit_counts(m, jump_stages(m, n), x, n))
+    return FrequencyVector(x, n, orbit_counts(m, jump_stages(StageChain(m), n), x, n))
 
 
 def l1_distance(v1: FrequencyVector, v2: FrequencyVector) -> Fraction:
@@ -299,8 +300,9 @@ def two_measure_experiment(
     swap count l counts I_m rules among blocks 1..N-1 where N is the number
     of blocks completed by stage `depth`.  Base points are the midpoints of
     the two stage-`depth` bases; both orbits run under the stage-0 map,
-    by jumps through stages that include the `depth` ones already induced.
-    A nonpositive orbit length raises ValueError before any stage is induced.
+    by jumps through stages of the same chain, whose `depth` stages are
+    already induced.  Every stage is induced under return_cap.  A
+    nonpositive orbit length raises ValueError before any stage is induced.
     """
     if n < 1:
         raise ValueError("orbit length must be positive")
@@ -312,15 +314,15 @@ def two_measure_experiment(
     l = sum(1 for rule in pq.rules[: max(N - 1, 0)] if rule is Sym.I)
     swapped = l % 2 == 1
     lo, hi = ("4", "1") if swapped else ("1", "4")
-    t = reconstruct_triple(prefix)
-    m0 = build_ar9(t)
-    stages = iterate_induction(m0, depth, cap=return_cap)
-    stage_map = m0 if depth == 0 else stages[-1].map
+    m0 = build_ar9(reconstruct_triple(prefix))
+    chain = StageChain(m0, return_cap)
+    stages = iterate_induction(chain, depth)
+    stage_map = stages[-1].map if stages else m0
     points = tuple(
         (stage_map.domain[ch].left + stage_map.domain[ch].right) / 2
         for ch in (lo, hi)
     )
-    jumping = jump_stages(m0, n, stages)
+    jumping = jump_stages(chain, n)
     vectors = tuple(FrequencyVector(x, n, orbit_counts(m0, jumping, x, n)) for x in points)
     return TwoMeasureReport(
         depth=depth,

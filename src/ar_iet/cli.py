@@ -54,7 +54,8 @@ from .gasket import (
     reconstruct_triple,
 )
 from .iet import FIRST_ORDER, Ar9Map, OrderTag, _merge, build_ar9, parse_order, trajectory
-from .induction import DEFAULT_RETURN_CAP, induce_step, iterate_induction
+from .induction import (DEFAULT_RETURN_CAP, StageChain, induce_step, iterate_induction,
+                        jump_stages, orbit_route)
 from .towers import (
     adjacency_check,
     level_component_counts,
@@ -349,7 +350,7 @@ def cmd_induct(args, config: RunConfig) -> int:
             "return_words": stage.return_words,
             "verified": stage.ok,
         }
-        for stage in iterate_induction(m, steps, cap=cap)
+        for stage in iterate_induction(StageChain(m, cap), steps)
     ]
     payload = {
         "schema": "ar-iet/induct/1",
@@ -362,28 +363,29 @@ def cmd_induct(args, config: RunConfig) -> int:
     return 0
 
 
-def _require_level_cap(stages, k: int, config: RunConfig) -> None:
-    """Refuse stage k before any tower is built when its towers would hold
-    more than word_cap levels, counted from the stage cases."""
-    hv = heights_by_matrix(tuple(s.case for s in stages[:k]))[-1]
-    levels = sum(letter_height(ch, hv) for ch in A9)
+def _towers(chain: StageChain, first: int, depth: int, config: RunConfig):
+    """The tower families of stages first..depth of the chain, built one at
+    a time after stages 1..depth are induced and the level cap is checked at
+    depth, which bounds every earlier stage, on the chain's heights."""
+    iterate_induction(chain, depth)
+    levels = sum(letter_height(ch, chain.heights[depth]) for ch in A9)
     if levels > config.word_cap:
         raise WordOverflow(
-            f"stage {k} towers have {levels} levels, exceeding cap {config.word_cap}",
-            stage=k,
+            f"stage {depth} towers have {levels} levels, exceeding cap {config.word_cap}",
+            stage=depth,
             levels=levels,
             cap=config.word_cap,
         )
+    for k in range(first, depth + 1):
+        yield towers_at_stage(chain, k)
 
 
 def cmd_towers(args, config: RunConfig) -> int:
     stage = _count(args.stage, config.refinement_depth, "--stage", 0)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    cap = _count(args.cap, config.return_time_cap, "--cap")
-    stages = iterate_induction(m, stage, cap=cap)
-    _require_level_cap(stages, stage, config)
-    family = towers_at_stage(m, stages, stage)
+    chain = StageChain(m, _count(args.cap, config.return_time_cap, "--cap"))
+    [family] = _towers(chain, stage, stage, config)
     nine = {
         ch: {"height": tower.height, "word": tower.word, "base": tower.base}
         for ch, tower in family.nine.items()
@@ -418,20 +420,16 @@ _CHECK_NAMES = ("partition", "adjacency", "components", "induction", "coding")
 def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
                selected: tuple[str, ...]) -> dict:
     t = reconstruct_triple(prefix, seed=config.seed_triple)
-    m = build_ar9(t, order=order)
+    chain = StageChain(build_ar9(t, order=order), cap)
     depth = min(depth, len(prefix))
-    stages = iterate_induction(m, depth, cap=cap)
     # each check that reads every stage holds true until a stage refutes it
     results: dict[str, bool] = {
         n: True for n in ("partition", "adjacency", "components") if n in selected}
     if set(selected) - {"induction"}:  # every other check reads the towers
-        # the level count grows with the stage, so the deepest stage bounds them all
-        _require_level_cap(stages, depth, config)
         # coding reads only the deepest family; the others read every stage.
         # One family is built, checked and dropped at a time.
         bounds = {"a": 3, "b": 2, "c": 1}
-        for k in range(0 if results else depth, depth + 1):
-            family = towers_at_stage(m, stages, k)
+        for family in _towers(chain, 0 if results else depth, depth, config):
             if results.get("partition"):
                 results["partition"] = partition_check(family).ok
             if results.get("adjacency"):
@@ -441,19 +439,21 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
                     count <= bounds[letter]
                     for letter, count in level_component_counts(family).items()
                 )
+    else:  # induction alone builds no tower
+        iterate_induction(chain, depth)
     if "induction" in selected:
         # at depth 0 there is no stage yet, so induce once to have one to check
-        checked = stages or [induce_step(m, cap=cap)]
+        checked = chain.stages or [induce_step(chain, 1)]
         results["induction"] = all(s.ok for s in checked)
     if "coding" in selected:
-        expected = stage_words(tuple(s.case for s in stages), "A9", config.word_cap)
-        words_ok = all(family.nine[ch].word == expected[ch] for ch in A9)
-        orbit_ok = True
-        for ch in A9:
-            tower = family.nine[ch]
+        expected = stage_words(chain.cases[:depth], "A9", config.word_cap)
+        coded = True
+        for ch, tower in family.nine.items():
             mid = (tower.base.left + tower.base.right) / 2
-            orbit_ok = orbit_ok and trajectory(m, mid, tower.height) == tower.word
-        results["coding"] = words_ok and orbit_ok
+            # an orbit as long as its tower never pays for a stage past depth
+            route = orbit_route(chain.m0, jump_stages(chain, tower.height), mid, tower.height)
+            coded = coded and tower.word == expected[ch] == "".join(route)
+        results["coding"] = coded
     return {
         "prefix": format_prefix(prefix),
         "triple": t,
@@ -565,17 +565,14 @@ def cmd_experiment(args, config: RunConfig) -> int:
 def cmd_render(args, config: RunConfig) -> int:
     stage = _count(args.stage, 1 if args.induction else config.refinement_depth,
                    "--stage", 0)
-    t = _resolve_triple(args, config)
-    m = build_ar9(t, order=args.order)
-    cap = _count(args.cap, config.return_time_cap, "--cap")
+    m = build_ar9(_resolve_triple(args, config), order=args.order)
+    chain = StageChain(m, _count(args.cap, config.return_time_cap, "--cap"))
     if args.layout:
         text = svg.render_layout(m)
     elif args.induction:
-        text = svg.render_induction(m, iterate_induction(m, stage, cap=cap))
+        text = svg.render_induction(m, iterate_induction(chain, stage))
     else:
-        stages = iterate_induction(m, stage, cap=cap)
-        _require_level_cap(stages, stage, config)
-        text = svg.render_towers(towers_at_stage(m, stages, stage))
+        text = svg.render_towers(*_towers(chain, stage, stage, config))
     if args.out:
         path = _write_file(args.out, text, config)
         sys.stdout.write(f"{path}\n")

@@ -446,16 +446,14 @@ def trajectory(
     letterwise onto a, b, c.  The orbit is coded by first-return jumps
     through the checked induction stages that `jump_stages` picks for n;
     it picks none, the plain walk under the map, for short orbits.  n = 0
-    codes as the empty word; a negative n raises ValueError.
+    codes as the empty word; a negative n raises ValueError (jump_stages).
     """
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
-    if n < 0:
-        raise ValueError(f"orbit length must be nonnegative, got {n}")
     # imported here because induction imports this module at load time
-    from .induction import jump_stages, orbit_route
+    from .induction import StageChain, jump_stages, orbit_route
 
-    word = "".join(orbit_route(m, jump_stages(m, n), x, n))
+    word = "".join(orbit_route(m, jump_stages(StageChain(m), n), x, n))
     return project(word, "A3") if partition == "three" else word
 
 

@@ -7,16 +7,18 @@ whose arrangement follows a fixed transition table in the branch taken
 blocks: the span of I_1, the span of I_2 u I_3 (always the whole middle
 block Omega'), and the span of I_4.
 
-The implementation steps the parent's triple as integers on the parent's
-lattice (exact, since an Arnoux-Rauzy step only subtracts), predicts the
-induced map from that table, lays it out there with the builder's integer
-routine, and builds the stage's Fraction triple once, as a view of its
-integers; a triple that leaves the gasket is reported in its Fractions.  The
-map is checked by honest interval iteration: each predicted piece
-is pushed forward under T, once, until it first re-enters J_a, raising if it
-ever straddles a discontinuity (so the piece travels as a block and the
-return time is uniform on it).  The letters visited on the way spell out
-the nine-letter substitution of the branch, which is how the symbolic and
+The stages of one stage-0 map form one chain (`StageChain`), the directive
+sequence with its data held once: each triple is stepped once, as integers
+on the stage-0 lattice (exact, since an Arnoux-Rauzy step only subtracts),
+giving its case and the next class heights; a triple that leaves the gasket
+is reported in its Fractions.  A stage is predicted from that step and the
+table, laid out on the parent's lattice by the builder's integer routine,
+and given its Fraction triple once, as a view of its integers.  The map is
+checked by honest interval iteration: each predicted piece is pushed
+forward under T, once, until it first re-enters J_a, raising if it ever
+straddles a discontinuity (so the piece travels as a block and the return
+time is uniform on it).  The letters visited on the way spell out the
+nine-letter substitution of the branch, which is how the symbolic and
 geometric systems are glued together.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
@@ -37,7 +39,7 @@ from fractions import Fraction
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
 from .iet import Ar9Map, Lattice, OrderTag, _lay_out, _scaled
-from .words import A3_MEMBERS, A9, iter_heights, sigma9
+from .words import A3_MEMBERS, A9, _next_heights, sigma9
 
 DEFAULT_RETURN_CAP = 8
 
@@ -127,8 +129,6 @@ class InductionStage:
     map: Ar9Map
     return_times: dict[str, int]
     return_words: dict[str, str]
-    parent_triple: Triple
-    parent_order: OrderTag
     lengths_ok: bool
     endpoints_ok: bool
     translations_ok: bool
@@ -139,30 +139,59 @@ class InductionStage:
         return all(getattr(self, flag) for flag in _FLAGS)
 
 
-def _step_on(t: Triple, D: int) -> tuple[Triple, Sym]:
-    """ar_step on t times D, the integers of t on (1/D)Z, which it keeps
-    exact, since a step only subtracts.  A triple that leaves the gasket
-    raises what ar_step raises on t itself."""
-    try:
-        return ar_step(Triple(*_scaled(D, t)))
-    except NotInGasket:
-        pass
-    return ar_step(t)  # raises again, in the Fractions of t
+class StageChain:
+    """The induction chain of one stage-0 map m0 under one return cap, a
+    value that a caller holds and extends.  Stage k keeps its triple as
+    integers on m0's lattice, which holds every stage's (triples[k], stepped
+    once by ar_step), the case of that step (cases[k - 1]), its class
+    heights (heights[k]) and, once induced, its checked InductionStage
+    (stages[k - 1]).  Triples and heights may run ahead of the induced
+    stages: jump_stages reads them before it induces.
+    """
+
+    def __init__(self, m0: Ar9Map, cap: int = DEFAULT_RETURN_CAP):
+        self.m0, self.cap = m0, cap
+        self.triples = [Triple(*_scaled(m0.lattice.D, m0.triple))]
+        self.cases: list[Sym] = []
+        self.heights = [(1, 1, 1)]
+        self.stages: list[InductionStage] = []
+        self.exited = False  # the last triple leaves the gasket
+
+    def step(self) -> bool:
+        """Step the last triple once; False from then on where it leaves the gasket."""
+        if self.exited:
+            return False
+        try:
+            t, case = ar_step(self.triples[-1])
+        except NotInGasket:
+            self.exited = True
+            return False
+        self.triples.append(t)
+        self.cases.append(case)
+        self.heights.append(_next_heights(self.heights[-1], case))
+        return True
 
 
-def induce_step(
-    m: Ar9Map, index: int = 1, cap: int = DEFAULT_RETURN_CAP
-) -> InductionStage:
-    """Induce on J_a and report, check by check, that the result is the
-    predicted nine-piece exchange: piece lengths, exact endpoints,
-    translations, and return words.
+def induce_step(chain: StageChain, k: int) -> InductionStage:
+    """Induce stage k of the chain on J_a of stage k - 1, from its stored
+    step, and report, check by check, that the result is the predicted
+    nine-piece exchange: piece lengths, exact endpoints, translations, and
+    return words.  The chain must hold stage k - 1, else ValueError.
 
+    A triple that leaves the gasket raises NotInGasket in its Fractions.
     Each predicted piece is pushed under T once.  A disagreement clears its
     flag instead of raising; iterate_induction refuses to go on from it.
     """
+    if not 1 <= k <= len(chain.stages) + 1:
+        raise ValueError(f"stage {k} outside the inducible range 1..{len(chain.stages) + 1}")
+    m = chain.stages[k - 2].map if k > 1 else chain.m0
+    if k == len(chain.triples) and not chain.step():
+        ar_step(m.triple)  # raises again, in the Fractions of the triple
     lat = m.lattice
     D = lat.D
-    abc, case = _step_on(m.triple, D)
+    # the step on m's lattice, which divides m0's
+    q = chain.m0.lattice.D // D
+    abc, case = Triple(*(v // q for v in chain.triples[k])), chain.cases[k - 1]
     a, b, c = abc
     # the left ends of the three spans of J_a: I_1, the whole middle block
     # I_2 u I_3, and I_4, on the parent's lattice, placed by the table
@@ -199,20 +228,18 @@ def induce_step(
     lengths_ok = endpoints_ok = translations_ok = True
     for ch in A9:
         left, right, offset = pieces[ch]
-        landed_left, landed_right, words[ch] = _land(lat, regions, left, right, cap)
+        landed_left, landed_right, words[ch] = _land(lat, regions, left, right, chain.cap)
         # the builder already refuses an image whose length differs from
         # its piece, so only the pieces are held against the table
         lengths_ok &= right - left == expected_lengths[ch]
         translations_ok &= landed_left - left == offset
         endpoints_ok &= landed_left - left == offset == landed_right - right
     return InductionStage(
-        index=index,
+        index=k,
         case=case,
         map=induced,
         return_times={ch: len(word) for ch, word in words.items()},
         return_words=words,
-        parent_triple=m.triple,
-        parent_order=m.order,
         lengths_ok=lengths_ok,
         endpoints_ok=endpoints_ok,
         translations_ok=translations_ok,
@@ -220,11 +247,9 @@ def induce_step(
     )
 
 
-def iterate_induction(
-    m: Ar9Map, K: int, cap: int = DEFAULT_RETURN_CAP
-) -> list[InductionStage]:
-    """Stages 1..K of repeated induction; empty for K = 0, and a negative K
-    raises ValueError.
+def iterate_induction(chain: StageChain, K: int) -> list[InductionStage]:
+    """Stages 1..K of the chain, inducing and checking those it does not
+    hold yet; empty for K = 0, and a negative K raises ValueError.
 
     A triple that leaves the admissible region mid-way raises NotInGasket
     carrying the failing stage as at_step; a stage that disagrees with its
@@ -232,11 +257,10 @@ def iterate_induction(
     """
     if K < 0:
         raise ValueError(f"stage count must be nonnegative, got {K}")
-    stages: list[InductionStage] = []
-    cur = m
-    for k in range(1, K + 1):
+    stages = chain.stages
+    for k in range(len(stages) + 1, K + 1):
         try:
-            stage = induce_step(cur, index=k, cap=cap)
+            stage = induce_step(chain, k)
         except NotInGasket as e:
             e.detail["at_step"] = k
             raise
@@ -246,62 +270,43 @@ def iterate_induction(
                 f"induction stage {k} disagrees with the prediction: {failed}"
             )
         stages.append(stage)
-        cur = stage.map
-    return stages
+    return stages[:K]
 
 
-def jump_stages(
-    m0: Ar9Map, n: int, held: Sequence[InductionStage] = ()
-) -> list[InductionStage]:
-    """Stages 1..k of m0 whose jumps code an n-step orbit at the least
-    estimated cost, counted in steps of the walk under T:
+def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
+    """Stages 1..k of the chain whose jumps code an n-step orbit at the
+    least estimated cost, counted in steps of the walk under T:
 
-    * STAGE_COST for each stage beyond the held stages 1..len(held), which
-      come from iterate_induction(m0, len(held)) and cost nothing;
+    * STAGE_COST for each stage the chain has not induced yet; the stages
+      it holds cost nothing;
     * h_max(k) steps of walk before the orbit lands in B_k: a point of a
       stage-k tower reaches the base within the tower's height;
     * n |B_k| / |X| jumps, since by Kac's lemma the mean return time to B_k
       is |X| / |B_k|, and |B_k| / |X| = (a_k + b_k + c_k) / (a + b + c).
 
-    k is chosen from the triples (ar_step) and the heights alone, before
-    any stage is induced; k = 0, the walk, costs 1 + n.  A triple that
-    leaves the gasket caps k.  The triples are stepped as integers on m0's
-    lattice, which holds every stage's, and the costs are compared times
-    a + b + c, so the Kac term is exact.  The stages past the held ones are
-    induced and checked by iterate_induction.
+    k is chosen from the chain's triples and heights alone, stepped ahead of
+    its induced stages as far as the choice needs; k = 0, the walk, costs
+    1 + n, and a triple that leaves the gasket caps k.  The triples are
+    integers on m0's lattice and the costs are compared times a + b + c, so
+    the Kac term is exact.  A negative n raises ValueError.
     """
-    D = m0.lattice.D
-    start = Triple(*_scaled(D, m0.triple))
-    sizes = [sum(start)]  # (a_k + b_k + c_k) D, by stage
-
-    def cases(t):
-        for stage in held:
-            t = Triple(*_scaled(D, stage.map.triple))
-            sizes.append(sum(t))
-            yield stage.case
-        while True:
-            try:
-                t, case = ar_step(t)
-            except NotInGasket:
-                return
-            sizes.append(sum(t))
-            yield case
-
-    # every cost below is times sizes[0], so that n |B_k| / |X| is n sizes[k]
-    best, best_cost = 0, (n + 1) * sizes[0]  # the walk: h_max(0) = 1 and B_0 = X
-    for k, hv in enumerate(iter_heights(cases(start))):
-        if k:
-            cost = ((max(k - len(held), 0) * STAGE_COST + max(hv)) * sizes[0]
-                    + n * sizes[k])
-            if cost < best_cost:
-                best, best_cost = k, cost
-        # h_max grows by at least 1 per stage, so every later stage costs
-        # at least this much; stop before the next ar_step
-        if (max(k + 1 - len(held), 0) * STAGE_COST + max(hv) + 1) * sizes[0] >= best_cost:
+    if n < 0:
+        raise ValueError(f"orbit length must be nonnegative, got {n}")
+    held, triples, heights = len(chain.stages), chain.triples, chain.heights
+    # every cost below is times size, so that n |B_k| / |X| is n sum(triples[k])
+    size = sum(triples[0])
+    best, best_cost = 0, (n + 1) * size  # the walk: h_max(0) = 1 and B_0 = X
+    k = 0
+    # h_max grows by at least 1 per stage, so every stage past k costs at
+    # least this much; stop before stepping a triple that cannot pay off
+    while (max(k + 1 - held, 0) * STAGE_COST + max(heights[k]) + 1) * size < best_cost:
+        k += 1
+        if k == len(triples) and not chain.step():
             break
-    if best <= len(held):
-        return list(held[:best])
-    return [*held, *iterate_induction(held[-1].map if held else m0, best - len(held))]
+        cost = (max(k - held, 0) * STAGE_COST + max(heights[k])) * size + n * sum(triples[k])
+        if cost < best_cost:
+            best, best_cost = k, cost
+    return iterate_induction(chain, best)
 
 
 def orbit_route(
@@ -319,14 +324,17 @@ def orbit_route(
     one letter per jump.
 
     A point in a gap or outside the support raises OutOfDomain with the
-    point's index in the orbit as `level`, as Lattice.walk does.
+    point's index in the orbit as `level`, as Lattice.walk does; a negative
+    n raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"orbit length must be nonnegative, got {n}")
     words = {ch: ch for ch in A9}
     for stage in stages:
         words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
     lat = m0.lattice.refined(x.denominator)
+    # every stage's lattice divides m0's, so B_k is held on lat
     base = stages[-1].map.lattice.refined(lat.D) if stages else lat
-    lat = lat.refined(base.D)
     p = lat.coordinate(x)
     rest = n  # the letters still to read
     while rest > 0 and base.find(p) is None:

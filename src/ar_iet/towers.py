@@ -22,7 +22,6 @@ levels are views of them.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,8 +30,8 @@ from operator import eq
 
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
-from .induction import InductionStage
-from .words import A3_MEMBERS, A9, heights_by_matrix, letter_height
+from .induction import StageChain
+from .words import A3_MEMBERS, A9, letter_height
 
 
 @dataclass(frozen=True)
@@ -77,26 +76,22 @@ class TowerFamily:
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
 
 
-def towers_at_stage(
-    m0: Ar9Map, stages: Sequence[InductionStage], k: int
-) -> TowerFamily:
-    """Build the stage-k towers by pushing the stage-k pieces under T.
-
-    stages come from iterate_induction(m0, K) with K >= k; k = 0 uses the
-    original pieces and height-1 towers.
+def towers_at_stage(chain: StageChain, k: int) -> TowerFamily:
+    """Build the stage-k towers of the chain by pushing the stage-k pieces
+    under T, to the chain's heights; the chain must hold stage k induced
+    (k = 0 uses the original pieces and height-1 towers).
     """
+    m0, stages = chain.m0, chain.stages
     if not 0 <= k <= len(stages):
         raise ValueError(f"stage {k} outside the computed range 0..{len(stages)}")
     stage_map = m0 if k == 0 else stages[k - 1].map
-    prefix = tuple(s.case for s in stages[:k])
-    hv = heights_by_matrix(prefix)[-1]
     lat = m0.lattice.refined(stage_map.lattice.D)
     bases = stage_map.lattice.refined(lat.D).by_label()
     nine: dict[str, Tower] = {}
     for ch in A9:
         left, right, _ = bases[ch]
         try:
-            letters, lefts = lat.walk(left, right, letter_height(ch, hv))
+            letters, lefts = lat.walk(left, right, letter_height(ch, chain.heights[k]))
         except RuntimeError as e:
             raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
         nine[ch] = Tower(lat.D, right - left, tuple(lefts), "".join(letters))

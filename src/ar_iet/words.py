@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal, Sequence
+from itertools import accumulate
+from typing import Iterable, Literal, Sequence
 
 from .errors import WordOverflow
 from .gasket import PartialQuotients, Sym
@@ -107,20 +108,14 @@ def _tables(alphabet: AlphabetTag) -> tuple[str, dict[Sym, Substitution]]:
     raise ValueError(f"unknown alphabet tag {alphabet!r}")
 
 
-def iter_heights(prefix: Iterable[Sym]) -> Iterator[tuple[int, int, int]]:
-    """heights_by_matrix, one stage at a time: stage 0, then one stage per
-    symbol read, so a caller can stop before reading the rest of prefix."""
-    h = (1, 1, 1)
-    yield h
-    for sym in prefix:
-        a, b, c = h
-        if sym is Sym.I:
-            h = (a + b, a + c, a)
-        elif sym is Sym.II:
-            h = (a + b, a, a + c)
-        else:
-            h = (a, a + b, a + c)
-        yield h
+def _next_heights(h: tuple[int, int, int], sym: Sym) -> tuple[int, int, int]:
+    """The class heights one stage on, after the rule sym."""
+    a, b, c = h
+    if sym is Sym.I:
+        return a + b, a + c, a
+    if sym is Sym.II:
+        return a + b, a, a + c
+    return a, a + b, a + c
 
 
 def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
@@ -130,7 +125,7 @@ def heights_by_matrix(prefix: Sequence[Sym]) -> list[tuple[int, int, int]]:
     (1-4 share h_a, 5-7 share h_b, 8-9 share h_c), so one triple per stage
     covers both alphabets.
     """
-    return list(iter_heights(prefix))
+    return list(accumulate(prefix, _next_heights, initial=(1, 1, 1)))
 
 
 def letter_height(letter: str, hv: tuple[int, int, int]) -> int:

@@ -36,7 +36,7 @@ from ar_iet.iet import (
     glue_to_ar6,
     trajectory,
 )
-from ar_iet.induction import iterate_induction
+from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.towers import (
     A3_MEMBERS,
     adjacency_check,
@@ -152,9 +152,10 @@ def test_criterion_02_orbit_codings_and_return_words():
         assert nine_word == trajectory(m, x0, 2000, "nine")
 
         # stage-k return words: tower codings against the substitution words
-        stages = iterate_induction(m, 6)
+        chain = StageChain(m)
+        iterate_induction(chain, 6)
         for k in range(7):
-            family = towers_at_stage(m, stages, k)
+            family = towers_at_stage(chain, k)
             expected = stage_words(prefix[:k], "A9", 10_000)
             got = {ch: family.nine[ch].word for ch in A9}
             assert got == expected, f"stage {k} return words differ"
@@ -179,11 +180,12 @@ def test_criterion_03_induction_all_transitions():
 
     combos = set()
     for t, order in systems:
-        m = build_ar9(t, order)
-        for rep in iterate_induction(m, 5):
-            assert rep.ok, f"induction failed at {rep.parent_triple} {rep.parent_order}"
-            assert rep.map.triple == ar_step(rep.parent_triple)[0]
-            combos.add((str(rep.parent_order), int(rep.case)))
+        parent = build_ar9(t, order)
+        for rep in iterate_induction(StageChain(parent), 5):
+            assert rep.ok, f"induction failed at {parent.triple} {parent.order}"
+            assert rep.map.triple == ar_step(parent.triple)[0]
+            combos.add((str(parent.order), int(rep.case)))
+            parent = rep.map
     assert len(combos) == 18, f"covered {len(combos)} of 18 transitions"
     elapsed = time.monotonic() - start
     assert elapsed <= 60
@@ -277,9 +279,10 @@ def test_criterion_06_tower_checks():
         order = ORDER_TAGS[i % 6]
         gaps = (F(0), F(0)) if i % 2 == 0 else (F(1, 3), F(2, 7))
         m = build_ar9(t, order, gaps)
-        stages = iterate_induction(m, 8)
+        chain = StageChain(m)
+        iterate_induction(chain, 8)
         for k in range(9):
-            family = towers_at_stage(m, stages, k)
+            family = towers_at_stage(chain, k)
             assert partition_check(family).ok
             assert adjacency_check(family).ok
             counts = level_component_counts(family)
@@ -349,7 +352,7 @@ def test_criterion_10_preimage_clusters():
     t = reconstruct_triple(prefix)
     assert t == (1705, 927, 504)
     m = build_ar9(t)
-    stages = iterate_induction(m, 9)
+    stages = iterate_induction(StageChain(m), 9)
     ladder = (25, 50, 100, 200, 350, 500)
 
     targets = 0

@@ -29,7 +29,7 @@ from ar_iet.iet import (
     build_ar9,
     order_from_roles,
 )
-from ar_iet.induction import iterate_induction
+from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.words import A9
 
 F = Fraction
@@ -107,7 +107,7 @@ def test_builder_matches_fraction_reference(order, gapped, origin):
             if gapped else (F(0), F(0)))
     shift = F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.choice((1, 997, 2**61)))
     m = build_ar9(t, order, gaps, shift if origin else F(0))
-    maps = [m] + [stage.map for stage in iterate_induction(m, rng.randint(1, 4))]
+    maps = [m] + [stage.map for stage in iterate_induction(StageChain(m), rng.randint(1, 4))]
     for each in maps:
         blocks = placements(each)
         args = (each.triple, blocks, each.order.reversed)
@@ -148,7 +148,7 @@ def test_rebuilt_map_is_equal_and_hashes_equal(order):
     rng = random.Random(f"rebuild/{order}")
     t = reconstruct_triple(tuple(Sym(rng.randint(1, 3)) for _ in range(10)))
     m = build_ar9(t, order, (F(1, 997), F(2, 3)), F(-5, 2**61))
-    for each in [m] + [stage.map for stage in iterate_induction(m, 4)]:
+    for each in [m] + [stage.map for stage in iterate_induction(StageChain(m), 4)]:
         again = ar9_from_placements(each.triple, placements(each), each.order.reversed)
         assert again == each
         assert hash(again) == hash(each)

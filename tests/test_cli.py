@@ -440,6 +440,24 @@ def test_experiment_two_measure_smoke(capsys):
     assert "l1" in payload and "exceeds_threshold" in payload
 
 
+@pytest.mark.parametrize("depth", ["0", "1"])
+def test_two_measure_applies_the_return_cap_to_every_stage(capsys, tmp_path, depth):
+    # at depth 0 every stage is one that jump_stages induces for the orbits
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("return_time_cap = 1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "experiment", "--two-measure",
+                         "--ks", "2,4,8", "--rules", "111", "--length", "10000",
+                         "--depth", depth)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "return-time-cap-exceeded"
+    assert error["detail"]["cap"] == "1"
+    # the default cap induces them
+    args = ("experiment", "--two-measure", "--ks", "2,4,8", "--rules", "111",
+            "--length", "10000", "--depth", depth)
+    assert run_json(capsys, *args)["depth"] == int(depth)
+
+
 def test_experiment_birkhoff_with_csv(capsys, tmp_path):
     payload = run_json(capsys, "--output-dir", str(tmp_path), "experiment",
                        "--birkhoff", "--triple", "7,4,2", "--point", "6",
@@ -601,6 +619,18 @@ def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, 
     assert int(error["detail"]["levels"]) > int(error["detail"]["cap"]) == 200_000
 
 
+@pytest.mark.parametrize("argv", [
+    ("towers", "--prefix", _THIRTY, "--stage", "24"),
+    ("render", "--towers", "--prefix", _THIRTY, "--stage", "24"),
+    ("check", "--all", "--prefix", _THIRTY, "--depth", "24"),
+])
+def test_stages_are_induced_before_the_level_cap(capsys, argv):
+    # stage 24 is over the level cap, and stage 1 already over a return cap of 1
+    code, out, err = run(capsys, *argv, "--cap", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "return-time-cap-exceeded"
+
+
 def test_induction_check_builds_no_tower(capsys, monkeypatch):
     import ar_iet.cli as cli
 
@@ -615,6 +645,33 @@ def test_induction_check_builds_no_tower(capsys, monkeypatch):
     assert payload["ok"]
 
 
+@pytest.mark.parametrize("kinds", [(), ("--all",), ("--induction", "--coding")])
+def test_every_check_holds_at_depth_zero(capsys, kinds):
+    # the induction check steps the chain to stage 1; coding still reads stage 0
+    payload = run_json(capsys, "check", *kinds, "--prefix", "1111", "--depth", "0")
+    checks = payload["targets"][0]["checks"]
+    assert set(checks) == set(payload["selected"])
+    assert all(checks.values()), checks
+    assert payload["ok"]
+
+
+def test_coding_check_induces_only_its_depth(capsys, monkeypatch):
+    from ar_iet import induction
+
+    induced = []
+    real = induction.induce_step
+
+    def counting(chain, k):
+        induced.append(k)
+        return real(chain, k)
+
+    monkeypatch.setattr(induction, "induce_step", counting)
+    payload = run_json(capsys, "check", "--coding", "--prefix", "1" * 16, "--depth", "14")
+    assert payload["ok"]
+    # the orbits jump through the chain's stages instead of inducing their own
+    assert induced == list(range(1, 15))
+
+
 @pytest.mark.parametrize("kinds, built", [
     (("--coding",), [8]),
     (("--coding", "--partition"), list(range(9))),
@@ -626,9 +683,9 @@ def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds,
     calls = []
     real = cli.towers_at_stage
 
-    def counting(m, stages, k):
+    def counting(chain, k):
         calls.append(k)
-        return real(m, stages, k)
+        return real(chain, k)
 
     monkeypatch.setattr(cli, "towers_at_stage", counting)
     payload = run_json(capsys, "check", *kinds, "--prefix", "1" * 12, "--depth", "8")
@@ -667,10 +724,10 @@ def test_check_holds_one_tower_family_at_a_time(capsys, monkeypatch):
     built = []
     real = cli.towers_at_stage
 
-    def tracking(m, stages, k):
+    def tracking(chain, k):
         # the family checked last may still be held while the next is built
         assert sum(ref() is not None for ref in built) <= 1
-        family = real(m, stages, k)
+        family = real(chain, k)
         built.append(weakref.ref(family))
         return family
 

@@ -211,8 +211,8 @@ def test_triples_of_plain_integers_run_every_path():
     t, twin = Triple(7, 4, 2), triple(7, 4, 2)
     m = build_ar9(t)
     assert m.lattice == build_ar9(twin).lattice
-    assert [s.map for s in induction.iterate_induction(m, 1)] == [
-        s.map for s in induction.iterate_induction(build_ar9(twin), 1)]
+    assert [s.map for s in induction.iterate_induction(induction.StageChain(m), 1)] == [
+        s.map for s in induction.iterate_induction(induction.StageChain(build_ar9(twin)), 1)]
     assert trajectory(m, 6, 600) == trajectory(build_ar9(twin), F(6), 600)
     assert ar9_apply(m, 6) == ar9_apply(build_ar9(twin), F(6))
     assert ar6_apply(build_ar6_canonical(t), 6) == ar6_apply(build_ar6_canonical(twin), F(6))
@@ -220,9 +220,15 @@ def test_triples_of_plain_integers_run_every_path():
 
 def test_trajectory_refuses_a_negative_length():
     m = build_ar9(triple(7, 4, 2))
-    for partition in ("nine", "three"):
+    runs = [lambda partition=partition: trajectory(m, F(6), -1, partition)
+            for partition in ("nine", "three")]
+    # and the jump machinery it codes orbits with
+    runs += [lambda: induction.jump_stages(induction.StageChain(m), -1),
+             lambda: list(induction.orbit_route(m, [], F(6), -1)),
+             lambda: induction.orbit_counts(m, [], F(6), -1)]
+    for run in runs:
         with pytest.raises(ValueError, match="orbit length must be nonnegative, got -1"):
-            trajectory(m, F(6), -1, partition)
+            run()
 
 
 def test_trajectory_checks_the_partition_before_walking(monkeypatch):

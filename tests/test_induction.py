@@ -12,6 +12,7 @@ from ar_iet.errors import NotInGasket, OutOfDomain, ReturnTimeCapExceeded
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Ar9Map, OrderTag, ar9_from_placements, build_ar9
 from ar_iet.induction import (
+    StageChain,
     induce_step,
     iterate_induction,
     predicted_order,
@@ -45,21 +46,21 @@ def test_predicted_order_full_table():
 
 
 def test_induce_742_first_order():
-    stage = induce_step(build_ar9(triple(7, 4, 2)))
+    stage = induce_step(StageChain(build_ar9(triple(7, 4, 2))), 1)
     assert stage.case == I
     assert stage.map.triple == triple(4, 2, 1)
     assert stage.map.order == OrderTag("third")
 
 
 def test_induce_case_iii_keeps_first_order():
-    stage = induce_step(build_ar9(triple(12, 4, 3)))
+    stage = induce_step(StageChain(build_ar9(triple(12, 4, 3))), 1)
     assert stage.case == III
     assert stage.map.triple == triple(5, 4, 3)
     assert stage.map.order == OrderTag("first")
 
 
 def test_induce_case_ii_reversed_second():
-    stage = induce_step(build_ar9(triple(9, 4, 2)))
+    stage = induce_step(StageChain(build_ar9(triple(9, 4, 2))), 1)
     assert stage.case == II
     assert stage.map.triple == triple(4, 3, 2)
     assert stage.map.order == OrderTag("second", True)
@@ -71,7 +72,7 @@ def test_induced_triple_commutes_with_ar_step():
         prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(2, 9)))
         t = reconstruct_triple(prefix)
         m = build_ar9(t, ORDER_TAGS[rng.randrange(6)])
-        stage = induce_step(m)
+        stage = induce_step(StageChain(m), 1)
         expected, case = ar_step(t)
         assert stage.map.triple == expected
         assert stage.case == case
@@ -79,7 +80,7 @@ def test_induced_triple_commutes_with_ar_step():
 
 def test_return_words_match_substitution():
     for case, t in CASE_TRIPLES.items():
-        stage = induce_step(build_ar9(t))
+        stage = induce_step(StageChain(build_ar9(t)), 1)
         table = sigma9(case).table
         assert stage.return_words == table
         assert stage.return_times == {ch: len(table[ch]) for ch in A9}
@@ -87,7 +88,7 @@ def test_return_words_match_substitution():
 
 def test_case_iii_return_times():
     # fixed letters return immediately, split letters after two applications
-    stage = induce_step(build_ar9(triple(12, 4, 3)))
+    stage = induce_step(StageChain(build_ar9(triple(12, 4, 3))), 1)
     assert [stage.return_times[ch] for ch in A9] == [1, 1, 1, 1, 2, 2, 2, 2, 2]
 
 
@@ -95,7 +96,7 @@ def test_induced_pieces_lie_in_old_ja():
     for case, t in CASE_TRIPLES.items():
         m = build_ar9(t)
         spans = (m.domain["1"], m.role_blocks[1], m.domain["4"])
-        stage = induce_step(m)
+        stage = induce_step(StageChain(m), 1)
         for ch in A9:
             piece = stage.map.domain[ch]
             assert any(
@@ -107,22 +108,25 @@ def test_all_eighteen_order_case_combinations():
     for tag in ORDER_TAGS:
         for case, t in CASE_TRIPLES.items():
             m = build_ar9(t, tag, gaps=(F(1), F(3, 2)))
-            stage = induce_step(m)
+            stage = induce_step(StageChain(m), 1)
             assert stage.map.order == predicted_order(tag, case)
-            report = induce_step(m)
+            report = induce_step(StageChain(m), 1)
             assert report.ok
             assert report.case == case
             assert report.map.order == predicted_order(tag, case)
 
 
 def test_verify_induction_report_fields():
-    report = induce_step(build_ar9(triple(9, 4, 2)))
+    chain = StageChain(build_ar9(triple(9, 4, 2)))
+    report = induce_step(chain, 1)
     assert report.ok
     assert report.lengths_ok and report.endpoints_ok
     assert report.translations_ok and report.words_ok
-    assert report.parent_triple == triple(9, 4, 2)
+    # the parent is the chain's stage 0, and the stage its stored step
+    assert (report.index, report.case) == (1, II) == (len(chain.cases), chain.cases[0])
+    assert chain.triples == [(9, 4, 2), (4, 3, 2)]
     assert report.map.triple == triple(4, 3, 2)
-    assert report.parent_order == OrderTag("first")
+    assert chain.m0.order == OrderTag("first")
     assert report.map.order == OrderTag("second", True)
     assert report.return_times["1"] == len(sigma9(II).table["1"])
 
@@ -133,14 +137,14 @@ def test_verify_induction_random_batch():
         prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(3, 8)))
         m = build_ar9(reconstruct_triple(prefix), ORDER_TAGS[rng.randrange(6)])
         for _ in range(3):
-            report = induce_step(m)
+            report = induce_step(StageChain(m), 1)
             assert report.ok
             m = report.map
 
 
 def test_iterate_induction_tribonacci():
     t = reconstruct_triple((I,) * 6)
-    stages = iterate_induction(build_ar9(t), 6)
+    stages = iterate_induction(StageChain(build_ar9(t)), 6)
     assert len(stages) == 6
     assert [s.case for s in stages] == [I] * 6
     assert [s.index for s in stages] == [1, 2, 3, 4, 5, 6]
@@ -148,17 +152,30 @@ def test_iterate_induction_tribonacci():
 
 
 def test_iterate_induction_k0():
-    assert iterate_induction(build_ar9(triple(7, 4, 2)), 0) == []
+    assert iterate_induction(StageChain(build_ar9(triple(7, 4, 2))), 0) == []
 
 
 def test_iterate_induction_refuses_a_negative_count():
     with pytest.raises(ValueError, match="stage count must be nonnegative, got -1"):
-        iterate_induction(build_ar9(triple(7, 4, 2)), -1)
+        iterate_induction(StageChain(build_ar9(triple(7, 4, 2))), -1)
+
+
+def test_induce_step_refuses_a_stage_out_of_range():
+    chain = StageChain(build_ar9(reconstruct_triple((I, II, III))))
+    for k in (0, 2, -1):
+        with pytest.raises(ValueError, match=rf"stage {k} outside the inducible range 1\.\.1"):
+            induce_step(chain, k)
+    iterate_induction(chain, 1)
+    with pytest.raises(ValueError, match=r"stage 3 outside the inducible range 1\.\.2"):
+        induce_step(chain, 3)
+    # a held stage may be induced again, from the same stored step
+    assert induce_step(chain, 1) == chain.stages[0]
+    assert induce_step(chain, 2).case == II
 
 
 def test_iterate_induction_reports_failing_stage():
     with pytest.raises(NotInGasket) as exc:
-        iterate_induction(build_ar9(triple(7, 4, 2)), 3)
+        iterate_induction(StageChain(build_ar9(triple(7, 4, 2))), 3)
     assert exc.value.detail["at_step"] == 2
 
 
@@ -171,23 +188,23 @@ def test_swapped_substitution_fails_the_word_check(monkeypatch):
 
     monkeypatch.setattr(induction, "sigma9", swapped)
     m = build_ar9(reconstruct_triple((I, I, II)))
-    stage = induce_step(m)
+    stage = induce_step(StageChain(m), 1)
     assert not stage.words_ok
     assert not stage.ok
     assert stage.lengths_ok and stage.endpoints_ok and stage.translations_ok
     with pytest.raises(RuntimeError, match=r"induction stage 1 .*words_ok"):
-        iterate_induction(m, 3)
+        iterate_induction(StageChain(m), 3)
 
 
 def test_return_cap_exceeded(monkeypatch):
     with pytest.raises(ReturnTimeCapExceeded):
-        induce_step(build_ar9(triple(12, 4, 3)), cap=1)
+        induce_step(StageChain(build_ar9(triple(12, 4, 3)), 1), 1)
     # induced on the wrong set, J_a without I_3: a piece that passes through
     # I_3 and I_5 lands on [11,14), across the end of I_2 = [11,13)
     monkeypatch.setattr(induction, "J_A", "124")
     with pytest.raises(RuntimeError, match=r"^interval \[11,14\) returns to J_a only "
                                            r"partially after \['3', '5'\]$"):
-        induce_step(build_ar9(triple(7, 4, 2)))
+        induce_step(StageChain(build_ar9(triple(7, 4, 2))), 1)
 
 
 def _pushed(lat, regions, left, right, cap):
@@ -248,7 +265,7 @@ def test_wrong_span_roles_fail_the_order_check(monkeypatch):
     monkeypatch.setitem(induction._SPAN_ROLES, I, (0, 1, 2))
     with pytest.raises(RuntimeError, match=r"^span arrangement first disagrees with "
                                            r"the transition table third$"):
-        induce_step(build_ar9(triple(7, 4, 2), gaps=(F(3), F(5))))
+        induce_step(StageChain(build_ar9(triple(7, 4, 2), gaps=(F(3), F(5)))), 1)
 
 
 def test_partial_return_from_outside_j_a(monkeypatch):
@@ -257,13 +274,13 @@ def test_partial_return_from_outside_j_a(monkeypatch):
     monkeypatch.setattr(induction, "J_A", "3")
     with pytest.raises(RuntimeError, match=r"^interval \[11,14\) returns to J_a only "
                                            r"partially after \['3', '5'\]$"):
-        induce_step(build_ar9(triple(7, 4, 2)))
+        induce_step(StageChain(build_ar9(triple(7, 4, 2))), 1)
 
 
 def test_induction_insensitive_to_gaps():
     t = triple(9, 4, 2)
-    plain = induce_step(build_ar9(t))
-    gapped = induce_step(build_ar9(t, gaps=(F(2), F(5))))
+    plain = induce_step(StageChain(build_ar9(t)), 1)
+    gapped = induce_step(StageChain(build_ar9(t, gaps=(F(2), F(5)))), 1)
     assert gapped.case == plain.case
     assert gapped.map.triple == plain.map.triple
     assert gapped.map.order == plain.map.order
@@ -296,7 +313,7 @@ def test_landed_one_unit_off_fails_the_endpoint_checks(monkeypatch, shift_left,
                                                        shift_right, failed):
     m = build_ar9(reconstruct_triple((I, II, I, III, I, I)))
     _shift_landed(monkeypatch, shift_left, shift_right)
-    stage = induce_step(m)
+    stage = induce_step(StageChain(m), 1)
     assert not stage.endpoints_ok
     assert stage.translations_ok == (shift_left == 0)
     assert stage.lengths_ok and stage.words_ok
@@ -305,7 +322,7 @@ def test_landed_one_unit_off_fails_the_endpoint_checks(monkeypatch, shift_left,
     monkeypatch.undo()
     _shift_landed(monkeypatch, shift_left, shift_right, after=len(A9))
     with pytest.raises(RuntimeError, match=rf"induction stage 2 .*: {failed}$"):
-        iterate_induction(m, 3)
+        iterate_induction(StageChain(m), 3)
 
 
 def _relabel_1_and_7(layout):
@@ -330,7 +347,7 @@ def test_relabeled_pieces_fail_the_length_check(monkeypatch):
         return _relabel_1_and_7(real(t)) if len(calls) > 1 else real(t)
 
     monkeypatch.setattr(iet, "_piece_layout", lambda t: _relabel_1_and_7(real(t)))
-    stage = induce_step(m)
+    stage = induce_step(StageChain(m), 1)
     # every relabeled piece still lands on its image with its own offset
     assert stage.endpoints_ok and stage.translations_ok
     assert not stage.lengths_ok
@@ -338,7 +355,7 @@ def test_relabeled_pieces_fail_the_length_check(monkeypatch):
     # the first induced map is built right, the second relabeled
     monkeypatch.setattr(iet, "_piece_layout", relabeled)
     with pytest.raises(RuntimeError, match=r"induction stage 2 .*: lengths_ok"):
-        iterate_induction(m, 3)
+        iterate_induction(StageChain(m), 3)
 
 
 def _count_fraction_comparisons(monkeypatch) -> Counter:
@@ -357,7 +374,7 @@ def test_induction_builds_no_fraction_views(monkeypatch):
     ks = tuple(2 ** n for n in range(1, 9))
     m = build_ar9(reconstruct_triple(PartialQuotients(ks, (I,) * 8).expand()))
     counts = _count_fraction_comparisons(monkeypatch)
-    stages = iterate_induction(m, 510)
+    stages = iterate_induction(StageChain(m), 510)
     assert not counts, counts  # the stages are stepped and checked on integers
     ar_step(m.triple)
     assert counts  # and the wrappers do count
@@ -370,8 +387,9 @@ def test_induction_builds_no_fraction_views(monkeypatch):
 @pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
 @pytest.mark.parametrize("gapped", (False, True), ids=("adjacent", "gapped"))
 def test_integer_stages_follow_the_fraction_step(order, gapped):
-    # each stage is stepped on its parent's integers; seeded triples on
-    # lattices with D > 1 run until they leave the gasket or reach 30 stages
+    # each stage is stepped on the stage-0 integers of one chain and laid
+    # out on its parent's; seeded triples on lattices with D > 1 run until
+    # they leave the gasket or reach 30 stages
     rng = random.Random(f"integer-step/{order}/{gapped}")
     stepped = left = 0
     for _ in range(6):
@@ -384,20 +402,22 @@ def test_integer_stages_follow_the_fraction_step(order, gapped):
             else (F(0), F(0))
         m = build_ar9(reconstruct_triple(prefix, seed=seed), order, gaps=gaps)
         assert m.lattice.D > 1
+        chain = StageChain(m)
         for k in range(1, 31):
             try:
                 expected = ar_step(m.triple)
             except NotInGasket as e:
                 with pytest.raises(NotInGasket) as exc:
-                    induce_step(m, index=k)
+                    induce_step(chain, k)
                 assert str(exc.value) == str(e)
                 assert exc.value.detail == e.detail
                 left += 1
                 break
-            stage = induce_step(m, index=k)
+            stage = induce_step(chain, k)
             assert (stage.map.triple, stage.case) == expected, (prefix, seed, k)
             assert all(type(v) is F for v in stage.map.triple)
             stepped += 1
+            chain.stages.append(stage)
             m = stage.map
     assert stepped > 30 and left > 0
 
@@ -417,7 +437,7 @@ def test_not_in_gasket_off_the_integer_lattice(t, order, gaps, message, detail):
     m = build_ar9(t, order, gaps=gaps)
     assert m.lattice.D > 1
     with pytest.raises(NotInGasket) as exc:
-        iterate_induction(m, 10)
+        iterate_induction(StageChain(m), 10)
     assert str(exc.value) == message
     assert exc.value.detail == detail
 
@@ -453,7 +473,7 @@ def test_stage_maps_match_the_fraction_builder():
             # induced maps fall back to the builder's lattice
             m = Ar9Map(m.triple, m.order, m.lattice.refined(2 * 3 * m.lattice.D))
         parent = m
-        for stage in iterate_induction(m, len(prefix)):
+        for stage in iterate_induction(StageChain(m), len(prefix)):
             assert stage.map == _reference_stage_map(parent, stage), (trial, stage.index)
             reduced += stage.map.lattice.D < parent.lattice.D
             compared += 1

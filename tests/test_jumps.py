@@ -20,19 +20,22 @@ from fractions import Fraction
 
 import pytest
 
-from ar_iet import analysis
+from ar_iet import analysis, induction
 from ar_iet.analysis import birkhoff_frequencies, two_measure_experiment
+from ar_iet.cli import main
 from ar_iet.errors import NotInGasket, OutOfDomain
-from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, OrderTag, build_ar9, trajectory
+from ar_iet.gasket import PartialQuotients, Sym, Triple, ar_step, reconstruct_triple, triple
+from ar_iet.iet import ORDER_TAGS, OrderTag, _scaled, build_ar9, trajectory
 from ar_iet.induction import (
     STAGE_COST,
+    StageChain,
     iterate_induction,
     jump_stages,
     orbit_counts,
     orbit_route,
 )
-from ar_iet.words import A9, heights_by_matrix, project
+from ar_iet.towers import towers_at_stage
+from ar_iet.words import A9, heights_by_matrix, letter_height, project
 
 F = Fraction
 DENOMINATORS = (997, 2**61 - 1, 2**127 - 1)
@@ -77,10 +80,10 @@ def assert_same_error(got, want):
 @pytest.mark.parametrize("order,gapped", CASES, ids=IDS)
 def test_jumps_code_the_orbit_of_the_walk(order, gapped):
     m, points = system(order, gapped)
-    stages = jump_stages(m, LONG[-1])
+    stages = jump_stages(StageChain(m), LONG[-1])
     K = len(stages)
     assert K >= 3
-    assert [s.map for s in stages] == [s.map for s in iterate_induction(m, K)]
+    assert [s.map for s in stages] == [s.map for s in iterate_induction(StageChain(m), K)]
     heights = heights_by_matrix([s.case for s in stages])
     short = sorted({0, 1} | {h + d for hv in heights for h in hv for d in (-1, 0, 1)})
     for x in points:
@@ -100,7 +103,7 @@ def test_jumps_code_the_orbit_of_the_walk(order, gapped):
 @pytest.mark.parametrize("order,gapped", CASES, ids=IDS)
 def test_jumps_raise_the_errors_of_the_walk(order, gapped):
     m, _ = system(order, gapped)
-    stages = jump_stages(m, LONG[-1])
+    stages = jump_stages(StageChain(m), LONG[-1])
     support = sorted(m.role_blocks)
     unit = F(1, DENOMINATORS[-1])
     starts = [support[0].left - unit, support[0].left - 1, support[-1].right,
@@ -126,9 +129,9 @@ def test_jumps_raise_the_errors_of_the_walk(order, gapped):
                 assert_same_error(got.value, want)
 
 
-def ref_jump_stage(t, n):
-    """The k of least cost by the cost rule, every k evaluated; ties go to
-    the smallest k."""
+def ref_jump_stage(t, n, held=0):
+    """The k of least cost by the cost rule, every k evaluated, stages
+    1..held free; ties go to the smallest k."""
     cases, sums = [], [sum(t)]
     try:
         while True:
@@ -137,7 +140,7 @@ def ref_jump_stage(t, n):
             sums.append(sum(t))
     except NotInGasket:
         pass
-    costs = [k * STAGE_COST + max(hv) + n * sums[k] / sums[0]
+    costs = [max(k - held, 0) * STAGE_COST + max(hv) + n * sums[k] / sums[0]
              for k, hv in enumerate(heights_by_matrix(cases))]
     return costs.index(min(costs))
 
@@ -148,7 +151,7 @@ def test_jump_stage_minimizes_the_estimated_cost():
         prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(rng.randint(1, 40)))
         m = build_ar9(reconstruct_triple(prefix))
         for n in (0, 1, 500, 752, 753, 2_000, 20_000, 10**6, 10**9):
-            assert len(jump_stages(m, n)) == ref_jump_stage(m.triple, n), (prefix, n)
+            assert len(jump_stages(StageChain(m), n)) == ref_jump_stage(m.triple, n), (prefix, n)
     # an orbit of at most 752 steps is always walked: one stage costs
     # STAGE_COST plus a height of 2, and |B_1| / |X| = a / (a + b + c) > 1/3
     assert all(ref_jump_stage(reconstruct_triple((s,) * 30), 752) == 0 for s in Sym)
@@ -156,45 +159,44 @@ def test_jump_stage_minimizes_the_estimated_cost():
 
 def test_orbits_shorter_than_one_stage_step_no_triple(monkeypatch):
     # the check --coding orbits and the preimage ladders are this short
-    import ar_iet.induction as induction
-
     def ar_step(t):
         raise AssertionError("the triple was stepped")
 
     m = build_ar9(reconstruct_triple((Sym.I, Sym.II, Sym.III) * 10))
     monkeypatch.setattr(induction, "ar_step", ar_step)
     for n in (0, 1, 500, STAGE_COST + 1):
-        assert jump_stages(m, n) == []
+        assert jump_stages(StageChain(m), n) == []
     with pytest.raises(AssertionError):
-        jump_stages(m, STAGE_COST + 2)
+        jump_stages(StageChain(m), STAGE_COST + 2)
 
 
 def test_jump_stage_is_capped_where_the_triple_leaves_the_gasket():
     m = build_ar9(triple(7, 4, 2))  # (7,4,2) -> (4,2,1), which ties
-    assert len(jump_stages(m, 10**9)) == 1
+    assert len(jump_stages(StageChain(m), 10**9)) == 1
     assert trajectory(m, F(6), 10**4) == walked(m, F(6), 10**4)
 
 
 def test_held_stages_are_reused_and_cost_nothing():
     prefix = (Sym.I, Sym.II, Sym.III) * 10
     m = build_ar9(reconstruct_triple(prefix))
-    held = iterate_induction(m, 20)
-    free = jump_stages(m, 20_000, held)
-    assert len(free) > len(jump_stages(m, 20_000))
+    chain = StageChain(m)
+    held = iterate_induction(chain, 20)
+    free = jump_stages(chain, 20_000)
+    assert len(free) > len(jump_stages(StageChain(m), 20_000))
     assert all(a is b for a, b in zip(free, held))
-    assert jump_stages(m, 0, held) == []
-    more = jump_stages(m, 10**9, held[:2])
-    assert more[:2] == held[:2] and len(more) > 2
-    assert [s.map for s in more] == [s.map for s in iterate_induction(m, len(more))]
+    assert jump_stages(chain, 0) == []
+    chain = StageChain(m)
+    held = iterate_induction(chain, 2)
+    more = jump_stages(chain, 10**9)
+    assert more[:2] == held and len(more) > 2
+    assert [s.map for s in more] == [s.map for s in iterate_induction(StageChain(m), len(more))]
 
 
 def test_a_stage_that_fails_its_checks_stays_a_fault(monkeypatch):
-    import ar_iet.induction as induction
-
     real = induction.induce_step
 
-    def broken(m, index=1, cap=induction.DEFAULT_RETURN_CAP):
-        stage = real(m, index, cap)
+    def broken(chain, k):
+        stage = real(chain, k)
         return induction.InductionStage(**{**vars(stage), "words_ok": False})
 
     monkeypatch.setattr(induction, "induce_step", broken)
@@ -214,7 +216,7 @@ TRAJ02 = (triple(1622293859, 858063028, 179823630), OrderTag("third"),
 def test_long_orbits_keep_no_left_ends(n, k, kib):
     t, order, x = TRAJ02
     m = build_ar9(t, order)
-    assert len(jump_stages(m, n)) == k
+    assert len(jump_stages(StageChain(m), n)) == k
     tracemalloc.start()
     try:
         word = trajectory(m, x, n)
@@ -229,7 +231,7 @@ def test_frequencies_keep_nothing_per_jump():
     # (7,4,2) leaves the gasket after one step, so 10^5 steps take about
     # 54,000 jumps through B_1
     m = build_ar9(triple(7, 4, 2))
-    assert len(jump_stages(m, 10**5)) == 1
+    assert len(jump_stages(StageChain(m), 10**5)) == 1
     tracemalloc.start()
     try:
         counts = birkhoff_frequencies(m, F(6), 10**5).counts
@@ -269,3 +271,79 @@ def test_birkhoff_on_the_two_measure_regime_at_ten_million_steps():
         counts.update(letters[:-1])
         p = lefts[-1]
     assert birkhoff_frequencies(m, x, 10**6).counts == dict(counts)
+
+
+@pytest.mark.parametrize("order,gapped", CASES, ids=IDS)
+def test_the_chain_holds_each_stage_once(order, gapped):
+    m, _ = system(order, gapped)
+    D0, K = m.lattice.D, 10
+    chain = StageChain(m)
+    stages = iterate_induction(chain, K)
+    assert chain.cases == [s.case for s in stages]
+    maps = [m, *(s.map for s in stages)]
+    assert chain.triples == [Triple(*_scaled(D0, each.triple)) for each in maps]
+    for k in range(K + 1):
+        hv = chain.heights[k]
+        assert hv == heights_by_matrix(chain.cases[:k])[-1], k
+        f = towers_at_stage(chain, k)
+        assert all(f.nine[ch].height == letter_height(ch, hv) for ch in A9), k
+    # a chain that already holds stages counts them as free, and hands the
+    # same stage objects back
+    for held in (0, 2, K):
+        for n in (0, 1, 753, 5_000, 50_000, 10**6, 10**9):
+            chain = StageChain(m)
+            before = iterate_induction(chain, held)
+            got = jump_stages(chain, n)
+            assert len(got) == ref_jump_stage(m.triple, n, held), (held, n)
+            assert all(a is b for a, b in zip(got, before))
+            assert chain.stages[:len(got)] == got
+
+
+@pytest.mark.parametrize("depth", [[], ["--depth", "0"]], ids=("depth510", "depth0"))
+def test_each_stage_is_stepped_once(monkeypatch, capsys, depth):
+    # the 510-stage two-measure run: at depth 510 every stage is induced
+    # before jump_stages reads the chain; at depth 0 jump_stages steps the
+    # triples ahead and then induces the stages it picks from those steps
+    real, stepped, left = induction.ar_step, [], []
+
+    def counting(t):
+        try:
+            result = real(t)
+        except NotInGasket:
+            left.append(t)
+            raise
+        stepped.append(t)
+        return result
+
+    monkeypatch.setattr(induction, "ar_step", counting)
+    ks = ",".join(str(2**n) for n in range(1, 9))
+    argv = ["experiment", "--two-measure", "--ks", ks, "--rules", "1" * 8, "--length", "10000"]
+    assert main(argv + depth) == 0
+    capsys.readouterr()
+    assert len(stepped) == len(set(stepped))
+    assert len(left) <= 1
+    if not depth:
+        assert len(stepped) == 510
+
+
+def test_a_chain_steps_out_of_the_gasket_once(monkeypatch):
+    # (7,4,2) -> (4,2,1), which ties: the chain holds one step and then
+    # remembers that the next one leaves the gasket
+    real, calls = induction.ar_step, []
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(induction, "ar_step", counting)
+    chain = StageChain(build_ar9(triple(7, 4, 2)))
+    for _ in range(2):
+        assert len(jump_stages(chain, 10**9)) == 1
+    assert calls == [(7, 4, 2), (4, 2, 1)]
+    # inducing past it steps the stage-1 triple again only to word the
+    # error in its Fractions
+    with pytest.raises(NotInGasket) as exc:
+        iterate_induction(chain, 2)
+    assert str(exc.value) == "a-b-c = 1 ties another entry of (4,2,1)"
+    assert exc.value.detail == {"reason": "tie", "at_step": 2}
+    assert calls[2:] == [triple(4, 2, 1)] and type(calls[2].a) is F

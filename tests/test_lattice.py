@@ -21,7 +21,7 @@ import pytest
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple
 from ar_iet.iet import ORDER_TAGS, _merge, ar9_apply, build_ar9, trajectory
-from ar_iet.induction import iterate_induction
+from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.towers import (
     PartitionReport,
     adjacency_check,
@@ -107,8 +107,9 @@ def test_lattice_matches_fraction_reference(order, gapped):
         assert trajectory(m, x, 200) == ref_trajectory(m, x, 200)
 
     k = rng.randint(1, min(len(prefix), 6))
-    stages = iterate_induction(m, k)
-    f = towers_at_stage(m, stages, k)
+    chain = StageChain(m)
+    stages = iterate_induction(chain, k)
+    f = towers_at_stage(chain, k)
     for ch in A9:
         tower = f.nine[ch]
         levels, word = ref_tower(m, stages[-1].map.domain[ch], tower.height)
@@ -130,11 +131,12 @@ def test_map_on_a_finer_lattice_induces_the_same_stages(order, gapped):
     m = build_ar9(reconstruct_triple(prefix), order, gaps)
     fine = dataclasses.replace(m, lattice=m.lattice.refined(3 * m.lattice.D))
     assert fine.domain == m.domain and fine.image == m.image and fine != m
-    got, want = iterate_induction(fine, 5), iterate_induction(m, 5)
+    fine_chain, chain = StageChain(fine), StageChain(m)
+    got, want = iterate_induction(fine_chain, 5), iterate_induction(chain, 5)
     assert [s.map for s in got] == [s.map for s in want]
     assert [s.return_words for s in got] == [s.return_words for s in want]
     for k in (1, 5):
-        f, g = towers_at_stage(fine, got, k), towers_at_stage(m, want, k)
+        f, g = towers_at_stage(fine_chain, k), towers_at_stage(chain, k)
         for ch in A9:
             assert f.nine[ch].base == g.nine[ch].base
             assert f.nine[ch].levels == g.nine[ch].levels
@@ -242,9 +244,10 @@ def test_walk_matches_step_by_step_push(order, gapped):
 def test_column_towers_match_references(order, gapped):
     _, prefix, m = system(order, gapped)
     k = min(len(prefix), 7)
-    stages = iterate_induction(m, k)
+    chain = StageChain(m)
+    stages = iterate_induction(chain, k)
     for stage in range(k + 1):
-        f = towers_at_stage(m, stages, stage)
+        f = towers_at_stage(chain, stage)
         bases = (stages[stage - 1].map if stage else m).domain
         for ch in A9:
             tower = f.nine[ch]
@@ -271,7 +274,9 @@ def test_column_towers_match_references(order, gapped):
 def test_partition_check_matches_the_sorted_sweep(order, gapped):
     rng, prefix, m = system(order, gapped)
     k = rng.randint(1, min(len(prefix), 6))
-    f = towers_at_stage(m, iterate_induction(m, k), k)
+    chain = StageChain(m)
+    iterate_induction(chain, k)
+    f = towers_at_stage(chain, k)
     ch, other = rng.sample(A9, 2)
     tower = f.nine[ch]
     j = rng.randrange(tower.height)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import ar_iet.iet as iet
 from ar_iet.cli import main
 from ar_iet.gasket import reconstruct_triple, parse_prefix, triple
-from ar_iet.induction import jump_stages
+from ar_iet.induction import StageChain, jump_stages
 
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -42,7 +42,7 @@ x = Fraction(1234, 7)
 lat = m.lattice.refined(7)
 walk = "".join(lat.walk(lat.coordinate(x), lat.coordinate(x) + 1, 12000)[0])
 print(json.dumps({"debug": __debug__, "code": code, "check": json.loads(out.getvalue()),
-                  "broken": broken, "stages": len(jump_stages(m, 12000)),
+                  "broken": broken, "stages": len(jump_stages(StageChain(m), 12000)),
                   "orbit_ok": iet.trajectory(m, x, 12000) == walk}))
 """
 

@@ -10,7 +10,7 @@ import pytest
 from ar_iet.errors import OutOfDomain
 from ar_iet.gasket import Sym, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Interval, Lattice, _merge, build_ar9
-from ar_iet.induction import iterate_induction
+from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.towers import (
     adjacency_check,
     level_component_counts,
@@ -26,14 +26,14 @@ F = Fraction
 
 def family_for(prefix, k, order=ORDER_TAGS[0], gaps=(F(0), F(0))):
     t = reconstruct_triple(prefix)
-    m0 = build_ar9(t, order, gaps)
-    stages = iterate_induction(m0, k)
-    return m0, stages, towers_at_stage(m0, stages, k)
+    chain = StageChain(build_ar9(t, order, gaps))
+    stages = iterate_induction(chain, k)
+    return chain, stages, towers_at_stage(chain, k)
 
 
 def test_stage_zero_towers_are_the_pieces():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(m0, [], 0)
+    f = towers_at_stage(StageChain(m0), 0)
     for ch in A9:
         tower = f.nine[ch]
         assert tower.height == 1
@@ -138,7 +138,8 @@ def test_checks_refuse_towers_on_different_lattices():
 
 
 def test_straddling_base_negative_control():
-    m0, stages, _ = family_for((I, I), 1)
+    chain, stages, _ = family_for((I, I), 1)
+    m0 = chain.m0
     # 7 and 8 are neighbours in the first block of the first order
     stage = stages[0]
     lat = stage.map.lattice.refined(m0.lattice.D)
@@ -148,7 +149,8 @@ def test_straddling_base_negative_control():
     bad_map = dataclasses.replace(stage.map, lattice=Lattice.sorted_from(lat.D, rows))
     assert bad_map.domain["1"] == Interval(m0.domain["7"].left, m0.domain["8"].right)
     with pytest.raises(RuntimeError, match="level 0 of tower 1: .* straddles"):
-        towers_at_stage(m0, [dataclasses.replace(stage, map=bad_map)], 1)
+        chain.stages[0] = dataclasses.replace(stage, map=bad_map)
+        towers_at_stage(chain, 1)
 
 
 def test_unequal_member_heights_raise(monkeypatch):
@@ -184,7 +186,7 @@ def test_checks_leave_the_projected_towers_unbuilt():
 
 def test_adjacency_stage0_first_order():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(m0, [], 0)
+    f = towers_at_stage(StageChain(m0), 0)
     report = adjacency_check(f)
     assert report.ok
     # 2 leftmost: I2=[11,13) then I3=[13,17)
@@ -198,7 +200,7 @@ def test_adjacency_sweep_with_sidedness():
         prefix = tuple(rng.choice((I, II, III)) for _ in range(n + 1))
         order = ORDER_TAGS[rng.randrange(6)]
         gaps = (F(rng.randint(0, 2)), F(rng.randint(0, 2)))
-        m0, stages, f = family_for(prefix, n, order, gaps)
+        _, _, f = family_for(prefix, n, order, gaps)
         report = adjacency_check(f)
         assert report.ok, report.violations[:2]
         # explicit sidedness of the 8|9 pair at level 0
@@ -269,9 +271,10 @@ def test_component_counts_match_merge_at_bench_depth(order, gapped):
     gaps = (F(rng.randint(1, 9), rng.randint(2, 12)), F(rng.randint(1, 9), rng.randint(2, 12))) \
         if gapped else (F(0), F(0))
     m0 = build_ar9(reconstruct_triple(prefix), order, gaps)
-    stages = iterate_induction(m0, 12)
+    chain = StageChain(m0)
+    iterate_induction(chain, 12)
     for k in range(13):
-        f = towers_at_stage(m0, stages, k)
+        f = towers_at_stage(chain, k)
         counts = level_component_counts(f)
         assert counts == ref_component_counts(f), k
     # negative control at the deepest stage: one touch fewer in a row of the
@@ -295,7 +298,7 @@ def test_component_bounds_sweep():
 
 def test_stage0_component_counts_first_order_adjacent():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(m0, [], 0)
+    f = towers_at_stage(StageChain(m0), 0)
     counts = level_component_counts(f)
     # adjacent blocks: J_a merges to [6,20); J_b = [20,26) u [0,2); J_c = [2,6)
     assert counts == {"a": 1, "b": 2, "c": 1}
@@ -304,9 +307,9 @@ def test_stage0_component_counts_first_order_adjacent():
 def test_locate_and_point_determination():
     rng = random.Random(79)
     prefix = (I, II, I, III, I, I)
-    m0, stages, _ = family_for(prefix, 5)
-    families = [towers_at_stage(m0, stages, k) for k in range(0, 6)]
-    support = sorted(m0.role_blocks)
+    chain, _, _ = family_for(prefix, 5)
+    families = [towers_at_stage(chain, k) for k in range(0, 6)]
+    support = sorted(chain.m0.role_blocks)
     points = []
     while len(points) < 12:
         block = support[rng.randrange(3)]
@@ -321,12 +324,17 @@ def test_locate_and_point_determination():
 
 def test_locate_outside_raises():
     m0 = build_ar9(triple(7, 4, 2), gaps=(F(1), F(0)))
-    f = towers_at_stage(m0, [], 0)
+    f = towers_at_stage(StageChain(m0), 0)
     with pytest.raises(OutOfDomain):
         locate(f, F(11, 1) + F(1, 2))
 
 
 def test_towers_stage_range_validation():
-    m0 = build_ar9(triple(7, 4, 2))
-    with pytest.raises(ValueError):
-        towers_at_stage(m0, [], 1)
+    chain = StageChain(build_ar9(triple(7, 4, 2)))
+    # a stage whose triple and heights the chain holds but has not induced
+    assert chain.step() and len(chain.heights) == 2
+    for k in (1, -1):
+        with pytest.raises(ValueError, match=rf"stage {k} outside the computed range 0\.\.0"):
+            towers_at_stage(chain, k)
+    iterate_induction(chain, 1)
+    assert towers_at_stage(chain, 1).stage == 1
