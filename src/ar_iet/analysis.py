@@ -267,12 +267,16 @@ class FrequencyVector:
         return {ch: Fraction(self.counts.get(ch, 0), self.length) for ch in A9}
 
 
-def birkhoff_frequencies(m: Ar9Map, x: Fraction, n: int) -> FrequencyVector:
+def birkhoff_frequencies(
+    m: Ar9Map, x: Fraction, n: int, return_cap: int = DEFAULT_RETURN_CAP
+) -> FrequencyVector:
     """The letter counts of the n-letter coding of x, added jump by jump
-    through the stages that jump_stages picks for n."""
+    through the stages that jump_stages picks for n, each induced under
+    return_cap."""
     if n < 1:
         raise ValueError("orbit length must be positive")
-    return FrequencyVector(x, n, orbit_counts(m, jump_stages(StageChain(m), n), x, n))
+    jumping = jump_stages(StageChain(m, return_cap), n)
+    return FrequencyVector(x, n, orbit_counts(m, jumping, x, n))
 
 
 def l1_distance(v1: FrequencyVector, v2: FrequencyVector) -> Fraction:

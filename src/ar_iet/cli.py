@@ -318,7 +318,7 @@ def cmd_orbit(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     x = _start_point(args, m, config)
-    coding = trajectory(m, x, args.length, args.partition)
+    coding = trajectory(m, x, args.length, args.partition, config.return_time_cap)
     counts = {ch: coding.count(ch) for ch in set(coding)}
     payload = {
         "schema": "ar-iet/orbit/1",
@@ -547,7 +547,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
         t = _resolve_triple(args, config)
         m = build_ar9(t, order=args.order)
         x = _start_point(args, m, config)
-        vector = birkhoff_frequencies(m, x, args.length)
+        vector = birkhoff_frequencies(m, x, args.length, config.return_time_cap)
         payload = {
             "schema": "ar-iet/experiment-birkhoff/1",
             "triple": t,

@@ -9,6 +9,7 @@ points the directing sequences parametrize.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -118,13 +119,17 @@ def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Tr
     Inverse steps, applied for the symbols in reverse order:
       III: (a+b+c, b, c)    II: (a+b+c, a, c)    I: (a+b+c, a, b)
     Each inverse lands strictly admissible, so the forward replay is exact.
+    An inverse step only adds, so the replay runs on the seed's integers
+    times the lcm of its denominators, and the three Fractions are built
+    once, at the end.  The seed may hold Fractions or plain ints.
     """
     if not is_admissible(seed):
         raise InvalidSeed(f"seed {seed} violates a > b > c > 0", triple=seed)
     if len(prefix) > RECONSTRUCT_CAP:
         raise PrefixTooLong(f"prefix length {len(prefix)} exceeds cap {RECONSTRUCT_CAP}",
                             length=len(prefix), cap=RECONSTRUCT_CAP)
-    a, b, c = seed
+    D = math.lcm(*(v.denominator for v in seed))
+    a, b, c = (v.numerator * (D // v.denominator) for v in seed)
     for sym in reversed(prefix):
         s = a + b + c
         if sym is Sym.III:
@@ -133,7 +138,7 @@ def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Tr
             a, b, c = s, a, c
         else:
             a, b, c = s, a, b
-    return Triple(a, b, c)
+    return Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D))
 
 
 RULE_SYMS = (Sym.I, Sym.II)

@@ -21,10 +21,11 @@ coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
 Both maps are therefore stored as integers times D (`Lattice`), and their
 Fraction tables are views of them, built on first read.  Pushing an interval
 is a bisection over integer left ends, and one integer routine lays out the
-pieces of the built and the induced maps alike, checking the triple on its
-integers.  A rational point is moved by one integer lookup: its ratio is
-read once, its piece found by one bisection, and one Fraction built for its
-image.
+pieces of the built and the induced maps alike, in one pass over the
+blocks, checking the triple on its integers and building Fractions only for
+the errors it raises.  A rational point is moved by one integer lookup: its
+ratio is read once, its piece found by one bisection, and one Fraction
+built for its image.
 """
 from __future__ import annotations
 
@@ -33,10 +34,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import OutOfDomain
-from .gasket import Triple, is_admissible, omega_lengths, require_admissible
+from .gasket import Triple, omega_lengths, require_admissible
 from .words import A9, project
 
 
@@ -340,48 +342,63 @@ def _lay_out(
     """Lay the map of t out on (1/D)Z from abc, t times D as a Triple of
     integers, and starts, the block left ends times D by role; t must be
     admissible, which is checked on abc.  The builders and induction, which
-    lays an induced map on its parent's lattice, share it."""
-    if not is_admissible(abc):
-        require_admissible(t)  # raises, in the Fractions of t
+    lays an induced map on its parent's lattice, share it.
+
+    One pass over the blocks, left to right, lays out the domain and the
+    image pieces of each; the role order is read off three comparisons.
+    Fractions are built only for the error raised."""
     a, b, c = abc
+    if not a > b > c > 0:  # is_admissible, on the integers
+        require_admissible(t)  # raises, in the Fractions of t
     ends = (starts[0] + a + b, starts[1] + b + c, starts[2] + a + c)  # as omega_lengths
-
-    def interval(left: int, right: int) -> Interval:
-        return Interval(Fraction(left, D), Fraction(right, D))
-
-    for r in range(3):
-        for s in range(r + 1, 3):
+    # the role order by comparisons; the blocks are nonempty, so they are
+    # apart exactly when each, left to right, ends where or before the next starts
+    s0, s1, s2 = starts
+    if s0 < s1:
+        roles = (0, 1, 2) if s1 < s2 else (0, 2, 1) if s0 < s2 else (2, 0, 1)
+    else:
+        roles = (1, 0, 2) if s0 < s2 else (1, 2, 0) if s1 < s2 else (2, 1, 0)
+    first, middle, last = roles
+    if ends[first] > starts[middle] or ends[middle] > starts[last]:
+        for r, s in ((0, 1), (0, 2), (1, 2)):
             if starts[r] < ends[s] and starts[s] < ends[r]:
-                raise ValueError(
-                    f"role blocks {r} and {s} overlap: "
-                    f"{interval(starts[r], ends[r])} {interval(starts[s], ends[s])}"
-                )
-    roles = tuple(sorted(range(3), key=starts.__getitem__))
-    order = order_from_roles(roles)
+                block_r, block_s = (Interval(Fraction(starts[i], D), Fraction(ends[i], D))
+                                    for i in (r, s))
+                raise ValueError(f"role blocks {r} and {s} overlap: {block_r} {block_s}")
+    order = _ORDER_OF_ROLES[roles]
     if order.reversed != reversed_:
         raise ValueError(
             f"block arrangement {roles} implies reversed={order.reversed}, got {reversed_}"
         )
     dom_layout, img_layout = _piece_layout(abc)
-    dom: dict[str, tuple[int, int]] = {}
-    img: dict[str, tuple[int, int]] = {}
     # the blocks, laid left to right, are apart and tiled by nonempty pieces,
-    # so dom fills in the order of the pieces' left ends
+    # so the domain pieces come in the order of their left ends
+    letters, lefts, rights = [], [], []  # of the domain pieces
+    lengths, image, image_lengths = {}, {}, {}  # image: letter -> left end of TI_i
     for role in roles:
-        for layout, target in ((dom_layout, dom), (img_layout, img)):
-            pieces = layout[role][::-1] if reversed_ else layout[role]
-            x = starts[role]
-            for ch, length in pieces:
-                target[ch] = (x, x + length)
-                x += length
-            if x != ends[role]:
-                raise RuntimeError(f"pieces of block {role} end at {Fraction(x, D)}, "
+        dom, img = dom_layout[role], img_layout[role]
+        if reversed_:
+            dom, img = dom[::-1], img[::-1]
+        x = y = starts[role]
+        for ch, length in dom:
+            letters.append(ch)
+            lefts.append(x)
+            lengths[ch] = length
+            x += length
+            rights.append(x)
+        for ch, length in img:
+            image[ch] = y
+            image_lengths[ch] = length
+            y += length
+        for end in (x, y):
+            if end != ends[role]:
+                raise RuntimeError(f"pieces of block {role} end at {Fraction(end, D)}, "
                                    f"not at {Fraction(ends[role], D)}")
-    for ch in A9:
-        if img[ch][1] - img[ch][0] != dom[ch][1] - dom[ch][0]:
-            raise RuntimeError(f"piece {ch} and its image differ in length")
-    return Ar9Map(t, order, Lattice(D, *zip(*(
-        (left, right, ch, img[ch][0] - left) for ch, (left, right) in dom.items()))))
+    if image_lengths != lengths:
+        ch = next(ch for ch in A9 if image_lengths[ch] != lengths[ch])
+        raise RuntimeError(f"piece {ch} and its image differ in length")
+    return Ar9Map(t, order, Lattice(D, tuple(lefts), tuple(rights), tuple(letters),
+                                    tuple(map(sub, map(image.__getitem__, letters), lefts))))
 
 
 def ar9_from_placements(
@@ -437,23 +454,30 @@ def ar9_apply(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
     return step
 
 
+# the most steps under T that an induction stage lets a piece take before
+# it returns; induction, which imports this module, holds its stages to it
+DEFAULT_RETURN_CAP = 8
+
+
 def trajectory(
-    m: Ar9Map, x: Fraction, n: int, partition: Literal["nine", "three"] = "nine"
+    m: Ar9Map, x: Fraction, n: int, partition: Literal["nine", "three"] = "nine",
+    return_cap: int = DEFAULT_RETURN_CAP,
 ) -> str:
     """Length-n coding of the forward orbit of x.
 
     nine: letters 1..9 by domain piece; three: the same word projected
     letterwise onto a, b, c.  The orbit is coded by first-return jumps
-    through the checked induction stages that `jump_stages` picks for n;
-    it picks none, the plain walk under the map, for short orbits.  n = 0
-    codes as the empty word; a negative n raises ValueError (jump_stages).
+    through the checked induction stages that `jump_stages` picks for n,
+    each induced under return_cap; it picks none, the plain walk under the
+    map, for short orbits.  n = 0 codes as the empty word; a negative n
+    raises ValueError (jump_stages).
     """
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
     # imported here because induction imports this module at load time
     from .induction import StageChain, jump_stages, orbit_route
 
-    word = "".join(orbit_route(m, jump_stages(StageChain(m), n), x, n))
+    word = "".join(orbit_route(m, jump_stages(StageChain(m, return_cap), n), x, n))
     return project(word, "A3") if partition == "three" else word
 
 

@@ -12,14 +12,16 @@ sequence with its data held once: each triple is stepped once, as integers
 on the stage-0 lattice (exact, since an Arnoux-Rauzy step only subtracts),
 giving its case and the next class heights; a triple that leaves the gasket
 is reported in its Fractions.  A stage is predicted from that step and the
-table, laid out on the parent's lattice by the builder's integer routine,
-and given its Fraction triple once, as a view of its integers.  The map is
-checked by honest interval iteration: each predicted piece is pushed
-forward under T, once, until it first re-enters J_a, raising if it ever
-straddles a discontinuity (so the piece travels as a block and the return
-time is uniform on it).  The letters visited on the way spell out the
-nine-letter substitution of the branch, which is how the symbolic and
-geometric systems are glued together.
+table (one lookup), laid out on the parent's lattice by the builder's
+integer routine from the parent's pieces, read once for the block starts
+and the regions of J_a, and given its Fraction triple once, as a view of
+its integers.  The map is checked by honest interval iteration: each
+predicted piece is pushed forward under T, once, until it first re-enters
+J_a, raising if it ever straddles a discontinuity (so the piece travels as
+a block and the return time is uniform on it).  The letters visited on the
+way spell out the nine-letter substitution of the branch, which is how the
+symbolic and geometric systems are glued together; the return times are
+their lengths.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
@@ -38,18 +40,17 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import Ar9Map, Lattice, OrderTag, _lay_out, _scaled
+from .iet import (DEFAULT_RETURN_CAP, ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _merge,
+                  _scaled)
 from .words import A3_MEMBERS, A9, _next_heights, sigma9
-
-DEFAULT_RETURN_CAP = 8
 
 # The cost of one checked induction stage in steps of the walk under T: on
 # the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
-# (seed 1), induce_step took 0.039-0.046 ms and one step of Lattice.walk
-# 0.19-0.21 us, ratios of 199 to 234 (CPython 3.11 on a shared 2-vCPU
-# machine; BENCH_19.json, "in_process"; 267 to 296 in BENCH_16.json, 235 to
-# 787 in BENCH_13.json).  Left at 500: retuning it changes which stages
-# orbits jump through, a change of its own.
+# (seed 1), induce_step on a new chain took 0.034-0.040 ms and one step of
+# Lattice.walk 0.16-0.20 us, ratios of 195 to 226 (CPython 3.11 on a shared
+# 2-vCPU machine; BENCH_21.json, "in_process"; 199 to 234 in BENCH_19.json,
+# 267 to 296 in BENCH_16.json, 235 to 787 in BENCH_13.json).  Left at 500:
+# retuning it changes which stages orbits jump through, a change of its own.
 STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on
@@ -70,12 +71,16 @@ _SPAN_ROLES = {
 }
 
 
+# the arrangement of the induced map, per parent arrangement and case
+_PREDICTED = {
+    (tag, case): OrderTag(_BASE_TRANSITION[case][tag.base], tag.reversed != (case is Sym.II))
+    for tag in ORDER_TAGS for case in Sym
+}
+
+
 def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
     """Arrangement of the induced map; case II flips the orientation."""
-    return OrderTag(
-        _BASE_TRANSITION[case][order.base],
-        order.reversed != (case is Sym.II),
-    )
+    return _PREDICTED[order, case]
 
 
 def _land(
@@ -89,13 +94,13 @@ def _land(
     r_lefts, r_rights = regions
     p_lefts, p_rights, letters, offsets = lat.lefts, lat.rights, lat.letters, lat.offsets
     start = (left, right)
-    word: list[str] = []
+    word = ""
     for _ in range(cap):
         # push's lookup, inline; push itself raises where the interval is refused
         i = bisect_right(p_lefts, left) - 1
         if i < 0 or not left < p_rights[i] >= right:
             lat.push(left, right)
-        word.append(letters[i])
+        word += letters[i]
         offset = offsets[i]
         left += offset
         right += offset
@@ -103,11 +108,11 @@ def _land(
         # that holds its left end, or else must meet none of them
         i = bisect_right(r_lefts, left) - 1
         if i >= 0 and right <= r_rights[i]:
-            return left, right, "".join(word)
+            return left, right, word
         if bisect_right(r_rights, left) < bisect_left(r_lefts, right):
             raise RuntimeError(
                 f"interval {lat.interval(left, right)} returns to J_a only "
-                f"partially after {word}"
+                f"partially after {list(word)}"
             )
     piece = lat.interval(*start)
     raise ReturnTimeCapExceeded(
@@ -127,12 +132,16 @@ class InductionStage:
     index: int
     case: Sym
     map: Ar9Map
-    return_times: dict[str, int]
     return_words: dict[str, str]
     lengths_ok: bool
     endpoints_ok: bool
     translations_ok: bool
     words_ok: bool
+
+    @property
+    def return_times(self) -> dict[str, int]:
+        """letter -> first-return time, the length of its return word"""
+        return {ch: len(word) for ch, word in self.return_words.items()}
 
     @property
     def ok(self) -> bool:
@@ -191,22 +200,26 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     D = lat.D
     # the step on m's lattice, which divides m0's
     q = chain.m0.lattice.D // D
-    abc, case = Triple(*(v // q for v in chain.triples[k])), chain.cases[k - 1]
+    abc, case = chain.triples[k], chain.cases[k - 1]
+    if q > 1:
+        abc = Triple(abc.a // q, abc.b // q, abc.c // q)
     a, b, c = abc
-    # the left ends of the three spans of J_a: I_1, the whole middle block
-    # I_2 u I_3, and I_4, on the parent's lattice, placed by the table
-    lefts = dict(zip(lat.letters, lat.lefts))
-    spans = (lefts["1"], min(lefts["2"], lefts["3"]), lefts["4"])
+    # the parent's pieces, read once: the left ends of the three spans of
+    # J_a (I_1, the whole middle block I_2 u I_3, and I_4), placed by the
+    # table, and the merged regions of J_a that the pieces return to
+    rows = lat.by_label()
+    spans = (rows["1"][0], min(rows["2"][0], rows["3"][0]), rows["4"][0])
     starts = [0] * 3
     for start, role in zip(spans, _SPAN_ROLES[case]):
         starts[role] = start
+    regions = tuple(zip(*_merge(rows[ch][:2] for ch in J_A)))
     # laid out on the coarsest lattice that holds the triple and the spans,
     # the one the Fraction builder picks
     g = math.gcd(D, *abc, *starts)
     if g > 1:
         abc = Triple(a // g, b // g, c // g)
         starts = [v // g for v in starts]
-    predicted = predicted_order(m.order, case)
+    predicted = _PREDICTED[m.order, case]
     # the stage's Fraction triple, the view of its integers
     Dg = D // g
     t = Triple(Fraction(abc.a, Dg), Fraction(abc.b, Dg), Fraction(abc.c, Dg))
@@ -215,35 +228,29 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
         raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
                            f"transition table {predicted}")
     # the induced pieces, back on the parent's lattice, are pushed under T
-    # and compared with what they land on as integers
+    # in A9 order and compared with what they land on as integers
     pieces = (induced.lattice.refined(D) if g > 1 else induced.lattice).by_label()
-    regions = tuple(zip(*lat.union(J_A)))
-    expected_lengths = {
-        "7": b - c, "8": c, "9": c, "1": a - c,
-        "2": c, "3": b,
-        "4": a - b, "5": b, "6": c,
-    }
-    table = sigma9(case).table
+    # the piece lengths of the table, in A9 order
+    expected_lengths = (a - c, c, b, a - b, b, c, b - c, c, c)
     words: dict[str, str] = {}
     lengths_ok = endpoints_ok = translations_ok = True
-    for ch in A9:
+    for ch, expected in zip(A9, expected_lengths):
         left, right, offset = pieces[ch]
         landed_left, landed_right, words[ch] = _land(lat, regions, left, right, chain.cap)
         # the builder already refuses an image whose length differs from
         # its piece, so only the pieces are held against the table
-        lengths_ok &= right - left == expected_lengths[ch]
+        lengths_ok &= right - left == expected
         translations_ok &= landed_left - left == offset
         endpoints_ok &= landed_left - left == offset == landed_right - right
     return InductionStage(
         index=k,
         case=case,
         map=induced,
-        return_times={ch: len(word) for ch, word in words.items()},
         return_words=words,
         lengths_ok=lengths_ok,
         endpoints_ok=endpoints_ok,
         translations_ok=translations_ok,
-        words_ok=words == table,
+        words_ok=words == sigma9(case).table,
     )
 
 

@@ -28,6 +28,7 @@ from ar_iet.iet import (
     ar9_from_placements,
     build_ar9,
     order_from_roles,
+    screen_roles,
 )
 from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.words import A9
@@ -139,6 +140,24 @@ def test_blocks_overlapping_by_one_lattice_unit(prefix):
     with pytest.raises(ValueError) as got:
         ar9_from_placements(t, overlapping, False)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+def test_each_neighbouring_pair_overlapping_by_one_unit(order):
+    # move each block but the leftmost one lattice unit onto its left
+    # neighbour: the middle block meets the first, the last the middle
+    t = reconstruct_triple((Sym.I, Sym.II, Sym.III, Sym.I))
+    m = build_ar9(t, order)
+    unit = F(1, m.lattice.D)
+    for role in screen_roles(order)[1:]:
+        overlapping = list(placements(m))
+        overlapping[role] -= unit
+        with pytest.raises(ValueError) as want:
+            ref_from_placements(t, overlapping, order.reversed)
+        with pytest.raises(ValueError) as got:
+            ar9_from_placements(t, overlapping, order.reversed)
+        assert str(got.value) == str(want.value)
+        assert "overlap" in str(got.value)
 
 
 # --- the map is its lattice -------------------------------------------------------

@@ -105,6 +105,8 @@ def test_shared_defaults_are_the_library_constants():
     args = build_parser().parse_args(["experiment", "--eigen", "--ks", "1"])
     assert args.persistence == analysis.DEFAULT_PERSISTENCE
     assert analysis.two_measure_experiment.__defaults__ == (induction.DEFAULT_RETURN_CAP,)
+    assert analysis.birkhoff_frequencies.__defaults__ == (induction.DEFAULT_RETURN_CAP,)
+    assert ar_iet.trajectory.__defaults__ == ("nine", induction.DEFAULT_RETURN_CAP)
 
 
 def test_config_errors_are_usage_errors(tmp_path, capsys):
@@ -456,6 +458,22 @@ def test_two_measure_applies_the_return_cap_to_every_stage(capsys, tmp_path, dep
     args = ("experiment", "--two-measure", "--ks", "2,4,8", "--rules", "111",
             "--length", "10000", "--depth", depth)
     assert run_json(capsys, *args)["depth"] == int(depth)
+
+
+@pytest.mark.parametrize("command", (["orbit"], ["experiment", "--birkhoff"]),
+                         ids=("orbit", "birkhoff"))
+def test_orbits_apply_the_return_cap(capsys, tmp_path, command):
+    # a 20,000-step orbit jumps through five stages, each induced under the cap
+    args = (*command, "--prefix", "1213121312131213", "--point", "1/3", "--length", "20000")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("return_time_cap = 1\n")
+    code, out, err = run(capsys, "--config", str(cfg), *args)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "return-time-cap-exceeded"
+    assert error["detail"]["cap"] == "1"
+    # the default cap induces them
+    assert run_json(capsys, *args)["length"] == 20000
 
 
 def test_experiment_birkhoff_with_csv(capsys, tmp_path):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
@@ -11,6 +13,7 @@ from ar_iet.gasket import (
     GasketExit,
     PartialQuotients,
     Sym,
+    Triple,
     ar_step,
     directing_prefix,
     format_prefix,
@@ -139,6 +142,55 @@ def test_reconstruct_replays_exhaustively():
                 rec(prefix + (sym,))
 
     rec(())
+
+
+# the k = 2^n prefix over eight I-blocks: 510 symbols
+POWERS_OF_TWO = PartialQuotients(tuple(2 ** n for n in range(1, 9)), (I,) * 8).expand()
+
+
+def fraction_replay(prefix, seed):
+    """The inverse steps applied to the seed's Fractions, one addition at a time."""
+    a, b, c = (F(v) for v in seed)
+    for sym in reversed(prefix):
+        s = a + b + c
+        a, b, c = {III: (s, b, c), II: (s, a, c), I: (s, a, b)}[sym]
+    return Triple(a, b, c)
+
+
+@pytest.mark.parametrize("seed", [triple(F(9, 2), 3, 1), triple(F(5, 2), F(3, 2), F(1, 3))],
+                         ids=("9/2,3,1", "5/2,3/2,1/3"))
+def test_reconstruct_on_integers_matches_the_fraction_replay(seed):
+    rng = random.Random(f"reconstruct/{seed}")
+    prefixes = [POWERS_OF_TWO, ()] + [
+        tuple(rng.choice((I, II, III)) for _ in range(rng.randint(1, 510))) for _ in range(30)]
+    for prefix in prefixes:
+        got = reconstruct_triple(prefix, seed)
+        assert got == fraction_replay(prefix, seed), prefix
+        assert all(type(v) is F for v in got)
+
+
+def test_reconstruct_adds_no_fractions(monkeypatch):
+    assert len(POWERS_OF_TWO) == 510
+    counts = Counter()
+    for name in ("__add__", "__radd__"):
+        def counted(a, b, _name=name, _add=getattr(F, name)):
+            counts[_name] += 1
+            return _add(a, b)
+        monkeypatch.setattr(F, name, counted)
+    t = reconstruct_triple(POWERS_OF_TWO, triple(F(5, 2), F(3, 2), F(1, 3)))
+    assert not counts, counts  # the replay runs on integers
+    sum(t)
+    assert counts  # and the wrappers do count
+
+
+def test_reconstruct_from_a_seed_of_plain_ints():
+    rng = random.Random(29)
+    for prefix in [(), (I,), POWERS_OF_TWO] + [
+            tuple(rng.choice((I, II, III)) for _ in range(rng.randint(1, 40))) for _ in range(10)]:
+        for ints in ((4, 2, 1), (9, 3, 1)):
+            got = reconstruct_triple(prefix, Triple(*ints))
+            assert got == reconstruct_triple(prefix, triple(*ints)), (prefix, ints)
+            assert got == fraction_replay(prefix, Triple(*ints))
 
 
 def test_reconstruct_replays_long_random():

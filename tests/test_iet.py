@@ -97,6 +97,10 @@ def test_build_rejects_inadmissible():
         build_ar9(triple(2, 4, 7))
     with pytest.raises(Inadmissible):
         ar9_from_placements(triple(2, 4, 7), (F(0), F(20), F(40)), False)
+    # ordered but not positive: the layout would go on without the sign check
+    for t in (triple(3, 2, 0), triple(5, 3, -1)):
+        with pytest.raises(Inadmissible):
+            ar9_from_placements(t, (F(0), F(20), F(40)), False)
 
 
 def test_build_reversed_second_matches_mirror_layout():
@@ -373,9 +377,19 @@ def _swap_first_image_lengths(layout):
     return domain, (((c1, l2), (c2, l1), *rest), *image[1:])
 
 
+def _swap_images_across_blocks(layout):
+    """The images of 2 (length c, block 0) and 5 (length b, block 1)
+    swapped: every image keeps its length, but the blocks end elsewhere."""
+    domain, image = layout
+    (c1, l1), (c2, l2), *rest0 = image[0]
+    (c5, l5), *rest1 = image[1]
+    return domain, (((c1, l1), (c5, l5), *rest0), ((c2, l2), *rest1), *image[2:])
+
+
 @pytest.mark.parametrize("breakage,message", [
     (_lengthen_first_domain_piece, "pieces of block 0 end at"),
     (_swap_first_image_lengths, "piece 1 and its image differ in length"),
+    (_swap_images_across_blocks, "pieces of block 0 end at 13, not at 11"),
 ])
 def test_broken_piece_layout_raises(monkeypatch, breakage, message):
     real = iet._piece_layout

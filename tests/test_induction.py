@@ -459,6 +459,18 @@ def _reference_stage_map(parent, stage):
     return ar9_from_placements(stage.map.triple, placements, reversed_)
 
 
+def test_stages_of_a_map_held_on_a_doubled_lattice():
+    # stage 1 falls back to the builder's lattice, half as fine as the
+    # chain's stage-0 one, so every later stage reads its stored step halved
+    m = build_ar9(reconstruct_triple((I, II, III, I, II, III, I)))
+    parent = Ar9Map(m.triple, m.order, m.lattice.refined(2 * m.lattice.D))
+    chain = StageChain(parent)
+    for stage in iterate_induction(chain, 7):
+        assert stage.map == _reference_stage_map(parent, stage), stage.index
+        assert chain.m0.lattice.D == 2 * stage.map.lattice.D
+        parent = stage.map
+
+
 def test_stage_maps_match_the_fraction_builder():
     rng = random.Random(67)
     seeds = (triple(4, 2, 1), triple(F(5, 2), F(3, 2), F(1, 3)), triple(F(9, 7), F(4, 5), F(1, 3)))
