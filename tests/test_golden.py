@@ -44,9 +44,14 @@ CASES = {
                           "--point", "1234/7", "--length", "12000", "--partition", "three"],
                          ()),
     "induct": (["induct", "--prefix", "12311", "--steps", "3"], ()),
+    # a triple on (1/6)Z: every stage is laid out on a lattice with D > 1
+    "induct-sixths": (["induct", "--triple", "112/3,125/6,14", "--order",
+                       "reversed-second", "--steps", "5"], ()),
     "towers": (["towers", "--prefix", "1111", "--stage", "2"], ()),
     "towers-reversed-third": (["towers", "--prefix", "1111", "--stage", "2",
                                "--order", "reversed-third"], ()),
+    "towers-sixths": (["towers", "--triple", "112/3,125/6,14", "--order", "third",
+                       "--stage", "3"], ()),
     "check-two-prefixes": (["check", "--all", "--prefix", "1213", "--prefix", "3121",
                             "--depth", "3"], ()),
     "check-reversed": (["check", "--all", "--prefix", "11111111", "--depth", "4",
@@ -81,6 +86,8 @@ CASES = {
                                   "--length", "200000"], ()),
     "render-induction": (["render", "--induction", "--prefix", "1111",
                           "--stage", "2"], ()),
+    "render-induction-sixths": (["render", "--induction", "--triple", "112/3,125/6,14",
+                                 "--stage", "2"], ()),
     "render-layout": (["render", "--layout", "--triple", "7,4,2"], ()),
     "render-towers": (["render", "--towers", "--prefix", "1111", "--stage", "3",
                        "--out", "tow.svg"], ("tow.svg",)),
