@@ -404,8 +404,11 @@ def reciprocal_sum_upper_bound(
     Each term is rounded up to a multiple of 1/resolution, so the result
     over-counts by less than (number of terms)/resolution while staying a
     true upper bound; exact summation of millions of fractions would be
-    hopeless, this runs in integer arithmetic.
+    hopeless, this runs in integer arithmetic.  A resolution below 1
+    raises ValueError.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, got {resolution}")
     D = resolution
     total = 0
     for k in ks:

@@ -17,13 +17,14 @@ closed on the left, open on the right, so interval endpoints are legal orbit
 points and the maps are total on their domains.
 
 Every piece end and offset lies on one lattice (1/D)Z, and so does every
-coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts.
-Both maps are therefore stored as integers times D (`Lattice`), and their
-Fraction tables are views of them, built on first read.  Pushing an interval
-is a bisection over integer left ends, and one integer routine lays out the
-pieces of the built and the induced maps alike, in one pass over the
-blocks, checking the triple on its integers and building Fractions only for
-the errors it raises.  A rational point is moved by one integer lookup: its
+coordinate of the induced maps, since an Arnoux-Rauzy step only subtracts:
+a map and all the stages induced from it share its lattice.  Both maps are
+therefore stored as integers times D (`Lattice`), and their triples and
+Fraction tables are views of them, built on first read.  Pushing an
+interval is a bisection over integer left ends, and one integer routine
+lays out the pieces of the built and the induced maps alike, in one pass
+over the blocks, checking the triple on its integers and building Fractions
+only for the errors it raises.  A rational point is moved by one integer lookup: its
 ratio is read once, its piece found by one bisection, and one Fraction
 built for its image.
 """
@@ -291,14 +292,22 @@ _ROLE_LETTERS = ("1789", "23", "456")
 class Ar9Map:
     """Nine-piece translation map on three disjoint intervals.
 
-    The map is its integer lattice: the nine domain pieces, scaled by D,
-    with their letters and offsets.  The Fraction tables below are views of
-    it, built on first read and keyed in A9 order; no inner loop reads them.
+    The map is its arrangement and its integer lattice: the nine domain
+    pieces, scaled by D, with their letters and offsets.  The triple and the
+    Fraction tables below are views of it, built on first read and keyed in
+    A9 order; no inner loop reads them.
     """
 
-    triple: Triple
     order: OrderTag
     lattice: Lattice
+
+    @cached_property
+    def triple(self) -> Triple:
+        """(a, b, c), read off the pieces: |I_4| + |I_5|, |I_5|, |I_2|"""
+        D = self.lattice.D
+        length = {ch: right - left for ch, (left, right, _) in self.lattice.by_label().items()}
+        return Triple(Fraction(length["4"] + length["5"], D), Fraction(length["5"], D),
+                      Fraction(length["2"], D))
 
     @cached_property
     def domain(self) -> dict[str, Interval]:
@@ -336,20 +345,19 @@ def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (D // v.denominator) for v in values]
 
 
-def _lay_out(
-    t: Triple, D: int, abc: Triple, starts: Sequence[int], reversed_: bool
-) -> Ar9Map:
-    """Lay the map of t out on (1/D)Z from abc, t times D as a Triple of
-    integers, and starts, the block left ends times D by role; t must be
-    admissible, which is checked on abc.  The builders and induction, which
-    lays an induced map on its parent's lattice, share it.
+def _lay_out(D: int, abc: Triple, starts: Sequence[int], reversed_: bool) -> Ar9Map:
+    """Lay a map out on (1/D)Z from abc, its triple times D as a Triple of
+    integers, and starts, the block left ends times D by role; the triple
+    must be admissible, which is checked on abc.  The builders and
+    induction, which lays every stage on its chain's stage-0 lattice, share
+    it.
 
     One pass over the blocks, left to right, lays out the domain and the
     image pieces of each; the role order is read off three comparisons.
     Fractions are built only for the error raised."""
     a, b, c = abc
     if not a > b > c > 0:  # is_admissible, on the integers
-        require_admissible(t)  # raises, in the Fractions of t
+        require_admissible(Triple(*(Fraction(v, D) for v in abc)))  # raises, in Fractions
     ends = (starts[0] + a + b, starts[1] + b + c, starts[2] + a + c)  # as omega_lengths
     # the role order by comparisons; the blocks are nonempty, so they are
     # apart exactly when each, left to right, ends where or before the next starts
@@ -397,7 +405,7 @@ def _lay_out(
     if image_lengths != lengths:
         ch = next(ch for ch in A9 if image_lengths[ch] != lengths[ch])
         raise RuntimeError(f"piece {ch} and its image differ in length")
-    return Ar9Map(t, order, Lattice(D, tuple(lefts), tuple(rights), tuple(letters),
+    return Ar9Map(order, Lattice(D, tuple(lefts), tuple(rights), tuple(letters),
                                     tuple(map(sub, map(image.__getitem__, letters), lefts))))
 
 
@@ -414,7 +422,7 @@ def ar9_from_placements(
     # lay the pieces out on the lattice that holds the triple and the
     # placements; every piece end and offset lies on it
     D = math.lcm(*(v.denominator for v in (*t, *placements)))
-    return _lay_out(t, D, Triple(*_scaled(D, t)), _scaled(D, placements), reversed_)
+    return _lay_out(D, Triple(*_scaled(D, t)), _scaled(D, placements), reversed_)
 
 
 def build_ar9(

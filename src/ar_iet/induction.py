@@ -12,16 +12,16 @@ sequence with its data held once: each triple is stepped once, as integers
 on the stage-0 lattice (exact, since an Arnoux-Rauzy step only subtracts),
 giving its case and the next class heights; a triple that leaves the gasket
 is reported in its Fractions.  A stage is predicted from that step and the
-table (one lookup), laid out on the parent's lattice by the builder's
-integer routine from the parent's pieces, read once for the block starts
-and the regions of J_a, and given its Fraction triple once, as a view of
-its integers.  The map is checked by honest interval iteration: each
-predicted piece is pushed forward under T, once, until it first re-enters
-J_a, raising if it ever straddles a discontinuity (so the piece travels as
-a block and the return time is uniform on it).  The letters visited on the
-way spell out the nine-letter substitution of the branch, which is how the
-symbolic and geometric systems are glued together; the return times are
-their lengths.
+table (one lookup) and laid out on the same stage-0 lattice, which holds
+every stage, by the builder's integer routine from the parent's pieces,
+read once for the block starts and the regions of J_a; its Fraction triple
+is a view of its pieces, built only when read.  The map is checked by
+honest interval iteration: each predicted piece is pushed forward under T,
+once, until it first re-enters J_a, raising if it ever straddles a
+discontinuity (so the piece travels as a block and the return time is
+uniform on it).  The letters visited on the way spell out the nine-letter
+substitution of the branch, which is how the symbolic and geometric
+systems are glued together; the return times are their lengths.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
@@ -31,7 +31,6 @@ map instead of one letter per step of T (`orbit_route`).
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -150,9 +149,9 @@ class InductionStage:
 
 class StageChain:
     """The induction chain of one stage-0 map m0 under one return cap, a
-    value that a caller holds and extends.  Stage k keeps its triple as
-    integers on m0's lattice, which holds every stage's (triples[k], stepped
-    once by ar_step), the case of that step (cases[k - 1]), its class
+    value that a caller holds and extends.  Every stage map is laid out on
+    m0's lattice, and stage k keeps its triple as integers on it
+    (triples[k], stepped once by ar_step), the case of that step (cases[k - 1]), its class
     heights (heights[k]) and, once induced, its checked InductionStage
     (stages[k - 1]).  Triples and heights may run ahead of the induced
     stages: jump_stages reads them before it induces.
@@ -196,13 +195,8 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     m = chain.stages[k - 2].map if k > 1 else chain.m0
     if k == len(chain.triples) and not chain.step():
         ar_step(m.triple)  # raises again, in the Fractions of the triple
-    lat = m.lattice
-    D = lat.D
-    # the step on m's lattice, which divides m0's
-    q = chain.m0.lattice.D // D
+    lat = m.lattice  # m0's, as every stage's
     abc, case = chain.triples[k], chain.cases[k - 1]
-    if q > 1:
-        abc = Triple(abc.a // q, abc.b // q, abc.c // q)
     a, b, c = abc
     # the parent's pieces, read once: the left ends of the three spans of
     # J_a (I_1, the whole middle block I_2 u I_3, and I_4), placed by the
@@ -213,23 +207,14 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     for start, role in zip(spans, _SPAN_ROLES[case]):
         starts[role] = start
     regions = tuple(zip(*_merge(rows[ch][:2] for ch in J_A)))
-    # laid out on the coarsest lattice that holds the triple and the spans,
-    # the one the Fraction builder picks
-    g = math.gcd(D, *abc, *starts)
-    if g > 1:
-        abc = Triple(a // g, b // g, c // g)
-        starts = [v // g for v in starts]
     predicted = _PREDICTED[m.order, case]
-    # the stage's Fraction triple, the view of its integers
-    Dg = D // g
-    t = Triple(Fraction(abc.a, Dg), Fraction(abc.b, Dg), Fraction(abc.c, Dg))
-    induced = _lay_out(t, Dg, abc, starts, predicted.reversed)
+    induced = _lay_out(lat.D, abc, starts, predicted.reversed)
     if induced.order != predicted:
         raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
                            f"transition table {predicted}")
-    # the induced pieces, back on the parent's lattice, are pushed under T
-    # in A9 order and compared with what they land on as integers
-    pieces = (induced.lattice.refined(D) if g > 1 else induced.lattice).by_label()
+    # the induced pieces are pushed under T in A9 order and compared with
+    # what they land on as integers
+    pieces = induced.lattice.by_label()
     # the piece lengths of the table, in A9 order
     expected_lengths = (a - c, c, b, a - b, b, c, b - c, c, c)
     words: dict[str, str] = {}
@@ -340,7 +325,7 @@ def orbit_route(
     for stage in stages:
         words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
     lat = m0.lattice.refined(x.denominator)
-    # every stage's lattice divides m0's, so B_k is held on lat
+    # every stage is held on m0's lattice, so B_k is held on lat
     base = stages[-1].map.lattice.refined(lat.D) if stages else lat
     p = lat.coordinate(x)
     rest = n  # the letters still to read

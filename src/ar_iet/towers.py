@@ -14,8 +14,8 @@ intervals respectively.  They are not built: `level_component_counts`
 counts, column by column, the member right ends that meet another member's
 left end, and keeps only the counts.
 
-Towers live on the lattice (1/D)Z of the stage-0 map refined to hold the
-stage-k pieces.  A nine-letter tower is one walk of its base (`Lattice.walk`)
+Towers live on the lattice (1/D)Z of the stage-0 map, which holds the
+stage-k pieces of its chain.  A nine-letter tower is one walk of its base (`Lattice.walk`)
 and holds the base width and one integer left end per level.  The checks
 read those integers and the right-end column built from them once; base and
 levels are views of them.
@@ -85,8 +85,8 @@ def towers_at_stage(chain: StageChain, k: int) -> TowerFamily:
     if not 0 <= k <= len(stages):
         raise ValueError(f"stage {k} outside the computed range 0..{len(stages)}")
     stage_map = m0 if k == 0 else stages[k - 1].map
-    lat = m0.lattice.refined(stage_map.lattice.D)
-    bases = stage_map.lattice.refined(lat.D).by_label()
+    lat = m0.lattice  # the stage map's, as every stage's of the chain
+    bases = stage_map.lattice.by_label()
     nine: dict[str, Tower] = {}
     for ch in A9:
         left, right, _ = bases[ch]

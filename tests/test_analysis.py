@@ -374,3 +374,7 @@ def test_reciprocal_sum_bound_is_upper_bound_and_tight():
 def test_reciprocal_sum_bound_rejects_bad_terms():
     with pytest.raises(ValueError):
         reciprocal_sum_upper_bound([4, 0, 9])
+    # a nonpositive resolution bounds nothing: -10 would give 3/10 < 1/3
+    for resolution in (-10, 0):
+        with pytest.raises(ValueError, match="resolution"):
+            reciprocal_sum_upper_bound([3], resolution=resolution)

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 import ar_iet.iet as iet
-from ar_iet.gasket import Sym, reconstruct_triple, require_admissible
+from ar_iet.gasket import Sym, reconstruct_triple, require_admissible, triple
 from ar_iet.iet import (
     ORDER_TAGS,
     Interval,
@@ -172,6 +172,24 @@ def test_rebuilt_map_is_equal_and_hashes_equal(order):
         assert again == each
         assert hash(again) == hash(each)
         assert len({again, each}) == 1
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+@pytest.mark.parametrize("gapped", (False, True), ids=("adjacent", "gapped"))
+def test_triple_is_read_off_the_pieces(order, gapped):
+    rng = random.Random(f"triple-view/{order}/{gapped}")
+    gaps = (F(rng.randint(1, 9), rng.randint(2, 7)), F(rng.randint(1, 9), rng.randint(2, 7))) \
+        if gapped else (F(0), F(0))
+    for seed in (None, triple(F(5, 2), F(3, 2), F(1, 3))):
+        prefix = tuple(Sym(rng.randint(1, 3)) for _ in range(rng.randint(3, 10)))
+        t = reconstruct_triple(prefix) if seed is None else reconstruct_triple(prefix, seed=seed)
+        m = build_ar9(t, order, gaps, F(rng.randint(-9, 9), 7))
+        assert [field.name for field in dataclasses.fields(m)] == ["order", "lattice"]
+        assert m.triple == t
+        assert all(type(v) is F for v in m.triple)
+        for scale in (2, 6, 997):
+            fine = dataclasses.replace(m, lattice=m.lattice.refined(scale * m.lattice.D))
+            assert fine.triple == t
 
 
 def test_replaced_lattice_carries_the_views():

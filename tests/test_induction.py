@@ -380,7 +380,7 @@ def test_induction_builds_no_fraction_views(monkeypatch):
     assert counts  # and the wrappers do count
     assert len(stages) == 510
     for stage in stages:
-        built = {"domain", "image", "offsets", "role_blocks"} & set(vars(stage.map))
+        built = {"domain", "image", "offsets", "role_blocks", "triple"} & set(vars(stage.map))
         assert not built, (stage.index, built)
 
 
@@ -459,15 +459,41 @@ def _reference_stage_map(parent, stage):
     return ar9_from_placements(stage.map.triple, placements, reversed_)
 
 
+def _views(m):
+    """The Fraction views of a map, which do not depend on its lattice."""
+    return m.triple, m.order, m.domain, m.offsets
+
+
 def test_stages_of_a_map_held_on_a_doubled_lattice():
-    # stage 1 falls back to the builder's lattice, half as fine as the
-    # chain's stage-0 one, so every later stage reads its stored step halved
+    # every stage is laid out on the chain's stage-0 lattice, twice as fine
+    # as the builder's: the stages are not the builder's maps, but read as them
     m = build_ar9(reconstruct_triple((I, II, III, I, II, III, I)))
-    parent = Ar9Map(m.triple, m.order, m.lattice.refined(2 * m.lattice.D))
+    parent = Ar9Map(m.order, m.lattice.refined(2 * m.lattice.D))
     chain = StageChain(parent)
     for stage in iterate_induction(chain, 7):
-        assert stage.map == _reference_stage_map(parent, stage), stage.index
-        assert chain.m0.lattice.D == 2 * stage.map.lattice.D
+        reference = _reference_stage_map(parent, stage)
+        assert _views(stage.map) == _views(reference), stage.index
+        assert stage.map.lattice.D == chain.m0.lattice.D == 2 * reference.lattice.D
+        assert stage.map != reference
+        parent = stage.map
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+@pytest.mark.parametrize("gapped", (False, True), ids=("adjacent", "gapped"))
+@pytest.mark.parametrize("scale", (1, 6), ids=("builder", "refined"))
+def test_every_stage_is_held_on_the_chain_lattice(order, gapped, scale):
+    rng = random.Random(f"chain-lattice/{order}/{gapped}")
+    prefix = tuple(rng.choice((I, II, III)) for _ in range(10))
+    gaps = (F(rng.randint(1, 9), rng.randint(2, 7)), F(rng.randint(1, 9), rng.randint(2, 7))) \
+        if gapped else (F(0), F(0))
+    m = build_ar9(reconstruct_triple(prefix, seed=triple(F(5, 2), F(3, 2), F(1, 3))),
+                  order, gaps)
+    m0 = parent = Ar9Map(m.order, m.lattice.refined(scale * m.lattice.D))
+    assert _views(m0) == _views(m)
+    chain = StageChain(m0)
+    for stage in iterate_induction(chain, len(prefix)):
+        assert stage.map.lattice.D == chain.m0.lattice.D == scale * m.lattice.D
+        assert _views(stage.map) == _views(_reference_stage_map(parent, stage)), stage.index
         parent = stage.map
 
 
@@ -482,12 +508,14 @@ def test_stage_maps_match_the_fraction_builder():
         m = build_ar9(t, ORDER_TAGS[trial % 6], gaps=gaps)
         if trial % 4 == 3:
             # the same map held on a finer lattice than it needs: its
-            # induced maps fall back to the builder's lattice
-            m = Ar9Map(m.triple, m.order, m.lattice.refined(2 * 3 * m.lattice.D))
+            # induced maps stay on it, finer than the builder's
+            m = Ar9Map(m.order, m.lattice.refined(2 * 3 * m.lattice.D))
         parent = m
         for stage in iterate_induction(StageChain(m), len(prefix)):
-            assert stage.map == _reference_stage_map(parent, stage), (trial, stage.index)
-            reduced += stage.map.lattice.D < parent.lattice.D
+            reference = _reference_stage_map(parent, stage)
+            assert _views(stage.map) == _views(reference), (trial, stage.index)
+            assert stage.map.lattice.D == m.lattice.D
+            reduced += reference.lattice.D < stage.map.lattice.D
             compared += 1
             parent = stage.map
     assert compared > 200
