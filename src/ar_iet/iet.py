@@ -24,9 +24,9 @@ Fraction tables are views of them, built on first read.  Pushing an
 interval is a bisection over integer left ends, and one integer routine
 lays out the pieces of the built and the induced maps alike, in one pass
 over the blocks, checking the triple on its integers and building Fractions
-only for the errors it raises.  A rational point is moved by one integer lookup: its
-ratio is read once, its piece found by one bisection, and one Fraction
-built for its image.
+only for the errors it raises.  A rational point is moved by one integer
+lookup: its ratio is read once, its piece found by one bisection, and one
+Fraction built for its image.
 """
 from __future__ import annotations
 

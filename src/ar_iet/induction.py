@@ -151,9 +151,9 @@ class StageChain:
     """The induction chain of one stage-0 map m0 under one return cap, a
     value that a caller holds and extends.  Every stage map is laid out on
     m0's lattice, and stage k keeps its triple as integers on it
-    (triples[k], stepped once by ar_step), the case of that step (cases[k - 1]), its class
-    heights (heights[k]) and, once induced, its checked InductionStage
-    (stages[k - 1]).  Triples and heights may run ahead of the induced
+    (triples[k], stepped once by ar_step), the case of that step
+    (cases[k - 1]), its class heights (heights[k]) and, once induced, its
+    checked InductionStage (stages[k - 1]).  Triples and heights may run ahead of the induced
     stages: jump_stages reads them before it induces.
     """
 

@@ -15,10 +15,10 @@ counts, column by column, the member right ends that meet another member's
 left end, and keeps only the counts.
 
 Towers live on the lattice (1/D)Z of the stage-0 map, which holds the
-stage-k pieces of its chain.  A nine-letter tower is one walk of its base (`Lattice.walk`)
-and holds the base width and one integer left end per level.  The checks
-read those integers and the right-end column built from them once; base and
-levels are views of them.
+stage-k pieces of its chain.  A nine-letter tower is one walk of its base
+(`Lattice.walk`) and holds the base width and one integer left end per
+level.  The checks read those integers and the right-end column built from
+them once; base and levels are views of them.
 """
 from __future__ import annotations
 
