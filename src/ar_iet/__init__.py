@@ -88,6 +88,7 @@ from .towers import (
     level_component_counts,
     locate,
     partition_check,
+    tower_families,
     towers_at_stage,
 )
 from .analysis import (

@@ -60,7 +60,7 @@ from .towers import (
     adjacency_check,
     level_component_counts,
     partition_check,
-    towers_at_stage,
+    tower_families,
 )
 from .words import (
     A3_MEMBERS,
@@ -365,8 +365,9 @@ def cmd_induct(args, config: RunConfig) -> int:
 
 def _towers(chain: StageChain, first: int, depth: int, config: RunConfig):
     """The tower families of stages first..depth of the chain, built one at
-    a time after stages 1..depth are induced and the level cap is checked at
-    depth, which bounds every earlier stage, on the chain's heights."""
+    a time, each from the one below, after stages 1..depth are induced and
+    the level cap is checked at depth, which bounds every earlier stage, on
+    the chain's heights."""
     iterate_induction(chain, depth)
     levels = sum(letter_height(ch, chain.heights[depth]) for ch in A9)
     if levels > config.word_cap:
@@ -376,8 +377,7 @@ def _towers(chain: StageChain, first: int, depth: int, config: RunConfig):
             levels=levels,
             cap=config.word_cap,
         )
-    for k in range(first, depth + 1):
-        yield towers_at_stage(chain, k)
+    yield from tower_families(chain, first, depth)
 
 
 def cmd_towers(args, config: RunConfig) -> int:
@@ -391,7 +391,7 @@ def cmd_towers(args, config: RunConfig) -> int:
         for ch, tower in family.nine.items()
     }
     # a three-letter tower is the union of its member towers, whose heights
-    # towers_at_stage has checked equal
+    # tower_families has checked equal
     three = {
         letter: {"height": family.nine[members[0]].height,
                  "base": _merge(family.nine[ch].base for ch in members)}
@@ -426,8 +426,9 @@ def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
     results: dict[str, bool] = {
         n: True for n in ("partition", "adjacency", "components") if n in selected}
     if set(selected) - {"induction"}:  # every other check reads the towers
-        # coding reads only the deepest family; the others read every stage.
-        # One family is built, checked and dropped at a time.
+        # coding reads only the deepest family, laid out from the ones below
+        # it; the others read every stage.  One family is built, checked and
+        # dropped at a time.
         bounds = {"a": 3, "b": 2, "c": 1}
         for family in _towers(chain, 0 if results else depth, depth, config):
             if results.get("partition"):

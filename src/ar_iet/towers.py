@@ -15,13 +15,18 @@ counts, column by column, the member right ends that meet another member's
 left end, and keeps only the counts.
 
 Towers live on the lattice (1/D)Z of the stage-0 map, which holds the
-stage-k pieces of its chain.  A nine-letter tower is one walk of its base
-(`Lattice.walk`) and holds the base width and one integer left end per
-level.  The checks read those integers and the right-end column built from
-them once; base and levels are views of them.
+stage-k pieces of its chain.  A nine-letter tower holds the base width and
+one integer left end per level.  Stage 0's towers are the pieces, walked
+one level each (`Lattice.walk`); a stage-k tower is laid out from the
+stage-(k - 1) towers, one bisection and one shifted copy of a tower below
+per segment of its base's orbit, and only a base that the towers below do
+not tile is walked level by level.  The checks read those integers and the
+right-end column built from them once; base and levels are views of them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -76,25 +81,79 @@ class TowerFamily:
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
 
 
-def towers_at_stage(chain: StageChain, k: int) -> TowerFamily:
-    """Build the stage-k towers of the chain by pushing the stage-k pieces
-    under T, to the chain's heights; the chain must hold stage k induced
-    (k = 0 uses the original pieces and height-1 towers).
+def tower_families(chain: StageChain, first: int, last: int) -> Iterator[TowerFamily]:
+    """The tower families of stages first..last of the chain, in order; the
+    chain must hold stage last induced.  Every stage from 0 is built, each
+    from the family below it, which is then dropped: at most the family
+    below and the one being built are held at once.
     """
-    m0, stages = chain.m0, chain.stages
-    if not 0 <= k <= len(stages):
-        raise ValueError(f"stage {k} outside the computed range 0..{len(stages)}")
-    stage_map = m0 if k == 0 else stages[k - 1].map
-    lat = m0.lattice  # the stage map's, as every stage's of the chain
+    for k in (first, last):
+        if not 0 <= k <= len(chain.stages):
+            raise ValueError(f"stage {k} outside the computed range 0..{len(chain.stages)}")
+    family = None
+    for k in range(last + 1):
+        family = _family(chain, k, family)
+        if k >= first:
+            yield family
+
+
+def towers_at_stage(chain: StageChain, k: int) -> TowerFamily:
+    """The stage-k towers of the chain, the last family of
+    `tower_families(chain, k, k)`; the chain must hold stage k induced
+    (k = 0 gives the original pieces as height-1 towers)."""
+    [family] = tower_families(chain, k, k)
+    return family
+
+
+def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily:
+    """The stage-k towers of the chain, laid out from below, the stage-(k - 1)
+    family (None at stage 0): Kakutani's skyscraper over the towers below.
+
+    From a base [x, x + W), one bisection finds the base below that holds
+    the segment; that tower's levels, shifted by x less its base's left end,
+    and its word are appended, and x moves by its T^h (its last level's left
+    end, plus the stage-0 offset of its last letter, less its base's left
+    end).  A base with a segment that fits no single base below, or that
+    would overshoot the height, is walked from scratch and raises what the
+    walk raises; so is every stage-0 piece.
+    """
+    m0 = chain.m0
+    lat = m0.lattice  # the stage maps', as every stage of the chain is on it
+    stage_map = m0 if k == 0 else chain.stages[k - 1].map
+    starts = ends = columns = jumps = ()
+    if below is not None:
+        lookup = (m0 if k == 1 else chain.stages[k - 2].map).lattice
+        starts, ends = lookup.lefts, lookup.rights
+        columns = [below.nine[ch] for ch in lookup.letters]
+        offset = dict(zip(lat.letters, lat.offsets))
+        jumps = [t.lefts[-1] + offset[t.word[-1]] - t.lefts[0] for t in columns]
     bases = stage_map.lattice.by_label()
+    hv = chain.heights[k]
     nine: dict[str, Tower] = {}
     for ch in A9:
         left, right, _ = bases[ch]
+        width, height = right - left, letter_height(ch, hv)
+        lefts: list[int] = []
+        words: list[str] = []
+        x = left
+        while len(lefts) < height:
+            i = bisect_right(starts, x) - 1
+            if i < 0 or not x < ends[i] >= x + width:
+                break
+            t = columns[i]
+            if t.height > height - len(lefts):
+                break
+            lefts.extend(map((x - t.lefts[0]).__add__, t.lefts))
+            words.append(t.word)
+            x += jumps[i]
+        else:  # every level laid
+            nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(words))
+            continue
         try:
-            letters, lefts = lat.walk(left, right, letter_height(ch, chain.heights[k]))
+            letters, lefts = lat.walk(left, right, height)
         except RuntimeError as e:
             raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
-        nine[ch] = Tower(lat.D, right - left, tuple(lefts), "".join(letters))
+        nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(letters))
     if uneven := _uneven(nine):
         raise RuntimeError(uneven)
     return TowerFamily(k, stage_map.order, nine, m0)
@@ -206,14 +265,17 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
     one for each right end that is another member's left end, so each level
     is counted from the ordered member pairs (p, q) with rights_p == lefts_q,
     column by column, with no sort or merge.  The levels of a family that
-    `towers_at_stage` builds are such intervals:
+    `tower_families` builds are such intervals:
 
     - T is a bijection of the support: `_lay_out` tiles every block with the
       domain pieces and again with the image pieces;
     - the stage-k bases are disjoint and nonempty, being the stage map's
       laid-out pieces;
-    - `Lattice.walk` has checked that every level lies in one piece, so T^j
-      is a translation on each base.
+    - every level lies in one piece, so T^j is a translation on each base:
+      `Lattice.walk` checks it of each level it lays, and a level laid out
+      from the family below lies inside a level of the tower below whose
+      base holds the segment (T^j moves both by the same offsets), which
+      lies in one piece by induction on the stage.
 
     So level j of the members, the images of disjoint bases under the
     injective T^j, are disjoint intervals of width > 0.

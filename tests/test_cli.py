@@ -626,7 +626,7 @@ def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, 
     def never(*args):
         raise AssertionError("a tower stage over the cap was built")
 
-    monkeypatch.setattr(cli, "towers_at_stage", never)
+    monkeypatch.setattr(cli, "tower_families", never)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -655,7 +655,7 @@ def test_induction_check_builds_no_tower(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the induction check built a tower")
 
-    monkeypatch.setattr(cli, "towers_at_stage", never)
+    monkeypatch.setattr(cli, "tower_families", never)
     # stage 24 of 1^28 has 19,437,141 tower levels, far over the default cap
     payload = run_json(capsys, "check", "--induction", "--prefix", "1" * 28, "--depth", "24")
     assert payload["selected"] == ["induction"]
@@ -697,18 +697,28 @@ def test_coding_check_induces_only_its_depth(capsys, monkeypatch):
 ])
 def test_check_builds_only_the_tower_stages_it_reads(capsys, monkeypatch, kinds, built):
     import ar_iet.cli as cli
+    import ar_iet.towers as towers
 
-    calls = []
-    real = cli.towers_at_stage
+    laid, read = [], []
+    real_family, real_families = towers.TowerFamily, cli.tower_families
 
-    def counting(chain, k):
-        calls.append(k)
-        return real(chain, k)
+    def laying(stage, *args):
+        laid.append(stage)
+        return real_family(stage, *args)
 
-    monkeypatch.setattr(cli, "towers_at_stage", counting)
+    def reading(chain, first, last):
+        for family in real_families(chain, first, last):
+            read.append(family.stage)
+            yield family
+
+    monkeypatch.setattr(towers, "TowerFamily", laying)
+    monkeypatch.setattr(cli, "tower_families", reading)
     payload = run_json(capsys, "check", *kinds, "--prefix", "1" * 12, "--depth", "8")
     assert payload["ok"]
-    assert calls == built
+    # built, the stages the checks are handed; each family is laid out from
+    # the one below it, so every stage from 0 is built once
+    assert read == built
+    assert laid == list(range(9))
 
 
 @pytest.mark.parametrize("kind, name", [
@@ -737,19 +747,20 @@ def test_check_is_false_from_the_first_refuting_stage(capsys, monkeypatch, kind,
 
 
 def test_check_holds_one_tower_family_at_a_time(capsys, monkeypatch):
-    import ar_iet.cli as cli
+    import ar_iet.towers as towers
 
     built = []
-    real = cli.towers_at_stage
+    real = towers.TowerFamily
 
-    def tracking(chain, k):
-        # the family checked last may still be held while the next is built
+    def tracking(stage, *args):
+        # the family below, which the checks may still hold, is the only
+        # one left while the next is built
         assert sum(ref() is not None for ref in built) <= 1
-        family = real(chain, k)
+        family = real(stage, *args)
         built.append(weakref.ref(family))
         return family
 
-    monkeypatch.setattr(cli, "towers_at_stage", tracking)
+    monkeypatch.setattr(towers, "TowerFamily", tracking)
     assert run_json(capsys, "check", "--all", "--prefix", "1" * 12, "--depth", "8")["ok"]
     assert len(built) == 9
 

@@ -16,6 +16,7 @@ from ar_iet.towers import (
     level_component_counts,
     locate,
     partition_check,
+    tower_families,
     towers_at_stage,
 )
 from ar_iet.words import A3_MEMBERS, A9, heights_by_matrix, letter_height, stage_words
@@ -156,11 +157,141 @@ def test_straddling_base_negative_control():
 def test_unequal_member_heights_raise(monkeypatch):
     import ar_iet.towers as towers
 
+    chain, _, _ = family_for((I, I, I), 2)
     real = towers.letter_height
+    # one member one level taller at stage 2 only, whose towers are laid
+    # out from stage 1's
     monkeypatch.setattr(towers, "letter_height",
-                        lambda ch, hv: real(ch, hv) + (ch == "2"))
+                        lambda ch, hv: real(ch, hv) + (ch == "2" and hv is chain.heights[2]))
     with pytest.raises(RuntimeError, match="differ in height"):
-        family_for((I, I), 1)
+        towers_at_stage(chain, 2)
+
+
+# --- towers laid out from the towers below -----------------------------------
+
+SEEDS = {"4,2,1": triple(4, 2, 1), "5/2,3/2,1/3": triple(F(5, 2), F(3, 2), F(1, 3))}
+FAMILY_CASES = [(order, gapped, seed) for order in ORDER_TAGS for gapped in (False, True)
+                for seed in SEEDS]
+
+
+def random_chain(order, gapped, seed, n=0):
+    """The chain of the n-th seeded random 12-16-letter prefix, induced to
+    its length."""
+    rng = random.Random(f"families/{order}/{gapped}/{seed}/{n}")
+    prefix = tuple(rng.choice((I, II, III)) for _ in range(rng.randint(12, 16)))
+    gaps = (F(rng.randint(1, 9), rng.randint(2, 12)), F(rng.randint(1, 9), rng.randint(2, 12))) \
+        if gapped else (F(0), F(0))
+    chain = StageChain(build_ar9(reconstruct_triple(prefix, seed=SEEDS[seed]), order, gaps))
+    iterate_induction(chain, len(prefix))
+    return chain
+
+
+def walked(chain, f, ch, height):
+    """Tower ch of f as the walk of its base lays it out: (D, width, lefts,
+    word)."""
+    lat = chain.m0.lattice
+    bases = (chain.m0 if f.stage == 0 else chain.stages[f.stage - 1].map).lattice
+    left, right, _ = bases.by_label()[ch]
+    letters, lefts = lat.walk(left, right, height)
+    return lat.D, right - left, tuple(lefts), "".join(letters)
+
+
+def as_walked(tower):
+    return tower.D, tower.width, tower.lefts, tower.word
+
+
+CASE_IDS = [f"{o}-{'gapped' if g else 'adjacent'}-{s}" for o, g, s in FAMILY_CASES]
+
+
+@pytest.mark.parametrize("order,gapped,seed", FAMILY_CASES, ids=CASE_IDS)
+def test_tower_families_equal_the_walk(order, gapped, seed):
+    for n in range(3):
+        chain = random_chain(order, gapped, seed, n)
+        depth = len(chain.stages)
+        stages = []
+        for f in tower_families(chain, 0, depth):
+            stages.append(f.stage)
+            for ch in A9:
+                expected = walked(chain, f, ch, letter_height(ch, chain.heights[f.stage]))
+                assert as_walked(f.nine[ch]) == expected, (n, f.stage, ch)
+        assert stages == list(range(depth + 1))
+        assert towers_at_stage(chain, depth) == f
+        assert [g.stage for g in tower_families(chain, depth - 2, depth)] == stages[-3:]
+
+
+@pytest.mark.parametrize("order,gapped,seed", FAMILY_CASES, ids=CASE_IDS)
+def test_families_walk_only_stage_zero(monkeypatch, order, gapped, seed):
+    chain = random_chain(order, gapped, seed)
+    asked = []
+    real = Lattice.walk
+
+    def counting(lat, left, right, n):
+        asked.append(n)
+        return real(lat, left, right, n)
+
+    monkeypatch.setattr(Lattice, "walk", counting)
+    families = tower_families(chain, 0, len(chain.stages))
+    assert sum(sum(t.height for t in f.nine.values()) for f in families) > 1_000
+    # the nine height-1 towers of stage 0; every later level is laid out
+    # from the family below
+    assert asked == [1] * 9
+
+
+def _with_piece(chain, k, ch, ends):
+    """The chain with the stage-k piece ch moved to the integer ends."""
+    stage = chain.stages[k - 1]
+    lat = stage.map.lattice
+    rows = ((*ends, c, o) if c == ch else (left, right, c, o)
+            for left, right, c, o in lat.rows())
+    bad_map = dataclasses.replace(stage.map, lattice=Lattice.sorted_from(lat.D, rows))
+    chain.stages[k - 1] = dataclasses.replace(stage, map=bad_map)
+
+
+def _straddling(chain, k, monkeypatch):
+    # piece 9 widened over its right neighbour
+    lat = chain.stages[k - 1].map.lattice
+    i = lat.letters.index("9")
+    _with_piece(chain, k, "9", (lat.lefts[i], lat.rights[i + 1]))
+
+
+def _shifted(chain, k, monkeypatch):
+    # piece 9 shifted by one lattice unit
+    left, right, _ = chain.stages[k - 1].map.lattice.by_label()["9"]
+    _with_piece(chain, k, "9", (left + 1, right + 1))
+
+
+def _taller(chain, k, monkeypatch):
+    # member 2 one level taller at stage k
+    import ar_iet.towers as towers
+
+    real = towers.letter_height
+    hv = chain.heights[k]
+    monkeypatch.setattr(towers, "letter_height",
+                        lambda ch, heights: real(ch, heights) + (ch == "2" and heights is hv))
+
+
+# the text each control raises, recorded with the walk over every level
+# before the towers were laid out from the towers below
+NEGATIVE_CONTROLS = {
+    _straddling: "level 9 of tower 9: interval [62,70) straddles the boundary of piece 8",
+    _shifted: "level 9 of tower 9: interval [63,67) straddles the boundary of piece 8",
+    _taller: "towers 1, 2, 3, 4 differ in height",
+}
+
+
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS, ids=lambda c: c.__name__.strip("_"))
+@pytest.mark.parametrize("build", ["towers_at_stage", "tower_families"])
+def test_negative_controls_raise_what_the_walk_raises(monkeypatch, control, build):
+    k = 4
+    chain, _, _ = family_for((I, II, I, III, I, I), k)
+    control(chain, k, monkeypatch)
+    with pytest.raises(RuntimeError) as raised:
+        if build == "towers_at_stage":
+            towers_at_stage(chain, k)
+        else:
+            list(tower_families(chain, 0, k))
+    assert type(raised.value) is RuntimeError
+    assert str(raised.value) == NEGATIVE_CONTROLS[control]
 
 
 @pytest.mark.parametrize("check", [adjacency_check, level_component_counts])
@@ -338,3 +469,29 @@ def test_towers_stage_range_validation():
             towers_at_stage(chain, k)
     iterate_induction(chain, 1)
     assert towers_at_stage(chain, 1).stage == 1
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_towers_past_the_return_are_walked(monkeypatch, k):
+    import ar_iet.towers as towers
+
+    # every tower one level past its first return: each would lay a whole
+    # tower below where one level is missing, so its base is walked instead
+    chain, _, _ = family_for((I, II, I, III, I, I), k)
+    real = towers.letter_height
+    hv = chain.heights[k]
+    monkeypatch.setattr(towers, "letter_height",
+                        lambda ch, heights: real(ch, heights) + (heights is hv))
+    f = towers_at_stage(chain, k)
+    for ch in A9:
+        assert as_walked(f.nine[ch]) == walked(chain, f, ch, real(ch, hv) + 1), ch
+
+
+def test_shifted_base_that_the_walk_takes_is_walked():
+    # piece 1 of stage 4 shifted by one unit: the walk raises nothing there
+    chain, _, _ = family_for((I, II, I, III, I, I), 4)
+    left, right, _ = chain.stages[3].map.lattice.by_label()["1"]
+    _with_piece(chain, 4, "1", (left + 1, right + 1))
+    f = towers_at_stage(chain, 4)
+    for ch in A9:
+        assert as_walked(f.nine[ch]) == walked(chain, f, ch, f.nine[ch].height), ch
