@@ -72,6 +72,9 @@ CASES = {
     "experiment-two-measure-deep": (["experiment", "--two-measure", "--ks",
                                      "2,4,8,16,32,64,128,256", "--rules", "11111111",
                                      "--length", "10000"], ()),
+    # a prefix longer than the reconstruction cap
+    "experiment-two-measure-too-long": (["experiment", "--two-measure", "--ks", "20001",
+                                         "--rules", "1", "--length", "10"], ()),
     "config-two-measure": (["--config", str(GOLDEN / "config.cfg"), "experiment",
                             "--two-measure", "--ks", "1,1,1", "--rules", "111",
                             "--length", "300"], ()),
