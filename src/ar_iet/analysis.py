@@ -28,10 +28,9 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import NotAFactor
-from .gasket import PartialQuotients, Sym, reconstruct_triple
+from .gasket import PartialQuotients, Sym, _check_prefix_length, reconstruct_triple
 from .iet import Ar9Map, Interval, build_ar9
-from .induction import (DEFAULT_RETURN_CAP, StageChain, iterate_induction, jump_stages,
-                        orbit_counts)
+from .induction import StageChain, iterate_induction, jump_stages, orbit_counts
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
@@ -267,15 +266,12 @@ class FrequencyVector:
         return {ch: Fraction(self.counts.get(ch, 0), self.length) for ch in A9}
 
 
-def birkhoff_frequencies(
-    m: Ar9Map, x: Fraction, n: int, return_cap: int = DEFAULT_RETURN_CAP
-) -> FrequencyVector:
+def birkhoff_frequencies(m: Ar9Map, x: Fraction, n: int) -> FrequencyVector:
     """The letter counts of the n-letter coding of x, added jump by jump
-    through the stages that jump_stages picks for n, each induced under
-    return_cap."""
+    through the stages that jump_stages picks for n."""
     if n < 1:
         raise ValueError("orbit length must be positive")
-    jumping = jump_stages(StageChain(m, return_cap), n)
+    jumping = jump_stages(StageChain(m), n)
     return FrequencyVector(x, n, orbit_counts(m, jumping, x, n))
 
 
@@ -294,9 +290,7 @@ class TwoMeasureReport:
     l1: Fraction
 
 
-def two_measure_experiment(
-    pq: PartialQuotients, depth: int, n: int, return_cap: int = DEFAULT_RETURN_CAP
-) -> TwoMeasureReport:
+def two_measure_experiment(pq: PartialQuotients, depth: int, n: int) -> TwoMeasureReport:
     """Compare empirical letter frequencies seeded in towers 1-bar and 4-bar.
 
     The distinguished towers at a multiplicative time are 1 and 4 swapped
@@ -305,21 +299,23 @@ def two_measure_experiment(
     of blocks completed by stage `depth`.  Base points are the midpoints of
     the two stage-`depth` bases; both orbits run under the stage-0 map,
     by jumps through stages of the same chain, whose `depth` stages are
-    already induced.  Every stage is induced under return_cap.  A
-    nonpositive orbit length raises ValueError before any stage is induced.
+    already induced.  A nonpositive orbit length raises ValueError before
+    any stage is induced, and a prefix longer than the reconstruction cap
+    raises PrefixTooLong before it is expanded.
     """
     if n < 1:
         raise ValueError("orbit length must be positive")
+    length = sum(pq.ks)  # the length of the expanded prefix
+    if not 0 <= depth <= length:
+        raise ValueError(f"depth {depth} outside 0..{length}")
+    _check_prefix_length(length)
     prefix = pq.expand()
-    if not 0 <= depth <= len(prefix):
-        raise ValueError(f"depth {depth} outside 0..{len(prefix)}")
-    times = pq.times
-    N = sum(1 for mi in times if mi <= depth)
+    N = sum(1 for mi in pq.times if mi <= depth)
     l = sum(1 for rule in pq.rules[: max(N - 1, 0)] if rule is Sym.I)
     swapped = l % 2 == 1
     lo, hi = ("4", "1") if swapped else ("1", "4")
     m0 = build_ar9(reconstruct_triple(prefix))
-    chain = StageChain(m0, return_cap)
+    chain = StageChain(m0)
     stages = iterate_induction(chain, depth)
     stage_map = stages[-1].map if stages else m0
     points = tuple(

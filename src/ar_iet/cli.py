@@ -54,8 +54,7 @@ from .gasket import (
     reconstruct_triple,
 )
 from .iet import FIRST_ORDER, Ar9Map, OrderTag, _merge, build_ar9, parse_order, trajectory
-from .induction import (DEFAULT_RETURN_CAP, StageChain, induce_step, iterate_induction,
-                        jump_stages, orbit_route)
+from .induction import StageChain, induce_step, iterate_induction, jump_stages, orbit_route
 from .towers import (
     adjacency_check,
     level_component_counts,
@@ -83,7 +82,6 @@ class RunConfig:
     seed_triple: Triple = DEFAULT_SEED
     max_steps: int = DEFAULT_MAX_STEPS
     word_cap: int = 200_000
-    return_time_cap: int = DEFAULT_RETURN_CAP
     refinement_depth: int = 6
     l1_threshold: Fraction = Fraction(1, 10)
     xi_sum_threshold: Fraction = DEFAULT_XI_SUM_THRESHOLD
@@ -92,7 +90,7 @@ class RunConfig:
     random_seed: int = 0
 
     def validate(self) -> None:
-        for name in ("max_steps", "word_cap", "return_time_cap"):
+        for name in ("max_steps", "word_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.refinement_depth < 0:
@@ -318,7 +316,7 @@ def cmd_orbit(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     x = _start_point(args, m, config)
-    coding = trajectory(m, x, args.length, args.partition, config.return_time_cap)
+    coding = trajectory(m, x, args.length, args.partition)
     counts = {ch: coding.count(ch) for ch in set(coding)}
     payload = {
         "schema": "ar-iet/orbit/1",
@@ -339,7 +337,6 @@ def cmd_induct(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     steps = _count(args.steps, config.refinement_depth, "--steps", 0)
-    cap = _count(args.cap, config.return_time_cap, "--cap")
     items = [
         {
             "index": stage.index,
@@ -350,7 +347,7 @@ def cmd_induct(args, config: RunConfig) -> int:
             "return_words": stage.return_words,
             "verified": stage.ok,
         }
-        for stage in iterate_induction(StageChain(m, cap), steps)
+        for stage in iterate_induction(StageChain(m), steps)
     ]
     payload = {
         "schema": "ar-iet/induct/1",
@@ -384,7 +381,7 @@ def cmd_towers(args, config: RunConfig) -> int:
     stage = _count(args.stage, config.refinement_depth, "--stage", 0)
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
-    chain = StageChain(m, _count(args.cap, config.return_time_cap, "--cap"))
+    chain = StageChain(m)
     [family] = _towers(chain, stage, stage, config)
     nine = {
         ch: {"height": tower.height, "word": tower.word, "base": tower.base}
@@ -417,10 +414,9 @@ def cmd_towers(args, config: RunConfig) -> int:
 _CHECK_NAMES = ("partition", "adjacency", "components", "induction", "coding")
 
 
-def _check_one(prefix, depth: int, order, cap: int, config: RunConfig,
-               selected: tuple[str, ...]) -> dict:
+def _check_one(prefix, depth: int, order, config: RunConfig, selected: tuple[str, ...]) -> dict:
     t = reconstruct_triple(prefix, seed=config.seed_triple)
-    chain = StageChain(build_ar9(t, order=order), cap)
+    chain = StageChain(build_ar9(t, order=order))
     depth = min(depth, len(prefix))
     # each check that reads every stage holds true until a stage refutes it
     results: dict[str, bool] = {
@@ -478,10 +474,7 @@ def cmd_check(args, config: RunConfig) -> int:
     if not prefixes:
         raise ConfigError("no prefixes given (--prefix or --prefix-file)")
     depth = _count(args.depth, config.refinement_depth, "--depth", 0)
-    cap = _count(args.cap, config.return_time_cap, "--cap")
-    targets = [
-        _check_one(p, depth, args.order, cap, config, selected) for p in prefixes
-    ]
+    targets = [_check_one(p, depth, args.order, config, selected) for p in prefixes]
     payload = {
         "schema": "ar-iet/check/1",
         "selected": selected,
@@ -530,8 +523,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
         depth = args.depth if args.depth is not None else top
         if not 0 <= depth <= top:
             raise ConfigError(f"--depth must lie in 0..{top}")
-        report = two_measure_experiment(pq, depth, args.length,
-                                        return_cap=config.return_time_cap)
+        report = two_measure_experiment(pq, depth, args.length)
         payload = {
             "schema": "ar-iet/experiment-two-measure/1",
             "depth": report.depth,
@@ -548,7 +540,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
         t = _resolve_triple(args, config)
         m = build_ar9(t, order=args.order)
         x = _start_point(args, m, config)
-        vector = birkhoff_frequencies(m, x, args.length, config.return_time_cap)
+        vector = birkhoff_frequencies(m, x, args.length)
         payload = {
             "schema": "ar-iet/experiment-birkhoff/1",
             "triple": t,
@@ -567,7 +559,7 @@ def cmd_render(args, config: RunConfig) -> int:
     stage = _count(args.stage, 1 if args.induction else config.refinement_depth,
                    "--stage", 0)
     m = build_ar9(_resolve_triple(args, config), order=args.order)
-    chain = StageChain(m, _count(args.cap, config.return_time_cap, "--cap"))
+    chain = StageChain(m)
     if args.layout:
         text = svg.render_layout(m)
     elif args.induction:
@@ -641,12 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induct", help="iterate verified induction steps")
     _add_system_args(p)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None, help="return-time cap")
 
     p = sub.add_parser("towers", help="build stage towers and their checks")
     _add_system_args(p)
     p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("check", help="aggregated structural checks")
     p.add_argument("--all", action="store_true", help="run every check")
@@ -658,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one directing prefix per line")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--order", type=parse_order, default=FIRST_ORDER)
-    p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("experiment", help="ergodicity and eigenvalue probes")
     kind = p.add_mutually_exclusive_group(required=True)
@@ -693,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--towers", action="store_true")
     _add_system_args(p)
     p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", default=None, help="SVG file name (default: stdout)")
 
     for name, p in sub.choices.items():

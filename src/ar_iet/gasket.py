@@ -113,6 +113,15 @@ def directing_prefix(
     return tuple(symbols), exit_
 
 
+def _check_prefix_length(length: int) -> None:
+    """PrefixTooLong for a prefix of this many symbols past RECONSTRUCT_CAP:
+    reconstruct_triple's refusal, which a caller holding a prefix only by
+    its length makes before it expands the prefix."""
+    if length > RECONSTRUCT_CAP:
+        raise PrefixTooLong(f"prefix length {length} exceeds cap {RECONSTRUCT_CAP}",
+                            length=length, cap=RECONSTRUCT_CAP)
+
+
 def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Triple:
     """Invert the renormalization: the triple replaying `prefix` and landing on `seed`.
 
@@ -125,9 +134,7 @@ def reconstruct_triple(prefix: Sequence[Sym], seed: Triple = DEFAULT_SEED) -> Tr
     """
     if not is_admissible(seed):
         raise InvalidSeed(f"seed {seed} violates a > b > c > 0", triple=seed)
-    if len(prefix) > RECONSTRUCT_CAP:
-        raise PrefixTooLong(f"prefix length {len(prefix)} exceeds cap {RECONSTRUCT_CAP}",
-                            length=len(prefix), cap=RECONSTRUCT_CAP)
+    _check_prefix_length(len(prefix))
     D = math.lcm(*(v.denominator for v in seed))
     a, b, c = (v.numerator * (D // v.denominator) for v in seed)
     for sym in reversed(prefix):

@@ -462,30 +462,23 @@ def ar9_apply(m: Ar9Map, x: Fraction) -> tuple[Fraction, str]:
     return step
 
 
-# the most steps under T that an induction stage lets a piece take before
-# it returns; induction, which imports this module, holds its stages to it
-DEFAULT_RETURN_CAP = 8
-
-
 def trajectory(
-    m: Ar9Map, x: Fraction, n: int, partition: Literal["nine", "three"] = "nine",
-    return_cap: int = DEFAULT_RETURN_CAP,
+    m: Ar9Map, x: Fraction, n: int, partition: Literal["nine", "three"] = "nine"
 ) -> str:
     """Length-n coding of the forward orbit of x.
 
     nine: letters 1..9 by domain piece; three: the same word projected
     letterwise onto a, b, c.  The orbit is coded by first-return jumps
-    through the checked induction stages that `jump_stages` picks for n,
-    each induced under return_cap; it picks none, the plain walk under the
-    map, for short orbits.  n = 0 codes as the empty word; a negative n
-    raises ValueError (jump_stages).
+    through the checked induction stages that `jump_stages` picks for n;
+    it picks none, the plain walk under the map, for short orbits.  n = 0
+    codes as the empty word; a negative n raises ValueError (jump_stages).
     """
     if partition not in ("nine", "three"):
         raise ValueError(f"unknown partition {partition!r}")
     # imported here because induction imports this module at load time
     from .induction import StageChain, jump_stages, orbit_route
 
-    word = "".join(orbit_route(m, jump_stages(StageChain(m, return_cap), n), x, n))
+    word = "".join(orbit_route(m, jump_stages(StageChain(m), n), x, n))
     return project(word, "A3") if partition == "three" else word
 
 

@@ -21,7 +21,9 @@ once, until it first re-enters J_a, raising if it ever straddles a
 discontinuity (so the piece travels as a block and the return time is
 uniform on it).  The letters visited on the way spell out the nine-letter
 substitution of the branch, which is how the symbolic and geometric
-systems are glued together; the return times are their lengths.
+systems are glued together; the return times are their lengths.  No image
+of that substitution is longer than two letters, so every piece of a
+checked stage returns within two steps; the search stops at RETURN_CAP.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
@@ -39,8 +41,7 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import (DEFAULT_RETURN_CAP, ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _merge,
-                  _scaled)
+from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _merge, _scaled
 from .words import A3_MEMBERS, A9, _next_heights, sigma9
 
 # The cost of one checked induction stage in steps of the walk under T: on
@@ -80,6 +81,13 @@ _PREDICTED = {
 def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
     """Arrangement of the induced map; case II flips the orientation."""
     return _PREDICTED[order, case]
+
+
+# the most steps under T that the first-return search of an induction stage
+# takes: a checked stage returns within 2, as no sigma9 image is longer than
+# two letters (Arnoux & Rauzy, 1991), so a piece still out of J_a after 8
+# steps is a fault, reported with this cap
+RETURN_CAP = 8
 
 
 def _land(
@@ -148,17 +156,17 @@ class InductionStage:
 
 
 class StageChain:
-    """The induction chain of one stage-0 map m0 under one return cap, a
-    value that a caller holds and extends.  Every stage map is laid out on
-    m0's lattice, and stage k keeps its triple as integers on it
-    (triples[k], stepped once by ar_step), the case of that step
-    (cases[k - 1]), its class heights (heights[k]) and, once induced, its
-    checked InductionStage (stages[k - 1]).  Triples and heights may run ahead of the induced
+    """The induction chain of one stage-0 map m0, a value that a caller
+    holds and extends.  Every stage map is laid out on m0's lattice, and
+    stage k keeps its triple as integers on it (triples[k], stepped once by
+    ar_step), the case of that step (cases[k - 1]), its class heights
+    (heights[k]) and, once induced, its checked InductionStage
+    (stages[k - 1]).  Triples and heights may run ahead of the induced
     stages: jump_stages reads them before it induces.
     """
 
-    def __init__(self, m0: Ar9Map, cap: int = DEFAULT_RETURN_CAP):
-        self.m0, self.cap = m0, cap
+    def __init__(self, m0: Ar9Map):
+        self.m0 = m0
         self.triples = [Triple(*_scaled(m0.lattice.D, m0.triple))]
         self.cases: list[Sym] = []
         self.heights = [(1, 1, 1)]
@@ -221,7 +229,7 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     lengths_ok = endpoints_ok = translations_ok = True
     for ch, expected in zip(A9, expected_lengths):
         left, right, offset = pieces[ch]
-        landed_left, landed_right, words[ch] = _land(lat, regions, left, right, chain.cap)
+        landed_left, landed_right, words[ch] = _land(lat, regions, left, right, RETURN_CAP)
         # the builder already refuses an image whose length differs from
         # its piece, so only the pieces are held against the table
         lengths_ok &= right - left == expected

@@ -1,5 +1,6 @@
 """Tests for the ergodicity and eigenvalue probes."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from ar_iet.analysis import (
     two_measure_experiment,
     xi_sequence,
 )
-from ar_iet.errors import NotAFactor
-from ar_iet.gasket import PartialQuotients, Sym, triple
+from ar_iet.errors import NotAFactor, PrefixTooLong
+from ar_iet.gasket import PartialQuotients, Sym, reconstruct_triple, triple
 from ar_iet.iet import Interval, ORDER_TAGS, build_ar9, trajectory
 
 F = Fraction
@@ -290,6 +291,38 @@ def test_two_measure_depth_zero_uses_first_order_pieces():
 def test_two_measure_depth_validation():
     with pytest.raises(ValueError):
         two_measure_experiment(tribonacci(3), depth=9, n=10)
+
+
+def _refusal(error: PrefixTooLong):
+    return type(error), str(error), error.detail
+
+
+def test_two_measure_refuses_a_long_prefix_as_reconstruction_does():
+    pq = PartialQuotients((20_000, 1), (I, II))
+    with pytest.raises(PrefixTooLong) as replayed:
+        reconstruct_triple(pq.expand())
+    with pytest.raises(PrefixTooLong) as refused:
+        two_measure_experiment(pq, 20_001, 10)
+    assert _refusal(refused.value) == _refusal(replayed.value)
+    # a depth outside the prefix is still refused first
+    with pytest.raises(ValueError, match="depth 20002 outside"):
+        two_measure_experiment(pq, 20_002, 10)
+
+
+def test_two_measure_refuses_a_long_prefix_before_expanding_it():
+    # expanding 10^6 symbols first peaked at 15.3 MiB
+    pq = PartialQuotients((10**6,), (I,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrefixTooLong) as refused:
+            two_measure_experiment(pq, 10**6, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _refusal(refused.value) == (
+        PrefixTooLong, "prefix length 1000000 exceeds cap 10000",
+        {"length": 10**6, "cap": 10_000})
+    assert peak < 1024 * 1024, f"{peak // 1024} KiB"
 
 
 # --- preimage clusters -------------------------------------------------------

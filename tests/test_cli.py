@@ -71,7 +71,6 @@ CONFIG_SAMPLES = {
     "seed_triple": "7,4,2",
     "max_steps": "9",
     "word_cap": "99",
-    "return_time_cap": "3",
     "refinement_depth": "0",
     "l1_threshold": "3/7",
     "xi_sum_threshold": "5/2",
@@ -95,18 +94,14 @@ def test_every_config_field_round_trips(tmp_path):
 
 
 def test_shared_defaults_are_the_library_constants():
-    from ar_iet import analysis, gasket, induction
+    from ar_iet import analysis, gasket
 
     config = RunConfig()
     assert config.max_steps == gasket.DEFAULT_MAX_STEPS
-    assert config.return_time_cap == induction.DEFAULT_RETURN_CAP
     assert config.xi_sum_threshold == analysis.DEFAULT_XI_SUM_THRESHOLD
     assert config.tail_epsilon == analysis.DEFAULT_TAIL_EPSILON
     args = build_parser().parse_args(["experiment", "--eigen", "--ks", "1"])
     assert args.persistence == analysis.DEFAULT_PERSISTENCE
-    assert analysis.two_measure_experiment.__defaults__ == (induction.DEFAULT_RETURN_CAP,)
-    assert analysis.birkhoff_frequencies.__defaults__ == (induction.DEFAULT_RETURN_CAP,)
-    assert ar_iet.trajectory.__defaults__ == ("nine", induction.DEFAULT_RETURN_CAP)
 
 
 def test_config_errors_are_usage_errors(tmp_path, capsys):
@@ -443,36 +438,34 @@ def test_experiment_two_measure_smoke(capsys):
 
 
 @pytest.mark.parametrize("depth", ["0", "1"])
-def test_two_measure_applies_the_return_cap_to_every_stage(capsys, tmp_path, depth):
+def test_two_measure_applies_the_return_cap_to_every_stage(capsys, monkeypatch, depth):
     # at depth 0 every stage is one that jump_stages induces for the orbits
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("return_time_cap = 1\n")
-    code, out, err = run(capsys, "--config", str(cfg), "experiment", "--two-measure",
-                         "--ks", "2,4,8", "--rules", "111", "--length", "10000",
-                         "--depth", depth)
+    args = ("experiment", "--two-measure", "--ks", "2,4,8", "--rules", "111",
+            "--length", "10000", "--depth", depth)
+    with monkeypatch.context() as patch:
+        patch.setattr(ar_iet.induction, "RETURN_CAP", 1)
+        code, out, err = run(capsys, *args)
     assert (code, out) == (1, "")
     error = json.loads(err)
     assert error["code"] == "return-time-cap-exceeded"
     assert error["detail"]["cap"] == "1"
-    # the default cap induces them
-    args = ("experiment", "--two-measure", "--ks", "2,4,8", "--rules", "111",
-            "--length", "10000", "--depth", depth)
+    # the real cap induces them
     assert run_json(capsys, *args)["depth"] == int(depth)
 
 
 @pytest.mark.parametrize("command", (["orbit"], ["experiment", "--birkhoff"]),
                          ids=("orbit", "birkhoff"))
-def test_orbits_apply_the_return_cap(capsys, tmp_path, command):
+def test_orbits_apply_the_return_cap(capsys, monkeypatch, command):
     # a 20,000-step orbit jumps through five stages, each induced under the cap
     args = (*command, "--prefix", "1213121312131213", "--point", "1/3", "--length", "20000")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("return_time_cap = 1\n")
-    code, out, err = run(capsys, "--config", str(cfg), *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(ar_iet.induction, "RETURN_CAP", 1)
+        code, out, err = run(capsys, *args)
     assert (code, out) == (1, "")
     error = json.loads(err)
     assert error["code"] == "return-time-cap-exceeded"
     assert error["detail"]["cap"] == "1"
-    # the default cap induces them
+    # the real cap induces them
     assert run_json(capsys, *args)["length"] == 20000
 
 
@@ -594,19 +587,40 @@ def test_unknown_subcommand_is_usage_error():
     ("experiment", "--eigen", "--ks", "1,2,3", "--rules", "111", "--floor=-1/2"),
     ("gasket", "--prefix", "111", "--steps", "0"),
     ("gasket", "--prefix", "111", "--steps", "-1"),
-    *[(*command, "--cap", cap) for cap in ("0", "-1") for command in (
-        ("words", "--prefix", "111"),
-        ("induct", "--prefix", "111"),
-        ("towers", "--prefix", "111"),
-        ("check", "--all", "--prefix", "111"),
-        ("render", "--towers", "--prefix", "111"),
-    )],
+    ("words", "--prefix", "111", "--cap", "0"),
+    ("words", "--prefix", "111", "--cap", "-1"),
 ])
 def test_negative_stages_and_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("ar-iet: ") and err.count("\n") == 1
+
+
+_INDUCING = {
+    "induct": ("induct", "--prefix", "111"),
+    "towers": ("towers", "--prefix", "111"),
+    "check": ("check", "--all", "--prefix", "111"),
+    "render": ("render", "--towers", "--prefix", "111"),
+}
+
+
+@pytest.mark.parametrize("name,cap", [(name, cap) for cap in ("0", "-1") for name in _INDUCING],
+                         ids=lambda value: value)
+def test_return_cap_is_no_flag_and_no_config_key(capsys, tmp_path, name, cap):
+    # the first-return search is bounded by induction.RETURN_CAP alone
+    argv = _INDUCING[name]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--cap", cap])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"ar-iet: error: unrecognized arguments: --cap {cap}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("return_time_cap = 3\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"ar-iet: {cfg}:1: unknown key 'return_time_cap'\n"
 
 
 # --- tower level cap ------------------------------------------------------------
@@ -642,9 +656,10 @@ def test_tower_stage_over_the_level_cap_is_refused_unbuilt(capsys, monkeypatch, 
     ("render", "--towers", "--prefix", _THIRTY, "--stage", "24"),
     ("check", "--all", "--prefix", _THIRTY, "--depth", "24"),
 ])
-def test_stages_are_induced_before_the_level_cap(capsys, argv):
+def test_stages_are_induced_before_the_level_cap(capsys, monkeypatch, argv):
     # stage 24 is over the level cap, and stage 1 already over a return cap of 1
-    code, out, err = run(capsys, *argv, "--cap", "1")
+    monkeypatch.setattr(ar_iet.induction, "RETURN_CAP", 1)
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["code"] == "return-time-cap-exceeded"
 
@@ -842,7 +857,7 @@ def fuzz_order(rng):
                       ["fourth", "reversed-", ""])
 
 
-CONFIG_LINES = ["word_cap = 200", "word_cap = 0", "return_time_cap = 3", "max_steps = 5",
+CONFIG_LINES = ["word_cap = 200", "word_cap = 0", "max_steps = 5",
                 "refinement_depth = -1", "seed_triple = 7,4,2", "seed_triple = 1,1,1",
                 "l1_threshold = 1/0", "random_seed = 3", "no_such_key = 1", "no equals sign"]
 

@@ -197,8 +197,10 @@ def test_swapped_substitution_fails_the_word_check(monkeypatch):
 
 
 def test_return_cap_exceeded(monkeypatch):
-    with pytest.raises(ReturnTimeCapExceeded):
-        induce_step(StageChain(build_ar9(triple(12, 4, 3)), 1), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(induction, "RETURN_CAP", 1)
+        with pytest.raises(ReturnTimeCapExceeded):
+            induce_step(StageChain(build_ar9(triple(12, 4, 3))), 1)
     # induced on the wrong set, J_a without I_3: a piece that passes through
     # I_3 and I_5 lands on [11,14), across the end of I_2 = [11,13)
     monkeypatch.setattr(induction, "J_A", "124")

@@ -1,6 +1,9 @@
 """The package interface: `__all__` is the public names the package imports,
-each module imports on its own, and the library's checks survive `python -O`."""
+each module imports on its own, the library's checks survive `python -O`, and
+the README's library quick start prints what its comments say."""
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -95,3 +98,18 @@ def test_library_modules_use_every_name_they_import():
         used = _used_names(tree)
         unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
         assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library quick start")) + len("```python\n")
+    block = readme[start:readme.index("```", start)]
+    # each commented print line prints its comment, strings written in quotes
+    expected = [line.split("#", 1)[1].strip().replace('"', "")
+                for line in block.splitlines() if line.startswith("print(") and "#" in line]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+    assert {"17184", "abaca", "abacaba", "True"} <= set(expected)
+    assert expected[-1] == "[<Sym.I: 1>] [(1, 1, 1), (2, 2, 1)]"
