@@ -588,6 +588,10 @@ def test_unknown_subcommand_is_usage_error():
     ("gasket", "--prefix", "111", "--steps", "0"),
     ("gasket", "--prefix", "111", "--steps", "-1"),
     ("words", "--prefix", "111", "--cap", "0"),
+    ("check", "--all", "--prefix", "111", "--depth", "-1"),
+    ("orbit", "--prefix", "111", "--length", "-1"),
+    ("experiment", "--birkhoff", "--prefix", "111", "--length", "-1"),
+    ("experiment", "--eigen", "--prefix", "111", "--theta", "0", "--persistence", "-1"),
     ("words", "--prefix", "111", "--cap", "-1"),
 ])
 def test_negative_stages_and_counts_are_usage_errors(capsys, argv):
