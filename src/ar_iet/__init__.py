@@ -79,7 +79,6 @@ from .induction import (
     StageChain,
     induce_step,
     iterate_induction,
-    predicted_order,
 )
 from .towers import (
     Tower,
@@ -89,7 +88,6 @@ from .towers import (
     locate,
     partition_check,
     tower_families,
-    towers_at_stage,
 )
 from .analysis import (
     ConditionReport,

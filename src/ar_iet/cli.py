@@ -261,7 +261,12 @@ def _rules_arg(text: str) -> tuple[Sym, ...]:
 def cmd_gasket(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     steps = _count(args.steps, config.max_steps, "--steps")
-    prefix, exit_ = directing_prefix(t, max_steps=steps)
+    # a printed prefix longer than word_cap is refused, and word_cap + 1
+    # steps tell whether the orbit makes one
+    prefix, exit_ = directing_prefix(t, max_steps=min(steps, config.word_cap + 1))
+    if len(prefix) > config.word_cap:
+        raise WordOverflow(f"gasket prefix of {steps} steps exceeds cap {config.word_cap}",
+                           steps=steps, cap=config.word_cap)
     payload = {
         "schema": "ar-iet/gasket/1",
         "triple": t,

@@ -98,14 +98,6 @@ def screen_roles(order: OrderTag) -> tuple[int, int, int]:
 _ORDER_OF_ROLES = {screen_roles(tag): tag for tag in ORDER_TAGS}
 
 
-def order_from_roles(roles: Sequence[int]) -> OrderTag:
-    """The unique arrangement with the given left-to-right role sequence."""
-    roles = tuple(roles)
-    if roles not in _ORDER_OF_ROLES:
-        raise ValueError(f"not a role permutation: {roles}")
-    return _ORDER_OF_ROLES[roles]
-
-
 def parse_order(text: str) -> OrderTag:
     t = text.strip().lower().replace("_", "-")
     rev = t.startswith("reversed-")

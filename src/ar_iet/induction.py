@@ -71,16 +71,12 @@ _SPAN_ROLES = {
 }
 
 
-# the arrangement of the induced map, per parent arrangement and case
+# the arrangement of the induced map, per parent arrangement and case; case
+# II flips the orientation
 _PREDICTED = {
     (tag, case): OrderTag(_BASE_TRANSITION[case][tag.base], tag.reversed != (case is Sym.II))
     for tag in ORDER_TAGS for case in Sym
 }
-
-
-def predicted_order(order: OrderTag, case: Sym) -> OrderTag:
-    """Arrangement of the induced map; case II flips the orientation."""
-    return _PREDICTED[order, case]
 
 
 # the most steps under T that the first-return search of an induction stage

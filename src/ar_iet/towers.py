@@ -16,11 +16,12 @@ left end, and keeps only the counts.
 
 Towers live on the lattice (1/D)Z of the stage-0 map, which holds the
 stage-k pieces of its chain.  A nine-letter tower holds the base width and
-one integer left end per level.  Stage 0's towers are the pieces, walked
-one level each (`Lattice.walk`); a stage-k tower is laid out from the
+one integer left end per level.  Stage 0's towers are the pieces
+themselves, one level each; a stage-k tower is laid out from the
 stage-(k - 1) towers, one bisection and one shifted copy of a tower below
-per segment of its base's orbit, and only a base that the towers below do
-not tile is walked level by level.  The checks read those integers and the
+per segment of its base's orbit.  A segment that fits no single base below,
+or a tower below taller than the levels left to lay, is a fault of the
+chain and raises RuntimeError.  The checks read those integers and the
 right-end column built from them once; base and levels are views of them.
 """
 from __future__ import annotations
@@ -90,6 +91,8 @@ def tower_families(chain: StageChain, first: int, last: int) -> Iterator[TowerFa
     for k in (first, last):
         if not 0 <= k <= len(chain.stages):
             raise ValueError(f"stage {k} outside the computed range 0..{len(chain.stages)}")
+    if first > last:
+        raise ValueError(f"first stage {first} past last stage {last}")
     family = None
     for k in range(last + 1):
         family = _family(chain, k, family)
@@ -97,37 +100,32 @@ def tower_families(chain: StageChain, first: int, last: int) -> Iterator[TowerFa
             yield family
 
 
-def towers_at_stage(chain: StageChain, k: int) -> TowerFamily:
-    """The stage-k towers of the chain, the last family of
-    `tower_families(chain, k, k)`; the chain must hold stage k induced
-    (k = 0 gives the original pieces as height-1 towers)."""
-    [family] = tower_families(chain, k, k)
-    return family
-
-
 def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily:
     """The stage-k towers of the chain, laid out from below, the stage-(k - 1)
-    family (None at stage 0): Kakutani's skyscraper over the towers below.
+    family (None at stage 0, whose towers are the pieces, one level each):
+    Kakutani's skyscraper over the towers below.
 
     From a base [x, x + W), one bisection finds the base below that holds
     the segment; that tower's levels, shifted by x less its base's left end,
     and its word are appended, and x moves by its T^h (its last level's left
     end, plus the stage-0 offset of its last letter, less its base's left
-    end).  A base with a segment that fits no single base below, or that
-    would overshoot the height, is walked from scratch and raises what the
-    walk raises; so is every stage-0 piece.
+    end).  A segment that fits no single base below, or whose tower below
+    is taller than the levels left to lay, raises RuntimeError naming the
+    stage, the tower, the level and the segment.
     """
     m0 = chain.m0
     lat = m0.lattice  # the stage maps', as every stage of the chain is on it
     stage_map = m0 if k == 0 else chain.stages[k - 1].map
-    starts = ends = columns = jumps = ()
-    if below is not None:
-        lookup = (m0 if k == 1 else chain.stages[k - 2].map).lattice
-        starts, ends = lookup.lefts, lookup.rights
-        columns = [below.nine[ch] for ch in lookup.letters]
-        offset = dict(zip(lat.letters, lat.offsets))
-        jumps = [t.lefts[-1] + offset[t.word[-1]] - t.lefts[0] for t in columns]
     bases = stage_map.lattice.by_label()
+    if below is None:
+        nine = {ch: Tower(lat.D, right - left, (left,), ch)
+                for ch in A9 for left, right, _ in [bases[ch]]}
+        return TowerFamily(k, stage_map.order, nine, m0)
+    lookup = (m0 if k == 1 else chain.stages[k - 2].map).lattice
+    starts, ends = lookup.lefts, lookup.rights
+    columns = [below.nine[ch] for ch in lookup.letters]
+    offset = dict(zip(lat.letters, lat.offsets))
+    jumps = [t.lefts[-1] + offset[t.word[-1]] - t.lefts[0] for t in columns]
     hv = chain.heights[k]
     nine: dict[str, Tower] = {}
     for ch in A9:
@@ -139,9 +137,12 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
         while len(lefts) < height:
             i = bisect_right(starts, x) - 1
             if i < 0 or not x < ends[i] >= x + width:
+                why = f"fits no single stage-{k - 1} tower"
                 break
             t = columns[i]
             if t.height > height - len(lefts):
+                why = (f"starts stage-{k - 1} tower {lookup.letters[i]}, {t.height} levels "
+                       f"tall, with {height - len(lefts)} left to lay")
                 break
             lefts.extend(map((x - t.lefts[0]).__add__, t.lefts))
             words.append(t.word)
@@ -149,11 +150,8 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
         else:  # every level laid
             nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(words))
             continue
-        try:
-            letters, lefts = lat.walk(left, right, height)
-        except RuntimeError as e:
-            raise RuntimeError(f"level {e.level} of tower {ch}: {e}") from None
-        nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(letters))
+        raise RuntimeError(
+            f"level {len(lefts)} of stage-{k} tower {ch}: {lat.interval(x, x + width)} {why}")
     if uneven := _uneven(nine):
         raise RuntimeError(uneven)
     return TowerFamily(k, stage_map.order, nine, m0)
@@ -272,10 +270,10 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
     - the stage-k bases are disjoint and nonempty, being the stage map's
       laid-out pieces;
     - every level lies in one piece, so T^j is a translation on each base:
-      `Lattice.walk` checks it of each level it lays, and a level laid out
-      from the family below lies inside a level of the tower below whose
-      base holds the segment (T^j moves both by the same offsets), which
-      lies in one piece by induction on the stage.
+      a stage-0 level is a piece itself, and a later level, laid out from
+      the family below, lies inside a level of the tower below whose base
+      holds the segment (T^j moves both by the same offsets), which lies in
+      one piece by induction on the stage.
 
     So level j of the members, the images of disjoint bases under the
     injective T^j, are disjoint intervals of width > 0.

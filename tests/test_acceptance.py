@@ -42,7 +42,7 @@ from ar_iet.towers import (
     adjacency_check,
     level_component_counts,
     partition_check,
-    towers_at_stage,
+    tower_families,
 )
 from ar_iet.words import (
     A3,
@@ -154,8 +154,7 @@ def test_criterion_02_orbit_codings_and_return_words():
         # stage-k return words: tower codings against the substitution words
         chain = StageChain(m)
         iterate_induction(chain, 6)
-        for k in range(7):
-            family = towers_at_stage(chain, k)
+        for k, family in enumerate(tower_families(chain, 0, 6)):
             expected = stage_words(prefix[:k], "A9", 10_000)
             got = {ch: family.nine[ch].word for ch in A9}
             assert got == expected, f"stage {k} return words differ"
@@ -281,8 +280,7 @@ def test_criterion_06_tower_checks():
         m = build_ar9(t, order, gaps)
         chain = StageChain(m)
         iterate_induction(chain, 8)
-        for k in range(9):
-            family = towers_at_stage(chain, k)
+        for k, family in enumerate(tower_families(chain, 0, 8)):
             assert partition_check(family).ok
             assert adjacency_check(family).ok
             counts = level_component_counts(family)

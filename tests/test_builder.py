@@ -27,7 +27,6 @@ from ar_iet.iet import (
     Lattice,
     ar9_from_placements,
     build_ar9,
-    order_from_roles,
     screen_roles,
 )
 from ar_iet.induction import StageChain, iterate_induction
@@ -36,6 +35,9 @@ from ar_iet.words import A9
 F = Fraction
 CASES = [(order, gapped, origin)
          for order in ORDER_TAGS for gapped in (False, True) for origin in (False, True)]
+# the arrangement of each left-to-right role sequence, inverted here from
+# screen_roles rather than read from the builder's table
+ORDER_OF_ROLES = {screen_roles(tag): tag for tag in ORDER_TAGS}
 
 
 def ref_from_placements(t, placements, reversed_):
@@ -49,7 +51,7 @@ def ref_from_placements(t, placements, reversed_):
             if blocks[r].left < blocks[s].right and blocks[s].left < blocks[r].right:
                 raise ValueError(f"role blocks {r} and {s} overlap: {blocks[r]} {blocks[s]}")
     roles = tuple(sorted(range(3), key=lambda r: placements[r]))
-    order = order_from_roles(roles)
+    order = ORDER_OF_ROLES[roles]
     if order.reversed != reversed_:
         raise ValueError(
             f"block arrangement {roles} implies reversed={order.reversed}, got {reversed_}"

@@ -25,6 +25,7 @@ from ar_iet.cli import (
 )
 from ar_iet.gasket import parse_prefix, parse_triple
 from ar_iet.iet import ORDER_TAGS, parse_order
+from ar_iet.words import heights_by_matrix
 
 
 def run(capsys, *argv):
@@ -125,6 +126,41 @@ def test_gasket_two_steps_with_tie_exit(capsys):
     assert payload["exit"] == {"kind": "not-in-gasket", "step": 3, "reason": "tie"}
     assert payload["omega_lengths"] == ["20", "11", "17"]
     assert payload["partial_quotients"]["ks"] == [1, 1]
+
+
+def test_gasket_steps_past_word_cap_are_refused(capsys, tmp_path):
+    # (10^12, 2, 1) steps by case III for about 3.3 * 10^11 steps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("word_cap = 5\n")
+    argv = ("--config", str(cfg), "gasket", "--triple", "1000000000000,2,1", "--steps")
+    payload = run_json(capsys, *argv, "5")
+    assert (payload["prefix"], payload["exit"]["kind"]) == ("33333", "exhausted")
+    code, out, err = run(capsys, *argv, "6")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "word-overflow",
+        "message": "gasket prefix of 6 steps exceeds cap 5",
+        "detail": {"cap": "5", "steps": "6"},
+    }
+    # an orbit that leaves the gasket within the cap prints what it did
+    # under the default cap
+    short = ("gasket", "--triple", "13,7,4", "--steps", "6")
+    payload = run_json(capsys, "--config", str(cfg), *short)
+    assert payload == run_json(capsys, *short)
+    assert (payload["prefix"], payload["exit"]["step"]) == ("11", 3)
+
+
+def test_gasket_steps_are_bounded_by_word_cap_in_time():
+    # stepped one by one, this orbit would take about 3.3 * 10^11 steps
+    argv = ["gasket", "--triple", "1000000000000,2,1", "--steps", "1000000000000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "ar_iet.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    error = json.loads(done.stderr)
+    assert error["code"] == "word-overflow"
+    assert error["detail"] == {"cap": "200000", "steps": "1000000000000"}
 
 
 def test_gasket_from_prefix_reconstructs(capsys):
@@ -276,6 +312,27 @@ def test_internal_fault_is_exit_3(capsys, monkeypatch, argv):
         "schema": "ar-iet/error/1",
         "code": "internal-fault",
         "message": "induction stage 1 disagrees with the prediction: words_ok",
+        "detail": {"type": "RuntimeError"},
+    }
+
+
+@pytest.mark.parametrize("selected", ["--all", "--partition", "--coding"])
+def test_tower_fault_is_an_internal_fault(capsys, monkeypatch, selected):
+    import ar_iet.towers as towers
+
+    # every stage-4 tower of 121311 one level past its first return: the
+    # layout from stage 3 is a fault of the program, not a false verdict
+    real = towers.letter_height
+    hv = heights_by_matrix(parse_prefix("1213"))[-1]
+    monkeypatch.setattr(towers, "letter_height",
+                        lambda ch, heights: real(ch, heights) + (heights == hv))
+    code, out, err = run(capsys, "check", selected, "--prefix", "121311", "--depth", "4")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "internal-fault",
+        "message": "level 6 of stage-4 tower 1: [112,121) starts stage-3 tower 1, "
+                   "6 levels tall, with 1 left to lay",
         "detail": {"type": "RuntimeError"},
     }
 

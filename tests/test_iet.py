@@ -24,7 +24,6 @@ from ar_iet.iet import (
     first_order_adjacent,
     glue_point,
     glue_to_ar6,
-    order_from_roles,
     parse_order,
     screen_roles,
     trajectory,
@@ -65,8 +64,6 @@ def test_order_tags_are_six_permutations():
     assert screen_roles(OrderTag("second")) == (1, 2, 0)
     assert screen_roles(OrderTag("third")) == (2, 0, 1)
     assert screen_roles(OrderTag("second", True)) == (0, 2, 1)
-    for tag in ORDER_TAGS:
-        assert order_from_roles(screen_roles(tag)) == tag
 
 
 def test_parse_order():

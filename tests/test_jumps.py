@@ -34,7 +34,7 @@ from ar_iet.induction import (
     orbit_counts,
     orbit_route,
 )
-from ar_iet.towers import towers_at_stage
+from ar_iet.towers import tower_families
 from ar_iet.words import A9, heights_by_matrix, letter_height, project
 
 F = Fraction
@@ -282,10 +282,9 @@ def test_the_chain_holds_each_stage_once(order, gapped):
     assert chain.cases == [s.case for s in stages]
     maps = [m, *(s.map for s in stages)]
     assert chain.triples == [Triple(*_scaled(D0, each.triple)) for each in maps]
-    for k in range(K + 1):
+    for k, f in enumerate(tower_families(chain, 0, K)):
         hv = chain.heights[k]
         assert hv == heights_by_matrix(chain.cases[:k])[-1], k
-        f = towers_at_stage(chain, k)
         assert all(f.nine[ch].height == letter_height(ch, hv) for ch in A9), k
     # a chain that already holds stages counts them as free, and hands the
     # same stage objects back

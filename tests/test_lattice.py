@@ -27,7 +27,7 @@ from ar_iet.towers import (
     adjacency_check,
     level_component_counts,
     partition_check,
-    towers_at_stage,
+    tower_families,
 )
 from ar_iet.words import A3_MEMBERS, A9
 
@@ -109,7 +109,7 @@ def test_lattice_matches_fraction_reference(order, gapped):
     k = rng.randint(1, min(len(prefix), 6))
     chain = StageChain(m)
     stages = iterate_induction(chain, k)
-    f = towers_at_stage(chain, k)
+    [f] = tower_families(chain, k, k)
     for ch in A9:
         tower = f.nine[ch]
         levels, word = ref_tower(m, stages[-1].map.domain[ch], tower.height)
@@ -142,8 +142,7 @@ def test_map_on_a_finer_lattice_induces_the_same_stages(order, gapped):
     assert all(f.map != g.map for f, g in zip(got, want))
     assert [views(s.map) for s in got] == [views(s.map) for s in want]
     assert [s.return_words for s in got] == [s.return_words for s in want]
-    for k in (1, 5):
-        f, g = towers_at_stage(fine_chain, k), towers_at_stage(chain, k)
+    for f, g in zip(tower_families(fine_chain, 0, 5), tower_families(chain, 0, 5)):
         for ch in A9:
             assert f.nine[ch].base == g.nine[ch].base
             assert f.nine[ch].levels == g.nine[ch].levels
@@ -253,8 +252,7 @@ def test_column_towers_match_references(order, gapped):
     k = min(len(prefix), 7)
     chain = StageChain(m)
     stages = iterate_induction(chain, k)
-    for stage in range(k + 1):
-        f = towers_at_stage(chain, stage)
+    for stage, f in enumerate(tower_families(chain, 0, k)):
         bases = (stages[stage - 1].map if stage else m).domain
         for ch in A9:
             tower = f.nine[ch]
@@ -283,7 +281,7 @@ def test_partition_check_matches_the_sorted_sweep(order, gapped):
     k = rng.randint(1, min(len(prefix), 6))
     chain = StageChain(m)
     iterate_induction(chain, k)
-    f = towers_at_stage(chain, k)
+    [f] = tower_families(chain, k, k)
     ch, other = rng.sample(A9, 2)
     tower = f.nine[ch]
     j = rng.randrange(tower.height)

@@ -17,7 +17,6 @@ from ar_iet.towers import (
     locate,
     partition_check,
     tower_families,
-    towers_at_stage,
 )
 from ar_iet.words import A3_MEMBERS, A9, heights_by_matrix, letter_height, stage_words
 
@@ -29,12 +28,13 @@ def family_for(prefix, k, order=ORDER_TAGS[0], gaps=(F(0), F(0))):
     t = reconstruct_triple(prefix)
     chain = StageChain(build_ar9(t, order, gaps))
     stages = iterate_induction(chain, k)
-    return chain, stages, towers_at_stage(chain, k)
+    [f] = tower_families(chain, k, k)
+    return chain, stages, f
 
 
 def test_stage_zero_towers_are_the_pieces():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(StageChain(m0), 0)
+    [f] = tower_families(StageChain(m0), 0, 0)
     for ch in A9:
         tower = f.nine[ch]
         assert tower.height == 1
@@ -149,22 +149,32 @@ def test_straddling_base_negative_control():
             for left, right, ch, offset in zip(lat.lefts, lat.rights, lat.letters, lat.offsets))
     bad_map = dataclasses.replace(stage.map, lattice=Lattice.sorted_from(lat.D, rows))
     assert bad_map.domain["1"] == Interval(m0.domain["7"].left, m0.domain["8"].right)
-    with pytest.raises(RuntimeError, match="level 0 of tower 1: .* straddles"):
-        chain.stages[0] = dataclasses.replace(stage, map=bad_map)
-        towers_at_stage(chain, 1)
+    chain.stages[0] = dataclasses.replace(stage, map=bad_map)
+    with pytest.raises(RuntimeError) as raised:
+        list(tower_families(chain, 0, 1))
+    assert str(raised.value) == (f"level 0 of stage-1 tower 1: {bad_map.domain['1']} "
+                                 "fits no single stage-0 tower")
 
 
 def test_unequal_member_heights_raise(monkeypatch):
     import ar_iet.towers as towers
 
-    chain, _, _ = family_for((I, I, I), 2)
+    chain, _, f = family_for((I, I, I), 2)
+    # member 2 of stage 2 cut to the first stage-1 tower its base holds: the
+    # copy stops after that tower, every segment fitting, and only the
+    # members' heights disagree
+    [below] = tower_families(chain, 1, 1)
+    lat = chain.stages[0].map.lattice
+    first = below.nine[lat.letters[lat.find(f.nine["2"].lefts[0])]].height
+    assert first < f.nine["2"].height
     real = towers.letter_height
-    # one member one level taller at stage 2 only, whose towers are laid
-    # out from stage 1's
+    hv = chain.heights[2]
     monkeypatch.setattr(towers, "letter_height",
-                        lambda ch, hv: real(ch, hv) + (ch == "2" and hv is chain.heights[2]))
-    with pytest.raises(RuntimeError, match="differ in height"):
-        towers_at_stage(chain, 2)
+                        lambda ch, heights: first if ch == "2" and heights is hv
+                        else real(ch, heights))
+    with pytest.raises(RuntimeError) as raised:
+        list(tower_families(chain, 0, 2))
+    assert str(raised.value) == "towers 1, 2, 3, 4 differ in height"
 
 
 # --- towers laid out from the towers below -----------------------------------
@@ -215,7 +225,7 @@ def test_tower_families_equal_the_walk(order, gapped, seed):
                 expected = walked(chain, f, ch, letter_height(ch, chain.heights[f.stage]))
                 assert as_walked(f.nine[ch]) == expected, (n, f.stage, ch)
         assert stages == list(range(depth + 1))
-        assert towers_at_stage(chain, depth) == f
+        assert list(tower_families(chain, depth, depth)) == [f]
         assert [g.stage for g in tower_families(chain, depth - 2, depth)] == stages[-3:]
 
 
@@ -232,9 +242,9 @@ def test_families_walk_only_stage_zero(monkeypatch, order, gapped, seed):
     monkeypatch.setattr(Lattice, "walk", counting)
     families = tower_families(chain, 0, len(chain.stages))
     assert sum(sum(t.height for t in f.nine.values()) for f in families) > 1_000
-    # the nine height-1 towers of stage 0; every later level is laid out
-    # from the family below
-    assert asked == [1] * 9
+    # stage 0's towers are the pieces, and every later level is laid out
+    # from the family below: nothing is walked
+    assert asked == []
 
 
 def _with_piece(chain, k, ch, ends):
@@ -270,26 +280,25 @@ def _taller(chain, k, monkeypatch):
                         lambda ch, heights: real(ch, heights) + (ch == "2" and heights is hv))
 
 
-# the text each control raises, recorded with the walk over every level
-# before the towers were laid out from the towers below
+# the fault each control raises: the first segment of a stage-4 base that
+# fits no single stage-3 base, or a stage-3 tower taller than the levels left
 NEGATIVE_CONTROLS = {
-    _straddling: "level 9 of tower 9: interval [62,70) straddles the boundary of piece 8",
-    _shifted: "level 9 of tower 9: interval [63,67) straddles the boundary of piece 8",
-    _taller: "towers 1, 2, 3, 4 differ in height",
+    _straddling: "level 6 of stage-4 tower 9: [121,129) fits no single stage-3 tower",
+    _shifted: "level 6 of stage-4 tower 9: [122,126) fits no single stage-3 tower",
+    _taller: "level 6 of stage-4 tower 2: [108,112) starts stage-3 tower 1, 6 levels "
+             "tall, with 1 left to lay",
 }
 
 
 @pytest.mark.parametrize("control", NEGATIVE_CONTROLS, ids=lambda c: c.__name__.strip("_"))
-@pytest.mark.parametrize("build", ["towers_at_stage", "tower_families"])
+@pytest.mark.parametrize("build", ["tower_families", "last_family"])
 def test_negative_controls_raise_what_the_walk_raises(monkeypatch, control, build):
+    # every family from stage 0, or only the last: both lay out stages 0..4
     k = 4
     chain, _, _ = family_for((I, II, I, III, I, I), k)
     control(chain, k, monkeypatch)
     with pytest.raises(RuntimeError) as raised:
-        if build == "towers_at_stage":
-            towers_at_stage(chain, k)
-        else:
-            list(tower_families(chain, 0, k))
+        list(tower_families(chain, 0 if build == "tower_families" else k, k))
     assert type(raised.value) is RuntimeError
     assert str(raised.value) == NEGATIVE_CONTROLS[control]
 
@@ -317,7 +326,7 @@ def test_checks_leave_the_projected_towers_unbuilt():
 
 def test_adjacency_stage0_first_order():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(StageChain(m0), 0)
+    [f] = tower_families(StageChain(m0), 0, 0)
     report = adjacency_check(f)
     assert report.ok
     # 2 leftmost: I2=[11,13) then I3=[13,17)
@@ -404,8 +413,7 @@ def test_component_counts_match_merge_at_bench_depth(order, gapped):
     m0 = build_ar9(reconstruct_triple(prefix), order, gaps)
     chain = StageChain(m0)
     iterate_induction(chain, 12)
-    for k in range(13):
-        f = towers_at_stage(chain, k)
+    for k, f in enumerate(tower_families(chain, 0, 12)):
         counts = level_component_counts(f)
         assert counts == ref_component_counts(f), k
     # negative control at the deepest stage: one touch fewer in a row of the
@@ -429,7 +437,7 @@ def test_component_bounds_sweep():
 
 def test_stage0_component_counts_first_order_adjacent():
     m0 = build_ar9(triple(7, 4, 2))
-    f = towers_at_stage(StageChain(m0), 0)
+    [f] = tower_families(StageChain(m0), 0, 0)
     counts = level_component_counts(f)
     # adjacent blocks: J_a merges to [6,20); J_b = [20,26) u [0,2); J_c = [2,6)
     assert counts == {"a": 1, "b": 2, "c": 1}
@@ -439,7 +447,7 @@ def test_locate_and_point_determination():
     rng = random.Random(79)
     prefix = (I, II, I, III, I, I)
     chain, _, _ = family_for(prefix, 5)
-    families = [towers_at_stage(chain, k) for k in range(0, 6)]
+    families = list(tower_families(chain, 0, 5))
     support = sorted(chain.m0.role_blocks)
     points = []
     while len(points) < 12:
@@ -455,43 +463,61 @@ def test_locate_and_point_determination():
 
 def test_locate_outside_raises():
     m0 = build_ar9(triple(7, 4, 2), gaps=(F(1), F(0)))
-    f = towers_at_stage(StageChain(m0), 0)
+    [f] = tower_families(StageChain(m0), 0, 0)
     with pytest.raises(OutOfDomain):
         locate(f, F(11, 1) + F(1, 2))
 
 
-def test_towers_stage_range_validation():
+def test_towers_stage_range_validation(monkeypatch):
+    import ar_iet.towers as towers
+
     chain = StageChain(build_ar9(triple(7, 4, 2)))
     # a stage whose triple and heights the chain holds but has not induced
     assert chain.step() and len(chain.heights) == 2
     for k in (1, -1):
         with pytest.raises(ValueError, match=rf"stage {k} outside the computed range 0\.\.0"):
-            towers_at_stage(chain, k)
+            list(tower_families(chain, k, k))
     iterate_induction(chain, 1)
-    assert towers_at_stage(chain, 1).stage == 1
+    assert [f.stage for f in tower_families(chain, 1, 1)] == [1]
+    # an empty range is refused before any family is built
+    built = []
+    monkeypatch.setattr(towers, "_family", lambda *args: built.append(args))
+    with pytest.raises(ValueError) as raised:
+        list(tower_families(chain, 1, 0))
+    assert (str(raised.value), built) == ("first stage 1 past last stage 0", [])
 
 
-@pytest.mark.parametrize("k", [2, 4])
-def test_towers_past_the_return_are_walked(monkeypatch, k):
+# the fault of every tower one level past its first return, at stage k
+PAST_THE_RETURN = {
+    2: "level 4 of stage-2 tower 1: [247,275) starts stage-1 tower 1, 2 levels tall, "
+       "with 1 left to lay",
+    4: "level 6 of stage-4 tower 1: [112,121) starts stage-3 tower 1, 6 levels tall, "
+       "with 1 left to lay",
+}
+
+
+@pytest.mark.parametrize("k", PAST_THE_RETURN)
+def test_towers_past_the_return_are_faults(monkeypatch, k):
     import ar_iet.towers as towers
 
     # every tower one level past its first return: each would lay a whole
-    # tower below where one level is missing, so its base is walked instead
+    # tower below where one level is missing
     chain, _, _ = family_for((I, II, I, III, I, I), k)
     real = towers.letter_height
     hv = chain.heights[k]
     monkeypatch.setattr(towers, "letter_height",
                         lambda ch, heights: real(ch, heights) + (heights is hv))
-    f = towers_at_stage(chain, k)
-    for ch in A9:
-        assert as_walked(f.nine[ch]) == walked(chain, f, ch, real(ch, hv) + 1), ch
+    with pytest.raises(RuntimeError) as raised:
+        list(tower_families(chain, 0, k))
+    assert str(raised.value) == PAST_THE_RETURN[k]
 
 
-def test_shifted_base_that_the_walk_takes_is_walked():
-    # piece 1 of stage 4 shifted by one unit: the walk raises nothing there
+def test_shifted_base_inside_the_towers_below_is_laid_out_as_walked():
+    # piece 1 of stage 4 shifted by one unit: it still fits the stage-3
+    # bases, and the walk raises nothing there
     chain, _, _ = family_for((I, II, I, III, I, I), 4)
     left, right, _ = chain.stages[3].map.lattice.by_label()["1"]
     _with_piece(chain, 4, "1", (left + 1, right + 1))
-    f = towers_at_stage(chain, 4)
+    [f] = tower_families(chain, 4, 4)
     for ch in A9:
         assert as_walked(f.nine[ch]) == walked(chain, f, ch, f.nine[ch].height), ch
