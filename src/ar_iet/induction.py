@@ -21,9 +21,11 @@ once, until it first re-enters J_a, raising if it ever straddles a
 discontinuity (so the piece travels as a block and the return time is
 uniform on it).  The letters visited on the way spell out the nine-letter
 substitution of the branch, which is how the symbolic and geometric
-systems are glued together; the return times are their lengths.  No image
-of that substitution is longer than two letters, so every piece of a
-checked stage returns within two steps; the search stops at RETURN_CAP.
+systems are glued together; the return times are their lengths.  A stage
+that fails a check raises where it is found, naming its failed checks, so
+every InductionStage is a checked one.  No image of that substitution is
+longer than two letters, so every piece of a checked stage returns within
+two steps; the search stops at RETURN_CAP.
 
 The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
@@ -125,30 +127,20 @@ def _land(
     )
 
 
-_FLAGS = ("lengths_ok", "endpoints_ok", "translations_ok", "words_ok")
-
-
 @dataclass(frozen=True)
 class InductionStage:
-    """One renormalization step and the itemized check of its first returns."""
+    """One renormalization step whose first returns passed every check of
+    induce_step: its case, its map and the return word of each piece."""
 
     index: int
     case: Sym
     map: Ar9Map
     return_words: dict[str, str]
-    lengths_ok: bool
-    endpoints_ok: bool
-    translations_ok: bool
-    words_ok: bool
 
     @property
     def return_times(self) -> dict[str, int]:
         """letter -> first-return time, the length of its return word"""
         return {ch: len(word) for ch, word in self.return_words.items()}
-
-    @property
-    def ok(self) -> bool:
-        return all(getattr(self, flag) for flag in _FLAGS)
 
 
 class StageChain:
@@ -186,13 +178,14 @@ class StageChain:
 
 def induce_step(chain: StageChain, k: int) -> InductionStage:
     """Induce stage k of the chain on J_a of stage k - 1, from its stored
-    step, and report, check by check, that the result is the predicted
-    nine-piece exchange: piece lengths, exact endpoints, translations, and
-    return words.  The chain must hold stage k - 1, else ValueError.
+    step, and check that the result is the predicted nine-piece exchange:
+    piece lengths, exact endpoints, translations, and return words.  The
+    chain must hold stage k - 1, else ValueError.
 
     A triple that leaves the gasket raises NotInGasket in its Fractions.
-    Each predicted piece is pushed under T once.  A disagreement clears its
-    flag instead of raising; iterate_induction refuses to go on from it.
+    Each predicted piece is pushed under T once.  Every check runs on every
+    piece; a stage that fails any raises RuntimeError naming the stage and
+    its failed checks, so no stage is returned unchecked.
     """
     if not 1 <= k <= len(chain.stages) + 1:
         raise ValueError(f"stage {k} outside the inducible range 1..{len(chain.stages) + 1}")
@@ -231,41 +224,31 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
         lengths_ok &= right - left == expected
         translations_ok &= landed_left - left == offset
         endpoints_ok &= landed_left - left == offset == landed_right - right
-    return InductionStage(
-        index=k,
-        case=case,
-        map=induced,
-        return_words=words,
-        lengths_ok=lengths_ok,
-        endpoints_ok=endpoints_ok,
-        translations_ok=translations_ok,
-        words_ok=words == sigma9(case).table,
-    )
+    checks = {"lengths_ok": lengths_ok, "endpoints_ok": endpoints_ok,
+              "translations_ok": translations_ok, "words_ok": words == sigma9(case).table}
+    if not all(checks.values()):
+        failed = ", ".join(name for name, ok in checks.items() if not ok)
+        raise RuntimeError(f"induction stage {k} disagrees with the prediction: {failed}")
+    return InductionStage(index=k, case=case, map=induced, return_words=words)
 
 
 def iterate_induction(chain: StageChain, K: int) -> list[InductionStage]:
-    """Stages 1..K of the chain, inducing and checking those it does not
-    hold yet; empty for K = 0, and a negative K raises ValueError.
+    """Stages 1..K of the chain, inducing (and so checking) those it does
+    not hold yet; empty for K = 0, and a negative K raises ValueError.
 
     A triple that leaves the admissible region mid-way raises NotInGasket
     carrying the failing stage as at_step; a stage that disagrees with its
-    prediction raises RuntimeError naming the stage and its failed checks.
+    prediction raises induce_step's RuntimeError, and none past it is held.
     """
     if K < 0:
         raise ValueError(f"stage count must be nonnegative, got {K}")
     stages = chain.stages
     for k in range(len(stages) + 1, K + 1):
         try:
-            stage = induce_step(chain, k)
+            stages.append(induce_step(chain, k))
         except NotInGasket as e:
             e.detail["at_step"] = k
             raise
-        if not stage.ok:
-            failed = ", ".join(f for f in _FLAGS if not getattr(stage, f))
-            raise RuntimeError(
-                f"induction stage {k} disagrees with the prediction: {failed}"
-            )
-        stages.append(stage)
     return stages[:K]
 
 

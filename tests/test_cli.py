@@ -40,6 +40,13 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_process(*argv):
+    """Run the CLI in a child process, cut by a 60 s timeout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ar_iet.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
 # --- config ------------------------------------------------------------------
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -153,14 +160,44 @@ def test_gasket_steps_past_word_cap_are_refused(capsys, tmp_path):
 
 def test_gasket_steps_are_bounded_by_word_cap_in_time():
     # stepped one by one, this orbit would take about 3.3 * 10^11 steps
-    argv = ["gasket", "--triple", "1000000000000,2,1", "--steps", "1000000000000"]
-    env = {**os.environ, "PYTHONPATH": str(Path(ar_iet.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "ar_iet.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+    done = run_process("gasket", "--triple", "1000000000000,2,1", "--steps", "1000000000000")
     assert done.returncode == 1 and done.stdout == ""
     error = json.loads(done.stderr)
     assert error["code"] == "word-overflow"
     assert error["detail"] == {"cap": "200000", "steps": "1000000000000"}
+
+
+def test_induct_steps_past_word_cap_are_refused(capsys, tmp_path):
+    # (10^12, 2, 1) steps by case III, whose sigma9 images hold 14 letters
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("word_cap = 28\n")
+    argv = ("--config", str(cfg), "induct", "--triple", "1000000000000,2,1", "--steps")
+    payload = run_json(capsys, *argv, "2")
+    assert [stage["case"] for stage in payload["stages"]] == ["3", "3"]
+    assert all(stage["verified"] for stage in payload["stages"])
+    code, out, err = run(capsys, *argv, "3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "word-overflow",
+        "message": "induct return words of 3 steps exceed cap 28",
+        "detail": {"cap": "28", "steps": "3"},
+    }
+    # a triple that leaves the gasket within the cap is reported where it leaves
+    code, out, err = run(capsys, "--config", str(cfg), "induct", "--triple", "7,4,2",
+                         "--steps", "5")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["code"] == "not-in-gasket" and error["detail"]["at_step"] == "2"
+
+
+def test_induct_steps_are_bounded_by_word_cap_in_time():
+    # about 3.3 * 10^11 case-III stages before the triple leaves the gasket
+    done = run_process("induct", "--triple", "1000000000000,2,1", "--steps", "100000000")
+    assert done.returncode == 1 and done.stdout == ""
+    error = json.loads(done.stderr)
+    assert error["code"] == "word-overflow"
+    assert error["detail"] == {"cap": "200000", "steps": "100000000"}
 
 
 def test_gasket_from_prefix_reconstructs(capsys):
@@ -293,7 +330,8 @@ def test_induct_not_in_gasket_is_domain_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("induct", "--prefix", "1111", "--steps", "2"),
     ("check", "--induction", "--prefix", "1111", "--depth", "2"),
-], ids=["induct", "check"])
+    ("check", "--induction", "--prefix", "1111", "--depth", "0"),
+], ids=["induct", "check", "check-depth0"])
 def test_internal_fault_is_exit_3(capsys, monkeypatch, argv):
     import ar_iet.induction as induction
     from ar_iet.words import Substitution, sigma9

@@ -119,7 +119,6 @@ def test_all_eighteen_order_case_combinations():
             stage = induce_step(StageChain(m), 1)
             assert stage.map.order == expected_order(tag, case)
             report = induce_step(StageChain(m), 1)
-            assert report.ok
             assert report.case == case
             assert report.map.order == expected_order(tag, case)
 
@@ -127,9 +126,6 @@ def test_all_eighteen_order_case_combinations():
 def test_verify_induction_report_fields():
     chain = StageChain(build_ar9(triple(9, 4, 2)))
     report = induce_step(chain, 1)
-    assert report.ok
-    assert report.lengths_ok and report.endpoints_ok
-    assert report.translations_ok and report.words_ok
     # the parent is the chain's stage 0, and the stage its stored step
     assert (report.index, report.case) == (1, II) == (len(chain.cases), chain.cases[0])
     assert chain.triples == [(9, 4, 2), (4, 3, 2)]
@@ -146,7 +142,6 @@ def test_verify_induction_random_batch():
         m = build_ar9(reconstruct_triple(prefix), ORDER_TAGS[rng.randrange(6)])
         for _ in range(3):
             report = induce_step(StageChain(m), 1)
-            assert report.ok
             m = report.map
 
 
@@ -196,10 +191,10 @@ def test_swapped_substitution_fails_the_word_check(monkeypatch):
 
     monkeypatch.setattr(induction, "sigma9", swapped)
     m = build_ar9(reconstruct_triple((I, I, II)))
-    stage = induce_step(StageChain(m), 1)
-    assert not stage.words_ok
-    assert not stage.ok
-    assert stage.lengths_ok and stage.endpoints_ok and stage.translations_ok
+    # only the word check fails, and the stage is refused where it is found
+    with pytest.raises(RuntimeError,
+                       match=r"^induction stage 1 disagrees with the prediction: words_ok$"):
+        induce_step(StageChain(m), 1)
     with pytest.raises(RuntimeError, match=r"induction stage 1 .*words_ok"):
         iterate_induction(StageChain(m), 3)
 
@@ -323,11 +318,10 @@ def test_landed_one_unit_off_fails_the_endpoint_checks(monkeypatch, shift_left,
                                                        shift_right, failed):
     m = build_ar9(reconstruct_triple((I, II, I, III, I, I)))
     _shift_landed(monkeypatch, shift_left, shift_right)
-    stage = induce_step(StageChain(m), 1)
-    assert not stage.endpoints_ok
-    assert stage.translations_ok == (shift_left == 0)
-    assert stage.lengths_ok and stage.words_ok
-    assert not stage.ok
+    # exactly the endpoint checks fail, and translations only where the left end moved
+    with pytest.raises(RuntimeError,
+                       match=rf"^induction stage 1 disagrees with the prediction: {failed}$"):
+        induce_step(StageChain(m), 1)
     # nine returns per stage: stage 1 lands true, stage 2 one unit off
     monkeypatch.undo()
     _shift_landed(monkeypatch, shift_left, shift_right, after=len(A9))
@@ -357,11 +351,12 @@ def test_relabeled_pieces_fail_the_length_check(monkeypatch):
         return _relabel_1_and_7(real(t)) if len(calls) > 1 else real(t)
 
     monkeypatch.setattr(iet, "_piece_layout", lambda t: _relabel_1_and_7(real(t)))
-    stage = induce_step(StageChain(m), 1)
-    # every relabeled piece still lands on its image with its own offset
-    assert stage.endpoints_ok and stage.translations_ok
-    assert not stage.lengths_ok
-    assert not stage.ok
+    # every relabeled piece still lands on its image with its own offset, so
+    # the endpoint checks pass; the lengths fail, and the words, read under
+    # the swapped names
+    with pytest.raises(RuntimeError, match=r"^induction stage 1 disagrees with the "
+                                           r"prediction: lengths_ok, words_ok$"):
+        induce_step(StageChain(m), 1)
     # the first induced map is built right, the second relabeled
     monkeypatch.setattr(iet, "_piece_layout", relabeled)
     with pytest.raises(RuntimeError, match=r"induction stage 2 .*: lengths_ok"):

@@ -35,7 +35,7 @@ from ar_iet.induction import (
     orbit_route,
 )
 from ar_iet.towers import tower_families
-from ar_iet.words import A9, heights_by_matrix, letter_height, project
+from ar_iet.words import A9, Substitution, heights_by_matrix, letter_height, project, sigma9
 
 F = Fraction
 DENOMINATORS = (997, 2**61 - 1, 2**127 - 1)
@@ -193,13 +193,13 @@ def test_held_stages_are_reused_and_cost_nothing():
 
 
 def test_a_stage_that_fails_its_checks_stays_a_fault(monkeypatch):
-    real = induction.induce_step
+    def swapped(case):
+        table = dict(sigma9(case).table)
+        table["1"], table["2"] = table["2"], table["1"]
+        return Substitution("A9", table)
 
-    def broken(chain, k):
-        stage = real(chain, k)
-        return induction.InductionStage(**{**vars(stage), "words_ok": False})
-
-    monkeypatch.setattr(induction, "induce_step", broken)
+    # a wrong substitution table makes every stage fail its word check
+    monkeypatch.setattr(induction, "sigma9", swapped)
     m = build_ar9(reconstruct_triple((Sym.I, Sym.II, Sym.III) * 10))
     with pytest.raises(RuntimeError, match="induction stage 1 disagrees"):
         trajectory(m, m.domain["1"].left, 20_000)
