@@ -62,6 +62,11 @@ CASES = {
     "check-malformed-prefix": (["check", "--all", "--prefix", "1^12", "--depth", "8"], ()),
     "check-prefix-file": (["check", "--all", "--prefix-file",
                            str(GOLDEN / "check-prefix-file.prefixes"), "--depth", "3"], ()),
+    # CI's deepest check: 272,952 levels at depth 17 pass word_cap, so 16
+    "check-deep": (["check", "--all", "--prefix", "1" * 22, "--depth", "16"], ()),
+    # the coding check alone, which builds only the deepest family
+    "check-coding": (["check", "--coding", "--prefix", "1213223322112322", "--depth", "12",
+                      "--order", "reversed-second"], ()),
     "experiment-xi": (["experiment", "--xi", "--ks", "1,2,1,1,3",
                        "--rules", "12111"], ()),
     "experiment-twm": (["experiment", "--twm", "--prefix", "1" * 10], ()),
