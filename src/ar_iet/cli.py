@@ -54,7 +54,7 @@ from .gasket import (
     reconstruct_triple,
 )
 from .iet import FIRST_ORDER, Ar9Map, OrderTag, _merge, build_ar9, parse_order, trajectory
-from .induction import StageChain, induce_step, iterate_induction, jump_stages, orbit_route
+from .induction import StageChain, induce_step, iterate_induction, jump_stages, orbit_routes
 from .towers import (
     adjacency_check,
     level_component_counts,
@@ -461,13 +461,17 @@ def _check_one(prefix, depth: int, order, config: RunConfig, selected: tuple[str
         results["induction"] = True
     if "coding" in selected:
         expected = stage_words(chain.cases[:depth], "A9", config.word_cap)
-        coded = True
-        for ch, tower in family.nine.items():
-            mid = (tower.base.left + tower.base.right) / 2
-            # an orbit as long as its tower never pays for a stage past depth
-            route = orbit_route(chain.m0, jump_stages(chain, tower.height), mid, tower.height)
-            coded = coded and tower.word == expected[ch] == "".join(route)
-        results["coding"] = coded
+        towers = family.nine
+        # every base lies in B_depth, inside B_k for each k <= depth, so one
+        # jump plan, for the tallest tower's orbit (which never pays for a
+        # stage past depth), codes the orbit of each base's midpoint as long
+        # as its tower
+        plan = jump_stages(chain, max(tower.height for tower in towers.values()))
+        orbits = ((Fraction(2 * tower.lefts[0] + tower.width, 2 * tower.D), tower.height)
+                  for tower in towers.values())
+        routes = orbit_routes(chain.m0, plan, orbits)
+        results["coding"] = all(tower.word == expected[ch] == "".join(route)
+                                for (ch, tower), route in zip(towers.items(), routes))
     return {
         "prefix": format_prefix(prefix),
         "triple": t,

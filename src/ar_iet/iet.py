@@ -325,10 +325,16 @@ class Ar9Map:
         return tuple(lat.interval(*lat.union(letters)[0]) for letters in _ROLE_LETTERS)
 
     @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """The merged union of the pieces, as integers on the lattice: the
+        blocks, joined where they touch."""
+        return self.lattice.union(A9)
+
+    @cached_property
     def _glued(self) -> bool:
         """True when the blocks sit in first order, origin 0, with no gaps:
         the layout the gluing leaves in place."""
-        support = self.lattice.union(A9)
+        support = self.support
         return self.order == FIRST_ORDER and len(support) == 1 and support[0][0] == 0
 
 

@@ -31,28 +31,32 @@ The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
 return word of ch under T and then lands at its stage-map image.  An orbit
 that has landed in B_k is coded one return word per step of the stage-k
-map instead of one letter per step of T (`orbit_route`).
+map instead of one letter per step of T (`orbit_route`).  Orbits that jump
+through the same stages share one composition of their return words
+(`orbit_routes`): the tower check codes the nine base orbits of a family
+on one jump plan.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _merge, _scaled
+from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _scaled
 from .words import A3_MEMBERS, A9, _next_heights, sigma9
 
 # The cost of one checked induction stage in steps of the walk under T: on
 # the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
-# (seed 1), induce_step on a new chain took 0.034-0.040 ms and one step of
-# Lattice.walk 0.16-0.20 us, ratios of 195 to 226 (CPython 3.11 on a shared
-# 2-vCPU machine; BENCH_21.json, "in_process"; 199 to 234 in BENCH_19.json,
-# 267 to 296 in BENCH_16.json, 235 to 787 in BENCH_13.json).  Left at 500:
-# retuning it changes which stages orbits jump through, a change of its own.
+# (seed 1), induce_step on a new chain took 0.029-0.035 ms and one step of
+# Lattice.walk 0.23-0.25 us, ratios of 125 to 146 (CPython 3.11 on a shared
+# 2-vCPU machine; BENCH_28.json, "stage_cost"; 195 to 227 in BENCH_21.json,
+# 199 to 234 in BENCH_19.json, 267 to 296 in BENCH_16.json, 235 to 787 in
+# BENCH_13.json).  Left at 500: retuning it changes which stages orbits jump
+# through, a change of its own.
 STAGE_COST = 500
 
 # the letters of the pieces whose union J_a the map is induced on
@@ -79,6 +83,10 @@ _PREDICTED = {
     (tag, case): OrderTag(_BASE_TRANSITION[case][tag.base], tag.reversed != (case is Sym.II))
     for tag in ORDER_TAGS for case in Sym
 }
+
+
+# the checks of induce_step, in the order a failed stage names them
+_CHECKS = ("lengths_ok", "endpoints_ok", "translations_ok", "words_ok")
 
 
 # the most steps under T that the first-return search of an induction stage
@@ -195,15 +203,15 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     lat = m.lattice  # m0's, as every stage's
     abc, case = chain.triples[k], chain.cases[k - 1]
     a, b, c = abc
-    # the parent's pieces, read once: the left ends of the three spans of
-    # J_a (I_1, the whole middle block I_2 u I_3, and I_4), placed by the
-    # table, and the merged regions of J_a that the pieces return to
-    rows = lat.by_label()
-    spans = (rows["1"][0], min(rows["2"][0], rows["3"][0]), rows["4"][0])
+    # the parent's pieces of J_a, read off its lattice: the left ends of the
+    # three spans of J_a (I_1, the whole middle block I_2 u I_3, and I_4),
+    # placed by the table, and the merged regions that the pieces return to
+    lefts, at = lat.lefts, lat.letters.index
+    spans = (lefts[at("1")], min(lefts[at("2")], lefts[at("3")]), lefts[at("4")])
     starts = [0] * 3
     for start, role in zip(spans, _SPAN_ROLES[case]):
         starts[role] = start
-    regions = tuple(zip(*_merge(rows[ch][:2] for ch in J_A)))
+    regions = tuple(zip(*lat.union(J_A)))
     predicted = _PREDICTED[m.order, case]
     induced = _lay_out(lat.D, abc, starts, predicted.reversed)
     if induced.order != predicted:
@@ -224,10 +232,9 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
         lengths_ok &= right - left == expected
         translations_ok &= landed_left - left == offset
         endpoints_ok &= landed_left - left == offset == landed_right - right
-    checks = {"lengths_ok": lengths_ok, "endpoints_ok": endpoints_ok,
-              "translations_ok": translations_ok, "words_ok": words == sigma9(case).table}
-    if not all(checks.values()):
-        failed = ", ".join(name for name, ok in checks.items() if not ok)
+    checks = (lengths_ok, endpoints_ok, translations_ok, words == sigma9(case).table)
+    if not all(checks):
+        failed = ", ".join(name for name, ok in zip(_CHECKS, checks) if not ok)
         raise RuntimeError(f"induction stage {k} disagrees with the prediction: {failed}")
     return InductionStage(index=k, case=case, map=induced, return_words=words)
 
@@ -306,14 +313,38 @@ def orbit_route(
     point's index in the orbit as `level`, as Lattice.walk does; a negative
     n raises ValueError.
     """
-    if n < 0:
-        raise ValueError(f"orbit length must be nonnegative, got {n}")
+    [route] = orbit_routes(m0, stages, [(x, n)])
+    return route
+
+
+def orbit_routes(
+    m0: Ar9Map, stages: Sequence[InductionStage], orbits: Iterable[tuple[Fraction, int]]
+) -> Iterator[Iterator[str]]:
+    """orbit_route of each (x, n) of orbits, in order, by jumps through the
+    same stages: their return words are composed once, and m0's lattice and
+    B_k's are refined once for each denominator of x.  Nothing is held past
+    the last orbit."""
     words = {ch: ch for ch in A9}
     for stage in stages:
         words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
-    lat = m0.lattice.refined(x.denominator)
-    # every stage is held on m0's lattice, so B_k is held on lat
-    base = stages[-1].map.lattice.refined(lat.D) if stages else lat
+    last = stages[-1].map.lattice if stages else None
+    refined = {}  # x.denominator -> m0's lattice and B_k's, refined to hold x
+    for x, n in orbits:
+        if n < 0:
+            raise ValueError(f"orbit length must be nonnegative, got {n}")
+        lattices = refined.get(x.denominator)
+        if lattices is None:
+            lat = m0.lattice.refined(x.denominator)
+            # every stage is held on m0's lattice, so B_k is held on lat
+            base = last.refined(lat.D) if stages else lat
+            lattices = refined[x.denominator] = lat, base, [words[ch] for ch in base.letters]
+        yield _route(*lattices, len(stages), x, n)
+
+
+def _route(lat: Lattice, base: Lattice, route: list[str], k: int, x: Fraction, n: int
+           ) -> Iterator[str]:
+    """orbit_route on lat, which holds x, by jumps through B_k, held on base,
+    whose piece i reads route[i]."""
     p = lat.coordinate(x)
     rest = n  # the letters still to read
     while rest > 0 and base.find(p) is None:
@@ -326,12 +357,10 @@ def orbit_route(
         rest -= 1
         p += lat.offsets[i]
     starts, ends, offsets = base.lefts, base.rights, base.offsets
-    route = [words[ch] for ch in base.letters]
     while rest > 0:
         i = bisect_right(starts, p) - 1
         if i < 0 or p >= ends[i]:
-            raise RuntimeError(f"the orbit of {x} left B_{len(stages)} at "
-                               f"{Fraction(p, base.D)}")
+            raise RuntimeError(f"the orbit of {x} left B_{k} at {Fraction(p, base.D)}")
         word = route[i]
         rest -= len(word)
         yield word if rest >= 0 else word[:rest]

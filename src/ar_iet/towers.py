@@ -23,6 +23,10 @@ per segment of its base's orbit.  A segment that fits no single base below,
 or a tower below taller than the levels left to lay, is a fault of the
 chain and raises RuntimeError.  The checks read those integers and the
 right-end column built from them once; base and levels are views of them.
+Each family's lattice and member heights are validated once, on first
+read, and held on the family, so the partition, adjacency and component
+checks share one validation; the partition check reads the support of the
+stage-0 map, held on that map for the whole chain.
 """
 from __future__ import annotations
 
@@ -74,12 +78,32 @@ class Tower:
 
 @dataclass(frozen=True)
 class TowerFamily:
-    """The nine towers of one stage."""
+    """The nine towers of one stage.  Its lattice and whether its member
+    towers are even are read once per family, on first use, and held on it:
+    a family made by dataclasses.replace reads them afresh."""
 
     stage: int
     order: OrderTag
     nine: dict[str, Tower]
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The base map's lattice, refined to the one every level is held on;
+        ValueError when the towers are held on different lattices."""
+        lat = self.base_map.lattice.refined(self.nine["1"].D)
+        if any(t.D != lat.D for t in self.nine.values()):
+            raise ValueError("tower levels are held on different lattices")
+        return lat
+
+    @cached_property
+    def uneven(self) -> str | None:
+        """What is wrong when the member towers of a three-letter tower
+        differ in height; None when no two do."""
+        for members in A3_MEMBERS.values():
+            if len({len(self.nine[ch].lefts) for ch in members}) > 1:
+                return f"towers {', '.join(members)} differ in height"
+        return None
 
 
 def tower_families(chain: StageChain, first: int, last: int) -> Iterator[TowerFamily]:
@@ -111,7 +135,8 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
     end, plus the stage-0 offset of its last letter, less its base's left
     end).  A segment that fits no single base below, or whose tower below
     is taller than the levels left to lay, raises RuntimeError naming the
-    stage, the tower, the level and the segment.
+    stage, the tower, the level and the segment, and so do member towers
+    of unequal height.
     """
     m0 = chain.m0
     lat = m0.lattice  # the stage maps', as every stage of the chain is on it
@@ -123,9 +148,12 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
         return TowerFamily(k, stage_map.order, nine, m0)
     lookup = (m0 if k == 1 else chain.stages[k - 2].map).lattice
     starts, ends = lookup.lefts, lookup.rights
-    columns = [below.nine[ch] for ch in lookup.letters]
+    # per base below, in lookup order: its tower's levels, base left end,
+    # height, word and T^h shift
     offset = dict(zip(lat.letters, lat.offsets))
-    jumps = [t.lefts[-1] + offset[t.word[-1]] - t.lefts[0] for t in columns]
+    columns = [(t.lefts, t.lefts[0], len(t.lefts), t.word,
+                t.lefts[-1] + offset[t.word[-1]] - t.lefts[0])
+               for t in map(below.nine.__getitem__, lookup.letters)]
     hv = chain.heights[k]
     nine: dict[str, Tower] = {}
     for ch in A9:
@@ -133,53 +161,39 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
         width, height = right - left, letter_height(ch, hv)
         lefts: list[int] = []
         words: list[str] = []
-        x = left
-        while len(lefts) < height:
+        x, laid = left, 0
+        while laid < height:
             i = bisect_right(starts, x) - 1
             if i < 0 or not x < ends[i] >= x + width:
                 why = f"fits no single stage-{k - 1} tower"
                 break
-            t = columns[i]
-            if t.height > height - len(lefts):
-                why = (f"starts stage-{k - 1} tower {lookup.letters[i]}, {t.height} levels "
-                       f"tall, with {height - len(lefts)} left to lay")
+            levels, first, tall, word, jump = columns[i]
+            if tall > height - laid:
+                why = (f"starts stage-{k - 1} tower {lookup.letters[i]}, {tall} levels "
+                       f"tall, with {height - laid} left to lay")
                 break
-            lefts.extend(map((x - t.lefts[0]).__add__, t.lefts))
-            words.append(t.word)
-            x += jumps[i]
+            lefts.extend(map((x - first).__add__, levels))
+            words.append(word)
+            laid += tall
+            x += jump
         else:  # every level laid
             nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(words))
             continue
         raise RuntimeError(
-            f"level {len(lefts)} of stage-{k} tower {ch}: {lat.interval(x, x + width)} {why}")
-    if uneven := _uneven(nine):
-        raise RuntimeError(uneven)
-    return TowerFamily(k, stage_map.order, nine, m0)
-
-
-def _uneven(nine: dict[str, Tower]) -> str | None:
-    """What is wrong when the member towers of a three-letter tower differ in
-    height; None when no two do."""
-    for members in A3_MEMBERS.values():
-        if len({nine[ch].height for ch in members}) > 1:
-            return f"towers {', '.join(members)} differ in height"
-    return None
-
-
-def _lattice(f: TowerFamily) -> Lattice:
-    """The base map's lattice, refined to the one every level is held on."""
-    lat = f.base_map.lattice.refined(f.nine["1"].D)
-    if any(t.D != lat.D for t in f.nine.values()):
-        raise ValueError("tower levels are held on different lattices")
-    return lat
+            f"level {laid} of stage-{k} tower {ch}: {lat.interval(x, x + width)} {why}")
+    family = TowerFamily(k, stage_map.order, nine, m0)
+    if family.uneven:
+        raise RuntimeError(family.uneven)
+    return family
 
 
 def _row_lattice(f: TowerFamily) -> Lattice:
-    """`_lattice`, for the checks that read the member towers level by level:
-    a row is one level of each member, so they must be of equal height."""
-    lat = _lattice(f)
-    if uneven := _uneven(f.nine):
-        raise ValueError(uneven)
+    """The family's lattice, for the checks that read the member towers
+    level by level: a row is one level of each member, so they must be of
+    equal height."""
+    lat = f.lattice
+    if f.uneven:
+        raise ValueError(f.uneven)
     return lat
 
 
@@ -193,24 +207,27 @@ class PartitionReport:
 
 def partition_check(f: TowerFamily) -> PartitionReport:
     """All levels of the nine towers tile the full space exactly."""
-    lat = _lattice(f)
+    lat = f.lattice
     towers = [f.nine[ch] for ch in A9]
-    support = lat.union(A9)
-    total = Fraction(sum(t.width * t.height for t in towers), lat.D)
+    # the base map's support, which every family of a chain reads, on the
+    # lattice of the levels
+    scale = lat.D // f.base_map.lattice.D
+    support = tuple((left * scale, right * scale) for left, right in f.base_map.support)
     expected = Fraction(sum(r - l for l, r in support), lat.D)
     # Nonempty levels tile the support exactly when their indicators sum to
     # the support's: when the level left ends and the support's right ends
     # are, as a multiset, the level right ends and the support's left ends.
     # In a tiling neither side holds a value twice, so sets of full size
-    # decide it in one hashing pass.
-    size = len(support) + sum(t.height for t in towers)
+    # decide it in one hashing pass, and the levels add up to the support.
+    size = len(support) + sum(len(t.lefts) for t in towers)
     opened = set(chain((r for _, r in support), *(t.lefts for t in towers)))
     closed = set(chain((l for l, _ in support), *(t.rights for t in towers)))
     if all(t.width > 0 for t in towers) and len(opened) == len(closed) == size \
             and opened == closed:
-        return PartitionReport(True, total, expected)
+        return PartitionReport(True, expected, expected)
     # not a tiling, or some levels are empty: the sorted sweep decides and
     # names the first defect
+    total = Fraction(sum(t.width * len(t.lefts) for t in towers), lat.D)
     pieces = sorted((left, left + t.width) for t in towers for left in t.lefts)
     for prev, nxt in zip(pieces, pieces[1:]):
         if nxt[0] < prev[1]:
@@ -289,7 +306,7 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
     """The (tower letter, level index) pair containing a point."""
-    lat = Lattice.sorted_from(_lattice(f).D, (
+    lat = Lattice.sorted_from(f.lattice.D, (
         (left, left + t.width, (ch, j), 0)
         for ch, t in f.nine.items() for j, left in enumerate(t.lefts)))
     i = lat.locate(x)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import weakref
@@ -879,6 +880,25 @@ def test_check_holds_one_tower_family_at_a_time(capsys, monkeypatch):
     assert len(built) == 9
 
 
+def test_coding_check_plans_its_jumps_once_per_target(capsys, monkeypatch):
+    import ar_iet.cli as cli
+
+    planned = []
+    real = cli.jump_stages
+
+    def counting(chain, n):
+        planned.append(n)
+        return real(chain, n)
+
+    monkeypatch.setattr(cli, "jump_stages", counting)
+    prefixes = ("1" * 16, "1213223322112322")
+    payload = run_json(capsys, "check", "--coding", "--prefix", prefixes[0],
+                       "--prefix", prefixes[1], "--depth", "12")
+    assert [t["checks"] for t in payload["targets"]] == [{"coding": True}] * 2
+    # one plan for the nine orbits of a target, as long as its tallest tower
+    assert planned == [max(heights_by_matrix(parse_prefix(p)[:12])[-1]) for p in prefixes]
+
+
 @pytest.mark.parametrize("kind, joined", [
     ("--coding", False), ("--partition", False), ("--adjacency", False),
     ("--components", True),
@@ -1034,25 +1054,46 @@ def vacuous_ok(value) -> bool:
     return (value.get("ok") is True and empty) or any(map(vacuous_ok, value.values()))
 
 
+class OverBudget(BaseException):
+    """Raised by the fuzzer's timer: a BaseException, which `main` lets through."""
+
+
+# the wall-clock seconds one fuzzed run may take
+FUZZ_BUDGET_S = 10
+
+
 def test_fuzzed_argv_ends_in_a_documented_way(capsys, monkeypatch, tmp_path):
     # every run ends in an answer or a documented exit code, never a
-    # traceback or an "ok": true that checked nothing
+    # traceback or an "ok": true that checked nothing, and within its budget
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-a-directory").write_text("")
     rng = random.Random("cli-fuzz/1")
     names, codes = set(), set()
-    for _ in range(400):
-        name, argv = fuzz_argv(rng, tmp_path)
-        try:
-            code = main(argv)
-        except SystemExit as e:  # argparse's usage errors
-            code = e.code
-        out, err = capsys.readouterr()
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err, argv
-        if code == 0 and out.startswith("{"):
-            assert not vacuous_ok(json.loads(out)), argv
-        names.add(name)
-        codes.add(code)
+
+    def over_budget(signum, frame):
+        raise OverBudget
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    try:
+        for _ in range(400):
+            name, argv = fuzz_argv(rng, tmp_path)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_BUDGET_S)
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's usage errors
+                code = e.code
+            except OverBudget:
+                pytest.fail(f"{argv} ran past {FUZZ_BUDGET_S} s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if code == 0 and out.startswith("{"):
+                assert not vacuous_ok(json.loads(out)), argv
+            names.add(name)
+            codes.add(code)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     assert names == set(subcommands())
     assert codes >= {0, 1, 2}

@@ -128,12 +128,16 @@ def test_adjacency_check_negative_control():
 
 def test_checks_refuse_towers_on_different_lattices():
     _, _, f = family_for((I, I), 2)
+    # every check reads the original family first: the lattice it validated
+    # once there must not carry over to the replaced family
+    assert partition_check(f).ok and adjacency_check(f).ok
+    assert level_component_counts(f) == {"a": 3, "b": 1, "c": 1}
     tower = f.nine["4"]
     finer = dataclasses.replace(tower, D=2 * tower.D, width=2 * tower.width,
                                 lefts=tuple(2 * left for left in tower.lefts))
     assert finer.levels == tower.levels
     f = dataclasses.replace(f, nine={**f.nine, "4": finer})
-    for check in (partition_check, adjacency_check):
+    for check in (partition_check, adjacency_check, level_component_counts):
         with pytest.raises(ValueError, match="different lattices"):
             check(f)
 
@@ -308,6 +312,9 @@ def test_row_checks_refuse_members_of_unequal_height(check):
     # a row is one level of each member: compared with zip, the longer
     # columns' extra levels would go unread
     _, _, f = family_for((I, I, I), 2)
+    # read by every check first, as test_checks_refuse_towers_on_different_lattices
+    assert partition_check(f).ok and adjacency_check(f).ok
+    assert level_component_counts(f) == {"a": 3, "b": 1, "c": 1}
     tower = f.nine["3"]
     short = dataclasses.replace(tower, lefts=tower.lefts[:-1])
     f = dataclasses.replace(f, nine={**f.nine, "3": short})
