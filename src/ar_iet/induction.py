@@ -236,7 +236,7 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
     if not all(checks):
         failed = ", ".join(name for name, ok in zip(_CHECKS, checks) if not ok)
         raise RuntimeError(f"induction stage {k} disagrees with the prediction: {failed}")
-    return InductionStage(index=k, case=case, map=induced, return_words=words)
+    return InductionStage(k, case, induced, words)
 
 
 def iterate_induction(chain: StageChain, K: int) -> list[InductionStage]:
