@@ -142,6 +142,24 @@ def test_checks_refuse_towers_on_different_lattices():
             check(f)
 
 
+def test_checks_read_towers_all_on_a_finer_lattice():
+    # every level on (1/2D)Z: the base map's support is refined with them
+    _, _, f = family_for((I, II), 2, ORDER_TAGS[4], (F(1), F(2)))
+    finer = dataclasses.replace(f, nine={
+        ch: dataclasses.replace(t, D=2 * t.D, width=2 * t.width,
+                                lefts=tuple(2 * left for left in t.lefts))
+        for ch, t in f.nine.items()})
+    assert finer.lattice.D == 2 * f.lattice.D
+    assert partition_check(finer) == partition_check(f)
+    assert partition_check(finer).ok
+    assert adjacency_check(finer) == adjacency_check(f)
+    assert level_component_counts(finer) == level_component_counts(f)
+    # a level moved by one unit of the finer lattice overlaps its neighbour
+    t = finer.nine["1"]
+    moved = dataclasses.replace(t, lefts=(t.lefts[0] + 1, *t.lefts[1:]))
+    assert not partition_check(dataclasses.replace(finer, nine={**finer.nine, "1": moved})).ok
+
+
 def test_straddling_base_negative_control():
     chain, stages, _ = family_for((I, I), 1)
     m0 = chain.m0
