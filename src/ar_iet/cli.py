@@ -15,13 +15,14 @@ variation is the version comment line inside SVG files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import random
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -161,6 +162,21 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _every_digit():
+    """Lift the interpreter's limit on the digits of an int turned into a
+    string (CPython 3.10.7 on) while exact output is encoded; restored after."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@_every_digit()
 def _emit_json(payload: dict, args, config: RunConfig) -> None:
     """Print the payload after its --emit copy: a failed write prints nothing."""
     text = _json_text(_encoded(payload))
@@ -180,6 +196,7 @@ def _write_file(name: str, text: str, config: RunConfig) -> Path:
     return path
 
 
+@_every_digit()
 def _write_frequency_csv(name: str | None, counts: dict[str, int], length: int,
                          config: RunConfig) -> None:
     """The letter counts of an orbit of the given length and their exact and
@@ -399,14 +416,14 @@ def cmd_towers(args, config: RunConfig) -> int:
     chain = StageChain(m)
     [family] = _towers(chain, stage, stage, config)
     nine = {
-        ch: {"height": tower.height, "word": tower.word, "base": tower.base}
+        ch: {"height": tower.height, "word": tower.word, "base": family.base(ch)}
         for ch, tower in family.nine.items()
     }
     # a three-letter tower is the union of its member towers, whose heights
     # tower_families has checked equal
     three = {
         letter: {"height": family.nine[members[0]].height,
-                 "base": _merge(family.nine[ch].base for ch in members)}
+                 "base": _merge(map(family.base, members))}
         for letter, members in A3_MEMBERS.items()
     }
     payload = {
@@ -453,6 +470,9 @@ def _check_one(prefix, depth: int, order, config: RunConfig, selected: tuple[str
                 )
     else:  # induction alone builds no tower
         iterate_induction(chain, depth)
+    if tuple(chain.cases[:depth]) != prefix[:depth]:  # every check read this chain
+        raise RuntimeError(f"the chain of prefix {format_prefix(prefix[:depth])} steps by "
+                           f"{format_prefix(chain.cases[:depth])}")
     if "induction" in selected:
         # every stage is checked as it is induced, and a failed check raises;
         # at depth 0 there is no stage yet, so induce once to have one checked
@@ -467,8 +487,8 @@ def _check_one(prefix, depth: int, order, config: RunConfig, selected: tuple[str
         # stage past depth), codes the orbit of each base's midpoint as long
         # as its tower
         plan = jump_stages(chain, max(tower.height for tower in towers.values()))
-        orbits = ((Fraction(2 * tower.lefts[0] + tower.width, 2 * tower.D), tower.height)
-                  for tower in towers.values())
+        orbits = ((Fraction(2 * t.lefts[0] + t.width, 2 * chain.m0.lattice.D), t.height)
+                  for t in towers.values())
         routes = orbit_routes(chain.m0, plan, orbits)
         results["coding"] = all(tower.word == expected[ch] == "".join(route)
                                 for (ch, tower), route in zip(towers.items(), routes))
@@ -523,14 +543,14 @@ def cmd_experiment(args, config: RunConfig) -> int:
             "schema": "ar-iet/experiment-xi/1",
             "ks": pq.ks,
             "rules": format_prefix(pq.rules),
-            **_encoded(report),
+            **asdict(report),
         }
     elif args.kind == "twm":
         report = twm_pattern(pq, tail_epsilon=config.tail_epsilon)
         patterns = tourab_patterns(pq)
         payload = {
             "schema": "ar-iet/experiment-twm/1",
-            **_encoded(report),
+            **asdict(report),
             "tourab_i": patterns.pattern_i,
             "tourab_ii": patterns.pattern_ii,
             "evidence_scope": "prefix-only",
@@ -538,7 +558,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
     elif args.kind == "eigen":
         scan = eigenvalue_scan(pq, args.theta, floor=args.floor,
                                persistence=args.persistence)
-        payload = {"schema": "ar-iet/experiment-eigen/1", **_encoded(scan)}
+        payload = {"schema": "ar-iet/experiment-eigen/1", **asdict(scan)}
     elif args.kind == "two-measure":
         top = pq.times[-1] if pq.ks else 0
         depth = args.depth if args.depth is not None else top
@@ -576,6 +596,7 @@ def cmd_experiment(args, config: RunConfig) -> int:
     return 0
 
 
+@_every_digit()  # the SVG prints its exact tick labels
 def cmd_render(args, config: RunConfig) -> int:
     stage = _count(args.stage, 1 if args.induction else config.refinement_depth,
                    "--stage", 0)
@@ -741,6 +762,7 @@ def main(argv=None) -> int:
         return _report("internal-fault", e, {"type": type(e).__name__}, 3)
 
 
+@_every_digit()
 def _report(code: str, e: Exception, detail: dict, status: int) -> int:
     """Write the ar-iet/error/1 object for e to stderr; return the exit status."""
     error = {

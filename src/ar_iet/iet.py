@@ -206,14 +206,11 @@ class Lattice:
         i = bisect_right(self.lefts, k) - 1
         return i if i >= 0 and k < self.rights[i] else None
 
-    def locate(self, x: Fraction, period: int | None = None) -> int | None:
-        """The index of the piece that holds the rational x, reduced mod
-        period / D on a circle of integer period; None in a gap."""
+    def locate(self, x: Fraction) -> int | None:
+        """The index of the piece that holds the rational x; None in a gap."""
         p, q = x.as_integer_ratio()
-        # the piece ends and the period are integers, so floor(xD), reduced,
-        # lies in the same piece as xD
-        k = p * self.D // q
-        return self.find(k if period is None else k % period)
+        # the piece ends are integers, so floor(xD) lies in the same piece as xD
+        return self.find(p * self.D // q)
 
     def step(self, x: Fraction, period: int | None = None) -> tuple[Fraction, str | int] | None:
         """x moved by the offset of the piece that holds it, reduced mod
@@ -442,13 +439,9 @@ def build_ar9(
     roles = screen_roles(order)
     placements = [Fraction(0)] * 3
     x = Fraction(origin)
-    for pos, role in enumerate(roles):
+    for role, gap in zip(roles, (g1, g2, 0)):
         placements[role] = x
-        x += lens[role]
-        if pos == 0:
-            x += g1
-        elif pos == 1:
-            x += g2
+        x += lens[role] + gap
     return ar9_from_placements(t, placements, order.reversed)
 
 

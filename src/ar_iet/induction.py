@@ -321,17 +321,23 @@ def orbit_routes(
     m0: Ar9Map, stages: Sequence[InductionStage], orbits: Iterable[tuple[Fraction, int]]
 ) -> Iterator[Iterator[str]]:
     """orbit_route of each (x, n) of orbits, in order, by jumps through the
-    same stages: their return words are composed once, and m0's lattice and
-    B_k's are refined once for each denominator of x.  Nothing is held past
-    the last orbit."""
+    same stages: every n is validated first, their return words are composed
+    once, each cut to the longest n (a cut word is always a route's last, so
+    every letter a route reads stays the same), and m0's lattice and B_k's
+    are refined once for each denominator of x.  Nothing is held past the
+    last orbit."""
+    orbits = list(orbits)
+    for _, n in orbits:
+        if n < 0:
+            raise ValueError(f"orbit length must be nonnegative, got {n}")
+    longest = max((n for _, n in orbits), default=0)
     words = {ch: ch for ch in A9}
     for stage in stages:
-        words = {ch: "".join(map(words.__getitem__, stage.return_words[ch])) for ch in A9}
+        words = {ch: "".join(map(words.__getitem__, stage.return_words[ch]))[:longest]
+                 for ch in A9}
     last = stages[-1].map.lattice if stages else None
     refined = {}  # x.denominator -> m0's lattice and B_k's, refined to hold x
     for x, n in orbits:
-        if n < 0:
-            raise ValueError(f"orbit length must be nonnegative, got {n}")
         lattices = refined.get(x.denominator)
         if lattices is None:
             lat = m0.lattice.refined(x.denominator)

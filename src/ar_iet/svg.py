@@ -140,10 +140,9 @@ def render_towers(f: TowerFamily) -> str:
     cv.text(_MARGIN, 20, f"stage {f.stage} towers, triple {m.triple}, "
             f"order {f.order}", anchor="start")
     for ch in A9:
-        tower = f.nine[ch]
-        for j, level in enumerate(tower.levels):
+        for j, level in enumerate(f.levels(ch)):
             cv.rect(level.left, level.right, base_y - (j + 1) * row, row)
-        base = tower.base
+        base = f.base(ch)
         cv.text((cv.x(base.left) + cv.x(base.right)) / 2, base_y + 14, ch)
         cv.text(cv.x(base.left), base_y + 28, str(base.left), size=8,
                 anchor="start")

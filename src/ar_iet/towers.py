@@ -14,19 +14,21 @@ intervals respectively.  They are not built: `level_component_counts`
 counts, column by column, the member right ends that meet another member's
 left end, and keeps only the counts.
 
-Towers live on the lattice (1/D)Z of the stage-0 map, which holds the
-stage-k pieces of its chain.  A nine-letter tower holds the base width and
-one integer left end per level.  Stage 0's towers are the pieces
-themselves, one level each; a stage-k tower is laid out from the
-stage-(k - 1) towers, one bisection and one shifted copy of a tower below
-per segment of its base's orbit.  A segment that fits no single base below,
-or a tower below taller than the levels left to lay, is a fault of the
-chain and raises RuntimeError.  The checks read those integers and the
-right-end column built from them once; base and levels are views of them.
-Each family's lattice and member heights are validated once, on first
-read, and held on the family, so the partition, adjacency and component
-checks share one validation; the partition check reads the support of the
-stage-0 map, held on that map for the whole chain.
+Every tower of a family lives on one lattice, (1/D)Z of the stage-0 map
+(`base_map`), which holds every stage of its chain; a family on a finer
+lattice is the family of a stage-0 map held on it.  A nine-letter tower
+holds the base width and one integer left end per level, and the family
+reads its bases and levels as intervals on that lattice.  Stage 0's towers
+are the pieces themselves, one level each; a stage-k tower is laid out
+from the stage-(k - 1) towers, one bisection and one shifted copy of a
+tower below per segment of its base's orbit.  A segment that fits no
+single base below, or a tower below taller than the levels left to lay, is
+a fault of the chain and raises RuntimeError.  The checks read those
+integers and the right-end column built from them once.  Whether the
+member heights agree is read once per family, on first use, and held on
+it, so the adjacency and component checks share one validation; the
+partition check reads the support of the stage-0 map, held on that map
+for the whole chain.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, permutations
-from operator import eq
+from itertools import chain, compress, count, permutations
+from operator import eq, ne
 
 from .errors import OutOfDomain
 from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
@@ -47,10 +49,9 @@ from .words import A3_MEMBERS, A9, letter_height
 @dataclass(frozen=True)
 class Tower:
     """A nine-letter tower: the level sets T^j(base), j < height, of one
-    stage piece, each held as its integer left end on (1/D)Z; every level is
-    `width` long."""
+    stage piece, each held as its integer left end on the lattice of the
+    family's base map; every level is `width` long."""
 
-    D: int
     width: int
     lefts: tuple[int, ...]  # by level
     word: str  # the letters read along the levels
@@ -64,37 +65,26 @@ class Tower:
         """The integer right end of each level."""
         return tuple(map(self.width.__add__, self.lefts))
 
-    @cached_property
-    def base(self) -> Interval:
-        left = self.lefts[0]
-        return Interval(Fraction(left, self.D), Fraction(left + self.width, self.D))
-
-    @cached_property
-    def levels(self) -> tuple[Interval, ...]:
-        D, width = self.D, self.width
-        return tuple(Interval(Fraction(left, D), Fraction(left + width, D))
-                     for left in self.lefts)
-
 
 @dataclass(frozen=True)
 class TowerFamily:
-    """The nine towers of one stage.  Its lattice and whether its member
-    towers are even are read once per family, on first use, and held on it:
-    a family made by dataclasses.replace reads them afresh."""
+    """The nine towers of one stage, every level held on the lattice of
+    base_map, which base(ch) and levels(ch) read as intervals.  Whether its
+    member towers are even is read once per family, on first use, and held
+    on it: a family made by dataclasses.replace reads it afresh."""
 
     stage: int
     order: OrderTag
     nine: dict[str, Tower]
     base_map: Ar9Map  # the stage-0 map whose powers build the levels
 
-    @cached_property
-    def lattice(self) -> Lattice:
-        """The base map's lattice, refined to the one every level is held on;
-        ValueError when the towers are held on different lattices."""
-        lat = self.base_map.lattice.refined(self.nine["1"].D)
-        if any(t.D != lat.D for t in self.nine.values()):
-            raise ValueError("tower levels are held on different lattices")
-        return lat
+    def base(self, ch: str) -> Interval:
+        t = self.nine[ch]
+        return self.base_map.lattice.interval(t.lefts[0], t.lefts[0] + t.width)
+
+    def levels(self, ch: str) -> tuple[Interval, ...]:
+        t, lat = self.nine[ch], self.base_map.lattice
+        return tuple(lat.interval(left, left + t.width) for left in t.lefts)
 
     @cached_property
     def uneven(self) -> str | None:
@@ -143,7 +133,7 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
     stage_map = m0 if k == 0 else chain.stages[k - 1].map
     bases = stage_map.lattice.by_label()
     if below is None:
-        nine = {ch: Tower(lat.D, right - left, (left,), ch)
+        nine = {ch: Tower(right - left, (left,), ch)
                 for ch in A9 for left, right, _ in [bases[ch]]}
         return TowerFamily(k, stage_map.order, nine, m0)
     lookup = (m0 if k == 1 else chain.stages[k - 2].map).lattice
@@ -177,7 +167,7 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
             laid += tall
             x += jump
         else:  # every level laid
-            nine[ch] = Tower(lat.D, width, tuple(lefts), "".join(words))
+            nine[ch] = Tower(width, tuple(lefts), "".join(words))
             continue
         raise RuntimeError(
             f"level {laid} of stage-{k} tower {ch}: {lat.interval(x, x + width)} {why}")
@@ -187,14 +177,11 @@ def _family(chain: StageChain, k: int, below: TowerFamily | None) -> TowerFamily
     return family
 
 
-def _row_lattice(f: TowerFamily) -> Lattice:
-    """The family's lattice, for the checks that read the member towers
-    level by level: a row is one level of each member, so they must be of
-    equal height."""
-    lat = f.lattice
+def _even(f: TowerFamily) -> None:
+    """The guard of the checks that read the member towers level by level:
+    a row is one level of each member, so they must be of equal height."""
     if f.uneven:
         raise ValueError(f.uneven)
-    return lat
 
 
 @dataclass(frozen=True)
@@ -207,12 +194,8 @@ class PartitionReport:
 
 def partition_check(f: TowerFamily) -> PartitionReport:
     """All levels of the nine towers tile the full space exactly."""
-    lat = f.lattice
+    lat, support = f.base_map.lattice, f.base_map.support
     towers = [f.nine[ch] for ch in A9]
-    # the base map's support, which every family of a chain reads, on the
-    # lattice of the levels
-    scale = lat.D // f.base_map.lattice.D
-    support = tuple((left * scale, right * scale) for left, right in f.base_map.support)
     expected = Fraction(sum(r - l for l, r in support), lat.D)
     # Nonempty levels tile the support exactly when their indicators sum to
     # the support's: when the level left ends and the support's right ends
@@ -252,23 +235,19 @@ ADJACENT_PAIRS = (("2", "3"), ("5", "6"), ("8", "9"))
 def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     """Levels of towers 2|3, 5|6, 8|9 at equal height are adjacent, with
     2, 5, 8 on the left exactly when the stage order is not reversed."""
-    reversed_ = f.order.reversed
-    lat = _row_lattice(f)
+    _even(f)
+    reversed_, lat = f.order.reversed, f.base_map.lattice
     violations: list[str] = []
     for lo, hi in ADJACENT_PAIRS:
         t_lo, t_hi = f.nine[lo], f.nine[hi]
         on_left, on_right = (t_hi, t_lo) if reversed_ else (t_lo, t_hi)
-        if all(map(eq, on_left.rights, on_right.lefts)):
-            continue
-        for j, (l_lo, l_hi) in enumerate(zip(t_lo.lefts, t_hi.lefts)):
-            p_lo, p_hi = (l_lo, l_lo + t_lo.width), (l_hi, l_hi + t_hi.width)
-            left, right = (p_hi, p_lo) if reversed_ else (p_lo, p_hi)
-            if left[1] != right[0]:
-                violations.append(
-                    f"level {j} of towers {lo},{hi}: {lat.interval(*p_lo)} vs "
-                    f"{lat.interval(*p_hi)} not adjacent with {lo} "
-                    f"{'right' if reversed_ else 'left'}most"
-                )
+        for j in compress(count(), map(ne, on_left.rights, on_right.lefts)):
+            l_lo, l_hi = t_lo.lefts[j], t_hi.lefts[j]
+            violations.append(
+                f"level {j} of towers {lo},{hi}: {lat.interval(l_lo, l_lo + t_lo.width)} vs "
+                f"{lat.interval(l_hi, l_hi + t_hi.width)} not adjacent with {lo} "
+                f"{'right' if reversed_ else 'left'}most"
+            )
     return AdjacencyReport(not violations, tuple(violations))
 
 
@@ -295,7 +274,7 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
     So level j of the members, the images of disjoint bases under the
     injective T^j, are disjoint intervals of width > 0.
     """
-    _row_lattice(f)
+    _even(f)
     counts = {}
     for letter, members in A3_MEMBERS.items():
         towers = [f.nine[ch] for ch in members]
@@ -306,7 +285,7 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
     """The (tower letter, level index) pair containing a point."""
-    lat = Lattice.sorted_from(f.lattice.D, (
+    lat = Lattice.sorted_from(f.base_map.lattice.D, (
         (left, left + t.width, (ch, j), 0)
         for ch, t in f.nine.items() for j, left in enumerate(t.lefts)))
     i = lat.locate(x)

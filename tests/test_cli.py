@@ -409,6 +409,27 @@ def test_check_single_kind_and_repeatable_prefix(capsys):
     assert len(payload["targets"]) == 2
 
 
+@pytest.mark.parametrize("kinds", [("--all",), ("--induction",), ("--coding",)])
+def test_check_refuses_a_chain_of_another_prefix(capsys, monkeypatch, kinds):
+    import ar_iet.cli as cli
+
+    # a reconstruction that hands back the triple of another prefix of the
+    # same length: every check would pass on that prefix's chain
+    real = cli.reconstruct_triple
+    monkeypatch.setattr(cli, "reconstruct_triple",
+                        lambda prefix, seed: real(parse_prefix("1111"), seed=seed))
+    code, out, err = run(capsys, "check", *kinds, "--prefix", "1213", "--depth", "4")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {
+        "schema": "ar-iet/error/1",
+        "code": "internal-fault",
+        "message": "the chain of prefix 1213 steps by 1111",
+        "detail": {"type": "RuntimeError"},
+    }
+    # the first depth symbols are the ones compared
+    assert run_json(capsys, "check", *kinds, "--prefix", "1113", "--depth", "3")["ok"]
+
+
 def test_check_without_prefixes_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--all")
     assert code == 2
@@ -511,6 +532,58 @@ def test_experiment_twm_includes_recurrence_patterns(capsys):
     assert payload["n_indices"] == list(range(1, 11))
     assert payload["tourab_i"] == list(range(0, 9))
     assert payload["tourab_ii"] == []
+
+
+# 12,000 blocks k_n = n: the reciprocal sums are the harmonic number H_12000,
+# whose numerator and denominator have more than 5,000 digits each
+_HARMONIC = ("--ks", ",".join(map(str, range(1, 12_001))), "--rules", "1" * 12_000)
+
+
+@pytest.mark.parametrize("kind, read", [
+    ("--twm", lambda payload: payload["sum_inv_k_ni"]),
+    ("--xi", lambda payload: payload["inv_k_partial_sums"][-1]),
+], ids=["twm", "xi"])
+def test_exact_output_past_the_int_digit_limit(kind, read):
+    from fractions import Fraction as F
+
+    from ar_iet.cli import _every_digit
+
+    # CPython 3.10.7 on refuses str() of an int over 4,300 digits; the CLI
+    # lifts that limit only while it prints, and prints the exact sum
+    proc = run_process("experiment", kind, *_HARMONIC)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with _every_digit():
+        assert F(read(json.loads(proc.stdout))) == sum(F(1, k) for k in range(1, 12_001))
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", "--layout"),
+    ("render", "--towers", "--stage", "1"),
+    ("towers", "--stage", "1"),
+], ids=["render-layout", "render-towers", "towers"])
+def test_piece_ends_print_past_the_int_digit_limit(capsys, argv):
+    # pairwise coprime denominators of 3,001 digits: the sums of the block
+    # lengths that place the pieces have denominators of about 6,000 digits
+    d = 10**3000
+    t = f"{4 * (d + 1) + 1}/{d + 1},{2 * (d + 3) + 1}/{d + 3},{d + 8}/{d + 7}"
+    code, out, err = run(capsys, *argv, "--triple", t)
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+
+def test_argv_parsing_keeps_the_int_digit_limit(capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int digits")
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--twm", "--ks", "9" * (limit + 1), "--rules", "1"])
+    assert exc.value.code == 2
+    assert "argument --ks" in capsys.readouterr().err
+    assert run_json(capsys, "experiment", "--twm", *_HARMONIC)["n_indices"][-1] == 12_000
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_experiment_eigen_verdicts(capsys):

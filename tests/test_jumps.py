@@ -242,6 +242,27 @@ def test_frequencies_keep_nothing_per_jump():
     assert peak <= 64 * 1024, f"{peak // 1024} KiB"
 
 
+def test_counts_through_every_stage_compose_only_what_the_orbit_reads():
+    # all 510 stages of k = 2^n over 8 I-blocks, handed to orbit_counts
+    # unplanned: composed whole, their return words would hold about 10^12
+    # letters, but each is composed only as far as the orbit reads
+    pq = PartialQuotients(tuple(2**k for k in range(1, 9)), (Sym.I,) * 8)
+    m0 = build_ar9(reconstruct_triple(pq.expand()))
+    chain = StageChain(m0)
+    stages = iterate_induction(chain, pq.times[-1])
+    assert len(stages) == 510 and chain.heights[-1][0] == 159_753_764_671
+    report = two_measure_experiment(pq, pq.times[-1], 10**4)
+    for x, planned in zip(report.base_points, report.vectors):
+        tracemalloc.start()
+        try:
+            counts = orbit_counts(m0, stages, x, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == planned.counts
+        assert peak <= 1024 * 1024, f"{peak // 1024} KiB"
+
+
 def test_two_measure_refuses_an_empty_orbit_before_inducing(monkeypatch):
     def induce(*args, **kwargs):
         raise AssertionError("a stage was induced")

@@ -113,8 +113,7 @@ def test_lattice_matches_fraction_reference(order, gapped):
     for ch in A9:
         tower = f.nine[ch]
         levels, word = ref_tower(m, stages[-1].map.domain[ch], tower.height)
-        assert tower.levels == levels
-        assert tuple(tower.levels) == levels
+        assert f.levels(ch) == levels
         assert tower.word == word
     assert partition_check(f).ok
     assert adjacency_check(f).ok
@@ -142,11 +141,21 @@ def test_map_on_a_finer_lattice_induces_the_same_stages(order, gapped):
     assert all(f.map != g.map for f, g in zip(got, want))
     assert [views(s.map) for s in got] == [views(s.map) for s in want]
     assert [s.return_words for s in got] == [s.return_words for s in want]
+    # their towers are held on the finer lattice, and the checks read them
+    # as the builder's
     for f, g in zip(tower_families(fine_chain, 0, 5), tower_families(chain, 0, 5)):
+        assert f.base_map is fine and f.nine != g.nine
         for ch in A9:
-            assert f.nine[ch].base == g.nine[ch].base
-            assert f.nine[ch].levels == g.nine[ch].levels
-
+            assert f.base(ch) == g.base(ch)
+            assert f.levels(ch) == g.levels(ch)
+        assert partition_check(f) == partition_check(g)
+        assert partition_check(f).ok
+        assert adjacency_check(f) == adjacency_check(g)
+        assert level_component_counts(f) == level_component_counts(g)
+    # a level moved by one unit of the finer lattice fails partition
+    t = f.nine["1"]
+    moved = dataclasses.replace(t, lefts=(t.lefts[0] + 1, *t.lefts[1:]))
+    assert not partition_check(dataclasses.replace(f, nine={**f.nine, "1": moved})).ok
 
 
 def ref_walk(lat, left, right, n):
@@ -194,7 +203,7 @@ def ref_merge(pairs):
 
 def ref_partition(f):
     """partition_check as a sweep over every level piece, sorted as pairs."""
-    lat = f.base_map.lattice.refined(f.nine["1"].D)
+    lat = f.base_map.lattice
     pieces = sorted((left, left + f.nine[ch].width) for ch in A9 for left in f.nine[ch].lefts)
     support = ref_merge(zip(lat.lefts, lat.rights))
     total = F(sum(r - l for l, r in pieces), lat.D)
@@ -257,8 +266,8 @@ def test_column_towers_match_references(order, gapped):
         for ch in A9:
             tower = f.nine[ch]
             levels, word = ref_tower(m, bases[ch], tower.height)
-            assert (tower.levels, tower.word, tower.base) == (levels, word, levels[0])
-            assert F(tower.width, tower.D) == bases[ch].length
+            assert (f.levels(ch), tower.word, f.base(ch)) == (levels, word, levels[0])
+            assert F(tower.width, f.base_map.lattice.D) == bases[ch].length
         counts = {}
         for letter, members in A3_MEMBERS.items():
             towers = [f.nine[ch] for ch in members]
@@ -266,8 +275,8 @@ def test_column_towers_match_references(order, gapped):
                                                     for t in towers))]
             counts[letter] = max(map(len, rows))
             # the three-letter base `ar-iet towers` prints: the member bases merged
-            bases = [t.base for t in towers]
-            D = towers[0].D
+            bases = [f.base(ch) for ch in members]
+            D = f.base_map.lattice.D
             assert ref_merge(bases) == tuple((F(left, D), F(right, D)) for left, right in rows[0])
             assert _merge(bases) == ref_merge(bases)
         assert level_component_counts(f) == counts
@@ -304,7 +313,8 @@ def test_partition_check_matches_the_sorted_sweep(order, gapped):
         "shifted by a unit": replaced(ch, lefts=tuple(left + 1 for left in tower.lefts)),
         "shifted by its width": replaced(
             ch, lefts=tuple(left + tower.width for left in tower.lefts)),
-        "shifted by one": replaced(ch, lefts=tuple(left + tower.D for left in tower.lefts)),
+        "shifted by one": replaced(
+            ch, lefts=tuple(left + f.base_map.lattice.D for left in tower.lefts)),
         "duplicated": replaced(other, width=tower.width, lefts=tower.lefts),
         "empty levels": replaced(ch, width=0),
         "empty levels inside their neighbours": absorbed,

@@ -38,8 +38,8 @@ def test_stage_zero_towers_are_the_pieces():
     for ch in A9:
         tower = f.nine[ch]
         assert tower.height == 1
-        assert tower.base == m0.domain[ch]
-        assert tower.levels == (m0.domain[ch],)
+        assert f.base(ch) == m0.domain[ch]
+        assert f.levels(ch) == (m0.domain[ch],)
         assert tower.word == ch
     assert partition_check(f).ok
 
@@ -76,7 +76,8 @@ def test_tower_heights_equal_matrix_heights():
 def test_total_measure():
     _, _, f = family_for((I, I, II, III, I), 5)
     t = f.base_map.triple
-    total = sum(F(tower.width * tower.height, tower.D) for tower in f.nine.values())
+    total = sum(F(tower.width * tower.height, f.base_map.lattice.D)
+                for tower in f.nine.values())
     assert total == 2 * (t.a + t.b + t.c)
 
 
@@ -95,7 +96,7 @@ def test_partition_check_sweep():
 def test_partition_check_negative_control():
     _, _, f = family_for((I, I), 2)
     tower = f.nine["1"]
-    shifted = tuple(left + tower.D for left in tower.lefts)
+    shifted = tuple(left + f.base_map.lattice.D for left in tower.lefts)
     broken = dataclasses.replace(tower, lefts=shifted)
     f = dataclasses.replace(f, nine={**f.nine, "1": broken})
     assert not partition_check(f).ok
@@ -108,7 +109,7 @@ def test_partition_check_names_the_first_overlap():
     f = dataclasses.replace(f, nine={**f.nine, "2": copy})
     report = partition_check(f)
     assert not report.ok
-    first = min(f.nine["1"].levels)
+    first = min(f.levels("1"))
     assert report.defect == f"levels {first} and {first} overlap"
 
 
@@ -124,40 +125,6 @@ def test_adjacency_check_negative_control():
     assert not report.ok
     assert len(report.violations) == 1
     assert report.violations[0].startswith("level 1 of towers 2,3: ")
-
-
-def test_checks_refuse_towers_on_different_lattices():
-    _, _, f = family_for((I, I), 2)
-    # every check reads the original family first: the lattice it validated
-    # once there must not carry over to the replaced family
-    assert partition_check(f).ok and adjacency_check(f).ok
-    assert level_component_counts(f) == {"a": 3, "b": 1, "c": 1}
-    tower = f.nine["4"]
-    finer = dataclasses.replace(tower, D=2 * tower.D, width=2 * tower.width,
-                                lefts=tuple(2 * left for left in tower.lefts))
-    assert finer.levels == tower.levels
-    f = dataclasses.replace(f, nine={**f.nine, "4": finer})
-    for check in (partition_check, adjacency_check, level_component_counts):
-        with pytest.raises(ValueError, match="different lattices"):
-            check(f)
-
-
-def test_checks_read_towers_all_on_a_finer_lattice():
-    # every level on (1/2D)Z: the base map's support is refined with them
-    _, _, f = family_for((I, II), 2, ORDER_TAGS[4], (F(1), F(2)))
-    finer = dataclasses.replace(f, nine={
-        ch: dataclasses.replace(t, D=2 * t.D, width=2 * t.width,
-                                lefts=tuple(2 * left for left in t.lefts))
-        for ch, t in f.nine.items()})
-    assert finer.lattice.D == 2 * f.lattice.D
-    assert partition_check(finer) == partition_check(f)
-    assert partition_check(finer).ok
-    assert adjacency_check(finer) == adjacency_check(f)
-    assert level_component_counts(finer) == level_component_counts(f)
-    # a level moved by one unit of the finer lattice overlaps its neighbour
-    t = finer.nine["1"]
-    moved = dataclasses.replace(t, lefts=(t.lefts[0] + 1, *t.lefts[1:]))
-    assert not partition_check(dataclasses.replace(finer, nine={**finer.nine, "1": moved})).ok
 
 
 def test_straddling_base_negative_control():
@@ -219,17 +186,17 @@ def random_chain(order, gapped, seed, n=0):
 
 
 def walked(chain, f, ch, height):
-    """Tower ch of f as the walk of its base lays it out: (D, width, lefts,
+    """Tower ch of f as the walk of its base lays it out: (width, lefts,
     word)."""
     lat = chain.m0.lattice
     bases = (chain.m0 if f.stage == 0 else chain.stages[f.stage - 1].map).lattice
     left, right, _ = bases.by_label()[ch]
     letters, lefts = lat.walk(left, right, height)
-    return lat.D, right - left, tuple(lefts), "".join(letters)
+    return right - left, tuple(lefts), "".join(letters)
 
 
 def as_walked(tower):
-    return tower.D, tower.width, tower.lefts, tower.word
+    return tower.width, tower.lefts, tower.word
 
 
 CASE_IDS = [f"{o}-{'gapped' if g else 'adjacent'}-{s}" for o, g, s in FAMILY_CASES]
@@ -330,7 +297,8 @@ def test_row_checks_refuse_members_of_unequal_height(check):
     # a row is one level of each member: compared with zip, the longer
     # columns' extra levels would go unread
     _, _, f = family_for((I, I, I), 2)
-    # read by every check first, as test_checks_refuse_towers_on_different_lattices
+    # read by every check first: the validation held on the original family
+    # must not carry over to the replaced one
     assert partition_check(f).ok and adjacency_check(f).ok
     assert level_component_counts(f) == {"a": 3, "b": 1, "c": 1}
     tower = f.nine["3"]
@@ -355,7 +323,7 @@ def test_adjacency_stage0_first_order():
     report = adjacency_check(f)
     assert report.ok
     # 2 leftmost: I2=[11,13) then I3=[13,17)
-    assert f.nine["2"].levels[0].right == f.nine["3"].levels[0].left
+    assert f.base("2").right == f.base("3").left
 
 
 def test_adjacency_sweep_with_sidedness():
@@ -369,8 +337,7 @@ def test_adjacency_sweep_with_sidedness():
         report = adjacency_check(f)
         assert report.ok, report.violations[:2]
         # explicit sidedness of the 8|9 pair at level 0
-        p8 = f.nine["8"].levels[0]
-        p9 = f.nine["9"].levels[0]
+        p8, p9 = f.base("8"), f.base("9")
         if f.order.reversed:
             assert p9.right == p8.left
         else:
@@ -399,13 +366,16 @@ def ref_component_counts(f):
 
 
 def untouched(f, letter):
-    """f on the lattice refined by 2, with one level moved by one unit off the
-    member it touches, in a row of the largest count: the row stays disjoint,
-    as the gap on the level's other side is at least 2 units."""
-    f = dataclasses.replace(f, nine={
-        ch: dataclasses.replace(t, D=2 * t.D, width=2 * t.width,
-                                lefts=tuple(2 * left for left in t.lefts))
-        for ch, t in f.nine.items()})
+    """f held on the lattice refined by 2, its base map with it, with one
+    level moved by one unit off the member it touches, in a row of the
+    largest count: the row stays disjoint, as the gap on the level's other
+    side is at least 2 units."""
+    lat = f.base_map.lattice
+    f = dataclasses.replace(
+        f, base_map=dataclasses.replace(f.base_map, lattice=lat.refined(2 * lat.D)),
+        nine={ch: dataclasses.replace(t, width=2 * t.width,
+                                      lefts=tuple(2 * left for left in t.lefts))
+              for ch, t in f.nine.items()})
     members = A3_MEMBERS[letter]
     top = ref_component_counts(f)[letter]
     for j in reversed(range(f.nine[members[0]].height)):
