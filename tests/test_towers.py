@@ -127,6 +127,27 @@ def test_adjacency_check_negative_control():
     assert report.violations[0].startswith("level 1 of towers 2,3: ")
 
 
+def test_checks_read_towers_all_on_a_finer_lattice():
+    # every level on (1/2D)Z: the base map is held on the finer lattice with them
+    _, _, f = family_for((I, II), 2, ORDER_TAGS[4], (F(1), F(2)))
+    D = f.base_map.lattice.D
+    fine_map = dataclasses.replace(f.base_map, lattice=f.base_map.lattice.refined(2 * D))
+    finer = dataclasses.replace(f, base_map=fine_map, nine={
+        ch: dataclasses.replace(t, width=2 * t.width, lefts=tuple(2 * left for left in t.lefts))
+        for ch, t in f.nine.items()})
+    assert finer.base_map.lattice.D == 2 * D
+    for ch in A9:
+        assert finer.levels(ch) == f.levels(ch)
+    assert partition_check(finer) == partition_check(f)
+    assert partition_check(finer).ok
+    assert adjacency_check(finer) == adjacency_check(f)
+    assert level_component_counts(finer) == level_component_counts(f)
+    # a level moved by one unit of the finer lattice overlaps its neighbour
+    t = finer.nine["1"]
+    moved = dataclasses.replace(t, lefts=(t.lefts[0] + 1, *t.lefts[1:]))
+    assert not partition_check(dataclasses.replace(finer, nine={**finer.nine, "1": moved})).ok
+
+
 def test_straddling_base_negative_control():
     chain, stages, _ = family_for((I, I), 1)
     m0 = chain.m0
