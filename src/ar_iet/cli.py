@@ -165,7 +165,7 @@ def _json_text(data: dict) -> str:
 @contextlib.contextmanager
 def _every_digit():
     """Lift the interpreter's limit on the digits of an int turned into a
-    string (CPython 3.10.7 on) while exact output is encoded; restored after."""
+    string (CPython 3.10.7 on), so that exact values print; restored after."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -176,7 +176,6 @@ def _every_digit():
             sys.set_int_max_str_digits(limit)
 
 
-@_every_digit()
 def _emit_json(payload: dict, args, config: RunConfig) -> None:
     """Print the payload after its --emit copy: a failed write prints nothing."""
     text = _json_text(_encoded(payload))
@@ -196,7 +195,6 @@ def _write_file(name: str, text: str, config: RunConfig) -> Path:
     return path
 
 
-@_every_digit()
 def _write_frequency_csv(name: str | None, counts: dict[str, int], length: int,
                          config: RunConfig) -> None:
     """The letter counts of an orbit of the given length and their exact and
@@ -596,7 +594,6 @@ def cmd_experiment(args, config: RunConfig) -> int:
     return 0
 
 
-@_every_digit()  # the SVG prints its exact tick labels
 def cmd_render(args, config: RunConfig) -> int:
     stage = _count(args.stage, 1 if args.induction else config.refinement_depth,
                    "--stage", 0)
@@ -747,22 +744,24 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = load_config(args.config)
-        if args.output_dir is not None:
-            config = replace(config, output_dir=args.output_dir)
-        return _HANDLERS[args.command](args, config)
-    except ConfigError as e:
-        sys.stderr.write(f"ar-iet: {e}\n")
-        return 2
-    except DomainError as e:
-        return _report(e.code, e, e.detail, 1)
-    except RuntimeError as e:
-        # an internal consistency check failed: a fault of the program, not of the input
-        return _report("internal-fault", e, {"type": type(e).__name__}, 3)
+    with contextlib.ExitStack() as lifted:
+        try:
+            config = load_config(args.config)
+            if args.output_dir is not None:
+                config = replace(config, output_dir=args.output_dir)
+            # argv and config are parsed: from here on every digit prints
+            lifted.enter_context(_every_digit())
+            return _HANDLERS[args.command](args, config)
+        except ConfigError as e:
+            sys.stderr.write(f"ar-iet: {e}\n")
+            return 2
+        except DomainError as e:
+            return _report(e.code, e, e.detail, 1)
+        except RuntimeError as e:
+            # an internal consistency check failed: a fault of the program, not of the input
+            return _report("internal-fault", e, {"type": type(e).__name__}, 3)
 
 
-@_every_digit()
 def _report(code: str, e: Exception, detail: dict, status: int) -> int:
     """Write the ar-iet/error/1 object for e to stderr; return the exit status."""
     error = {

@@ -24,9 +24,10 @@ Fraction tables are views of them, built on first read.  Pushing an
 interval is a bisection over integer left ends, and one integer routine
 lays out the pieces of the built and the induced maps alike, in one pass
 over the blocks, checking the triple on its integers and building Fractions
-only for the errors it raises.  A rational point is moved by one integer
-lookup: its ratio is read once, its piece found by one bisection, and one
-Fraction built for its image.
+only for the errors it raises.  A rational point x is read as its cell
+floor(xD) on the map's own lattice, which lies in the piece that holds x,
+and is moved by one integer lookup: its piece found by one bisection, and
+one Fraction built for its image.
 """
 from __future__ import annotations
 
@@ -152,13 +153,12 @@ def _outside(x: Fraction) -> OutOfDomain:
 class Lattice:
     """A piecewise translation scaled by D: its pieces' integer ends, labels
     and offsets, sorted by left end.  The labels are the letters 1..9 of a
-    nine-piece map, the arc labels 0..5 of a circle exchange or the (letter,
-    level) pairs of the levels of a tower family."""
+    nine-piece map or the arc labels 0..5 of a circle exchange."""
 
     D: int
     lefts: tuple[int, ...]
     rights: tuple[int, ...]
-    letters: tuple[str | int | tuple[str, int], ...]
+    letters: tuple[str | int, ...]
     offsets: tuple[int, ...]
 
     @classmethod
@@ -206,17 +206,21 @@ class Lattice:
         i = bisect_right(self.lefts, k) - 1
         return i if i >= 0 and k < self.rights[i] else None
 
+    def cell(self, x: Fraction) -> int:
+        """floor(xD), the cell of the rational x, which is how a point is read:
+        the piece ends are integers, so it lies in the piece that holds xD."""
+        p, q = x.as_integer_ratio()
+        return p * self.D // q
+
     def locate(self, x: Fraction) -> int | None:
         """The index of the piece that holds the rational x; None in a gap."""
-        p, q = x.as_integer_ratio()
-        # the piece ends are integers, so floor(xD) lies in the same piece as xD
-        return self.find(p * self.D // q)
+        return self.find(self.cell(x))
 
     def step(self, x: Fraction, period: int | None = None) -> tuple[Fraction, str | int] | None:
         """x moved by the offset of the piece that holds it, reduced mod
         period / D on a circle of integer period, and the piece's label;
-        None when x lies in a gap or outside the domain.  x is found as
-        locate finds it, and its image is the one Fraction built."""
+        None when x lies in a gap or outside the domain.  x is read as its
+        cell, inline, as p D is reused for its image, the one Fraction built."""
         p, q = x.as_integer_ratio()
         n = p * self.D
         k = n // q
@@ -226,11 +230,6 @@ class Lattice:
         n += self.offsets[i] * q
         return Fraction(n if period is None else n % (period * q), q * self.D), self.letters[i]
 
-    def outside(self, k: int) -> OutOfDomain:
-        """The error for the integer k, which lies in a gap or outside the
-        domain."""
-        return _outside(Fraction(k, self.D))
-
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
 
@@ -239,7 +238,7 @@ class Lattice:
         """
         i = self.find(left)
         if i is None:
-            raise self.outside(left)
+            raise _outside(Fraction(left, self.D))
         if right > self.rights[i]:
             raise RuntimeError(
                 f"interval {self.interval(left, right)} straddles the boundary "

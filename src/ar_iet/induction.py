@@ -34,7 +34,8 @@ that has landed in B_k is coded one return word per step of the stage-k
 map instead of one letter per step of T (`orbit_route`).  Orbits that jump
 through the same stages share one composition of their return words
 (`orbit_routes`): the tower check codes the nine base orbits of a family
-on one jump plan.
+on one jump plan.  A point is read as its cell on the stage-0 lattice,
+which holds every stage, and its orbit walks and jumps on that integer.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _scaled
+from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _outside, _scaled
 from .words import A3_MEMBERS, A9, _next_heights, sigma9
 
 # The cost of one checked induction stage in steps of the walk under T: on
@@ -323,9 +324,9 @@ def orbit_routes(
     """orbit_route of each (x, n) of orbits, in order, by jumps through the
     same stages: every n is validated first, their return words are composed
     once, each cut to the longest n (a cut word is always a route's last, so
-    every letter a route reads stays the same), and m0's lattice and B_k's
-    are refined once for each denominator of x.  Nothing is held past the
-    last orbit."""
+    every letter a route reads stays the same) and laid out once as the
+    route table of B_k's pieces.  Each orbit is read on m0's lattice as it
+    is.  Nothing is held past the last orbit."""
     orbits = list(orbits)
     for _, n in orbits:
         if n < 0:
@@ -335,28 +336,24 @@ def orbit_routes(
     for stage in stages:
         words = {ch: "".join(map(words.__getitem__, stage.return_words[ch]))[:longest]
                  for ch in A9}
-    last = stages[-1].map.lattice if stages else None
-    refined = {}  # x.denominator -> m0's lattice and B_k's, refined to hold x
+    # every stage is held on m0's lattice, B_k among them
+    base = stages[-1].map.lattice if stages else m0.lattice
+    route = [words[ch] for ch in base.letters]
     for x, n in orbits:
-        lattices = refined.get(x.denominator)
-        if lattices is None:
-            lat = m0.lattice.refined(x.denominator)
-            # every stage is held on m0's lattice, so B_k is held on lat
-            base = last.refined(lat.D) if stages else lat
-            lattices = refined[x.denominator] = lat, base, [words[ch] for ch in base.letters]
-        yield _route(*lattices, len(stages), x, n)
+        yield _route(m0.lattice, base, route, len(stages), x, n)
 
 
 def _route(lat: Lattice, base: Lattice, route: list[str], k: int, x: Fraction, n: int
            ) -> Iterator[str]:
-    """orbit_route on lat, which holds x, by jumps through B_k, held on base,
-    whose piece i reads route[i]."""
-    p = lat.coordinate(x)
+    """orbit_route on lat, m0's lattice, by jumps through B_k, held on base,
+    whose piece i reads route[i].  The orbit moves x's cell p0 by integer
+    offsets, so the point at cell p is x + (p - p0) / D, built for errors."""
+    p = p0 = lat.cell(x)
     rest = n  # the letters still to read
     while rest > 0 and base.find(p) is None:
         i = lat.find(p)
         if i is None:
-            error = lat.outside(p)
+            error = _outside(x + Fraction(p - p0, lat.D))
             error.level = n - rest
             raise error
         yield lat.letters[i]
@@ -366,7 +363,7 @@ def _route(lat: Lattice, base: Lattice, route: list[str], k: int, x: Fraction, n
     while rest > 0:
         i = bisect_right(starts, p) - 1
         if i < 0 or p >= ends[i]:
-            raise RuntimeError(f"the orbit of {x} left B_{k} at {Fraction(p, base.D)}")
+            raise RuntimeError(f"the orbit of {x} left B_{k} at {x + Fraction(p - p0, lat.D)}")
         word = route[i]
         rest -= len(word)
         yield word if rest >= 0 else word[:rest]

@@ -32,19 +32,22 @@ class _Canvas:
     """Tiny accumulating SVG writer with a fixed coordinate transform."""
 
     def __init__(self, left: Fraction, right: Fraction, height: float):
-        self.span = (left, right)
-        self.scale = (_WIDTH - 2 * _MARGIN) / float(right - left)
+        self.left, self.span = left, right - left
         self.height = height
         self.parts: list[str] = []
 
+    def scaled(self, d: Fraction) -> float:
+        """The length d as drawn, from its exact share of the span."""
+        return float(d / self.span) * (_WIDTH - 2 * _MARGIN)
+
     def x(self, v: Fraction) -> float:
-        return _MARGIN + (float(v) - float(self.span[0])) * self.scale
+        return _MARGIN + self.scaled(v - self.left)
 
     def rect(self, left: Fraction, right: Fraction, y: float, h: float,
              fill: str = "none") -> None:
         self.parts.append(
             f'<rect x="{_fmt(self.x(left))}" y="{_fmt(y)}" '
-            f'width="{_fmt((float(right) - float(left)) * self.scale)}" '
+            f'width="{_fmt(self.scaled(right - left))}" '
             f'height="{_fmt(h)}" fill="{fill}" stroke="black" stroke-width="1"/>'
         )
 

@@ -24,7 +24,8 @@ from the stage-(k - 1) towers, one bisection and one shifted copy of a
 tower below per segment of its base's orbit.  A segment that fits no
 single base below, or a tower below taller than the levels left to lay, is
 a fault of the chain and raises RuntimeError.  The checks read those
-integers and the right-end column built from them once.  Whether the
+integers and the right-end column built with the tower, and `locate`
+finds the level that holds a point's cell on that lattice.  Whether the
 member heights agree is read once per family, on first use, and held on
 it, so the adjacency and component checks share one validation; the
 partition check reads the support of the stage-0 map, held on that map
@@ -34,14 +35,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, permutations
 from operator import eq, ne
 
 from .errors import OutOfDomain
-from .iet import Ar9Map, Interval, Lattice, OrderTag, _merge
+from .iet import Ar9Map, Interval, OrderTag, _merge
 from .induction import StageChain
 from .words import A3_MEMBERS, A9, letter_height
 
@@ -50,20 +51,19 @@ from .words import A3_MEMBERS, A9, letter_height
 class Tower:
     """A nine-letter tower: the level sets T^j(base), j < height, of one
     stage piece, each held as its integer left end on the lattice of the
-    family's base map; every level is `width` long."""
+    family's base map, with its right end; every level is `width` long."""
 
     width: int
     lefts: tuple[int, ...]  # by level
     word: str  # the letters read along the levels
+    rights: tuple[int, ...] = field(init=False, repr=False, compare=False)  # by level
+
+    def __post_init__(self):
+        object.__setattr__(self, "rights", tuple(map(self.width.__add__, self.lefts)))
 
     @property
     def height(self) -> int:
         return len(self.lefts)
-
-    @cached_property
-    def rights(self) -> tuple[int, ...]:
-        """The integer right end of each level."""
-        return tuple(map(self.width.__add__, self.lefts))
 
 
 @dataclass(frozen=True)
@@ -284,11 +284,11 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
 
 
 def locate(f: TowerFamily, x: Fraction) -> tuple[str, int]:
-    """The (tower letter, level index) pair containing a point."""
-    lat = Lattice.sorted_from(f.base_map.lattice.D, (
-        (left, left + t.width, (ch, j), 0)
-        for ch, t in f.nine.items() for j, left in enumerate(t.lefts)))
-    i = lat.locate(x)
-    if i is None:
+    """The (tower letter, level index) pair containing a point: the level
+    that holds its cell on the base map's lattice."""
+    k = f.base_map.lattice.cell(x)
+    found = next(((ch, j) for ch, t in f.nine.items()
+                  for j, left in enumerate(t.lefts) if 0 <= k - left < t.width), None)
+    if found is None:
         raise OutOfDomain(f"{x} lies in no tower level", point=str(x))
-    return lat.letters[i]
+    return found

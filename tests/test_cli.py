@@ -586,6 +586,35 @@ def test_argv_parsing_keeps_the_int_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+_NINES = "9" * 4300  # the most digits the interpreter parses into an int
+
+
+@pytest.mark.parametrize("argv,status,want", [
+    (("--depth", "-1"), 2, "ar-iet: --depth must lie in 0..1999"),
+    (("--length", "3"), 1, '"code": "prefix-too-long"'),
+], ids=["depth", "prefix-too-long"])
+def test_two_measure_errors_print_past_the_int_digit_limit(capsys, argv, status, want):
+    # both messages hold sums of the two quotients, which pass 4,300 digits;
+    # they are built while the command runs, with the limit lifted
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "experiment", "--two-measure", "--ks", f"{_NINES},{_NINES}",
+                         "--rules", "11", *argv)
+    assert (code, out) == (status, "")
+    assert want in err
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("--layout",), ("--induction",), ("--towers", "--stage", "1"),
+], ids=["layout", "induction", "towers"])
+def test_render_draws_a_triple_past_float_range(capsys, argv):
+    # a 400-digit length overflows a float; each position is drawn from its
+    # share of the span, which does not
+    code, out, err = run(capsys, "render", *argv, "--triple", f"{'9' * 400},2,1")
+    assert (code, err) == (0, "")
+    assert out.startswith("<svg") and out.endswith("</svg>\n")
+
+
 def test_experiment_eigen_verdicts(capsys):
     rejected = run_json(capsys, "experiment", "--eigen", "--prefix", "1" * 30,
                         "--theta", "1/2")

@@ -12,6 +12,7 @@ letter counts must equal the walk's, and errors must be the walk's.
 """
 from __future__ import annotations
 
+import json
 import random
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from ar_iet.analysis import birkhoff_frequencies, two_measure_experiment
 from ar_iet.cli import main
 from ar_iet.errors import NotInGasket, OutOfDomain
 from ar_iet.gasket import PartialQuotients, Sym, Triple, ar_step, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, OrderTag, _scaled, build_ar9, trajectory
+from ar_iet.iet import ORDER_TAGS, Lattice, OrderTag, _scaled, build_ar9, trajectory
 from ar_iet.induction import (
     STAGE_COST,
     StageChain,
@@ -367,3 +368,22 @@ def test_a_chain_steps_out_of_the_gasket_once(monkeypatch):
     assert str(exc.value) == "a-b-c = 1 ties another entry of (4,2,1)"
     assert exc.value.detail == {"reason": "tie", "at_step": 2}
     assert calls[2:] == [triple(4, 2, 1)] and type(calls[2].a) is F
+
+
+def test_orbits_read_points_as_cells_on_the_maps_own_lattice(monkeypatch, capsys):
+    # a point is read as its cell floor(xD) on m0's lattice, which holds every
+    # stage: no lattice is refined to hold the point's denominator
+    m, points = system(ORDER_TAGS[0], True)
+    x = points[2]
+    assert x.denominator % (2**127 - 1) == 0
+    want = walked(m, x, LONG[0])
+
+    def refuse(self, denominator):
+        raise AssertionError(f"a lattice refined to hold 1/{denominator}")
+
+    monkeypatch.setattr(Lattice, "refined", refuse)
+    assert len(jump_stages(StageChain(m), LONG[0])) >= 3
+    assert trajectory(m, x, LONG[0]) == want
+    assert birkhoff_frequencies(m, x, LONG[0]).counts == dict(Counter(want))
+    assert main(["check", "--coding", "--prefix", "12131", "--depth", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True

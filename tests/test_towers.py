@@ -459,7 +459,8 @@ def test_stage0_component_counts_first_order_adjacent():
     assert counts == {"a": 1, "b": 2, "c": 1}
 
 
-def test_locate_and_point_determination():
+def signature_points():
+    """The families of stages 0..5 of one chain and twelve seeded points."""
     rng = random.Random(79)
     prefix = (I, II, I, III, I, I)
     chain, _, _ = family_for(prefix, 5)
@@ -471,10 +472,28 @@ def test_locate_and_point_determination():
         x = block.left + block.length * F(rng.randint(0, 9999), 10_000)
         if x not in points:
             points.append(x)
+    return families, points
+
+
+def test_locate_and_point_determination():
+    families, points = signature_points()
     signatures = []
     for x in points:
         signatures.append(tuple(locate(f, x) for f in families))
     assert len(set(signatures)) == len(points)
+
+
+def test_locate_reads_the_cell_and_builds_no_lattice(monkeypatch):
+    families, points = signature_points()
+    # the reference: the one level interval, as Fractions, that holds x
+    want = [[next((ch, j) for ch in A9 for j, level in enumerate(f.levels(ch))
+                  if level.contains(x)) for f in families] for x in points]
+
+    def refuse(cls, D, rows):
+        raise AssertionError("a lattice built to locate a point")
+
+    monkeypatch.setattr(Lattice, "sorted_from", classmethod(refuse))
+    assert [[locate(f, x) for f in families] for x in points] == want
 
 
 def test_locate_outside_raises():
