@@ -77,6 +77,15 @@ CASES = {
     "experiment-two-measure-deep": (["experiment", "--two-measure", "--ks",
                                      "2,4,8,16,32,64,128,256", "--rules", "11111111",
                                      "--length", "10000"], ()),
+    # twelve doubling blocks, 8,190 symbols: the longest k_n = 2^n prefix
+    # that the reconstruction cap allows
+    "experiment-two-measure-blocks": (["experiment", "--two-measure", "--ks",
+                                       ",".join(str(2**n) for n in range(1, 13)),
+                                       "--rules", "1" * 12, "--length", "10000"], ()),
+    # II rules, and a depth five additive stages past the last block time, 15
+    "experiment-two-measure-tail": (["experiment", "--two-measure", "--ks", "3,5,7,9",
+                                     "--rules", "2121", "--depth", "20",
+                                     "--length", "5000"], ()),
     # a prefix longer than the reconstruction cap
     "experiment-two-measure-too-long": (["experiment", "--two-measure", "--ks", "20001",
                                          "--rules", "1", "--length", "10"], ()),
