@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, _check_prefix_length, reconstruct_triple
 from .iet import Ar9Map, Interval, build_ar9
-from .induction import StageChain, iterate_induction, jump_stages, orbit_counts
+from .induction import StageChain, block_stage, iterate_induction, jump_stages, orbit_counts
 from .words import A3_MEMBERS, A9, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
@@ -298,10 +298,13 @@ def two_measure_experiment(pq: PartialQuotients, depth: int, n: int) -> TwoMeasu
     swap count l counts I_m rules among blocks 1..N-1 where N is the number
     of blocks completed by stage `depth`.  Base points are the midpoints of
     the two stage-`depth` bases; both orbits run under the stage-0 map,
-    by jumps through stages of the same chain, whose `depth` stages are
-    already induced.  A nonpositive orbit length raises ValueError before
-    any stage is induced, and a prefix longer than the reconstruction cap
-    raises PrefixTooLong before it is expanded.
+    by jumps through the stages that jump_stages plans for them first.  The
+    stage-`depth` map is reached from the deepest multiplicative time that
+    the plan's chain holds: one checked block stage per partial quotient up
+    to m_N, then additive stages on a chain rooted at the last block stage,
+    which keeps the stage-0 lattice.  A nonpositive orbit length raises
+    ValueError before any stage is induced, and a prefix longer than the
+    reconstruction cap raises PrefixTooLong before it is expanded.
     """
     if n < 1:
         raise ValueError("orbit length must be positive")
@@ -316,13 +319,23 @@ def two_measure_experiment(pq: PartialQuotients, depth: int, n: int) -> TwoMeasu
     lo, hi = ("4", "1") if swapped else ("1", "4")
     m0 = build_ar9(reconstruct_triple(prefix))
     chain = StageChain(m0)
-    stages = iterate_induction(chain, depth)
-    stage_map = stages[-1].map if stages else m0
+    jumping = jump_stages(chain, n)
+    times = (0, *pq.times)
+    # the blocks that the chain holds, up to the deepest multiplicative time
+    held = sum(1 for mi in pq.times if mi <= len(chain.stages))
+    rest = depth  # the additive stages still to induce
+    if held < N:
+        m = chain.stages[times[held] - 1].map if held else m0
+        abc = chain.triples[times[held]]
+        for i in range(held, N):
+            m, abc = block_stage(m, abc, pq.ks[i], pq.rules[i], i + 1)
+        chain, rest = StageChain(m), depth - times[N]
+    stages = iterate_induction(chain, rest)
+    stage_map = stages[-1].map if stages else chain.m0
     points = tuple(
         (stage_map.domain[ch].left + stage_map.domain[ch].right) / 2
         for ch in (lo, hi)
     )
-    jumping = jump_stages(chain, n)
     vectors = tuple(FrequencyVector(x, n, orbit_counts(m0, jumping, x, n)) for x in points)
     return TwoMeasureReport(
         depth=depth,

@@ -525,13 +525,38 @@ def cmd_check(args, config: RunConfig) -> int:
     return 0
 
 
+# the orbit length of the frequency experiments when --length is absent
+_DEFAULT_LENGTH = 10_000
+
+# the experiment kinds that read each of the flags that not all of them read;
+# these flags default to None, and one given to any other kind is a usage error
+_EXPERIMENT_FLAGS = {
+    "ks": ("xi", "twm", "eigen", "two-measure"),
+    "rules": ("xi", "twm", "eigen", "two-measure"),
+    "triple": ("birkhoff",),
+    "order": ("birkhoff",),
+    "theta": ("eigen",),
+    "floor": ("eigen",),
+    "persistence": ("eigen",),
+    "depth": ("two-measure",),
+    "length": ("two-measure", "birkhoff"),
+    "point": ("birkhoff",),
+    "csv": ("birkhoff",),
+}
+
+
 def cmd_experiment(args, config: RunConfig) -> int:
-    if args.kind in ("two-measure", "birkhoff") and args.length < 1:
-        raise ConfigError("--length must be positive")
-    if args.kind == "eigen" and args.persistence < 1:
-        raise ConfigError("--persistence must be positive")
-    if args.kind == "eigen" and args.floor is not None and args.floor <= 0:
-        raise ConfigError("--floor must be positive")
+    for flag, kinds in _EXPERIMENT_FLAGS.items():
+        if getattr(args, flag) is not None and args.kind not in kinds:
+            readers = ", ".join(f"--{kind}" for kind in kinds)
+            raise ConfigError(f"--{flag} is read only by experiment {readers}, "
+                              f"not by --{args.kind}")
+    if args.kind in ("two-measure", "birkhoff"):
+        length = _count(args.length, _DEFAULT_LENGTH, "--length")
+    if args.kind == "eigen":
+        persistence = _count(args.persistence, DEFAULT_PERSISTENCE, "--persistence")
+        if args.floor is not None and args.floor <= 0:
+            raise ConfigError("--floor must be positive")
     if args.kind in ("xi", "twm", "eigen", "two-measure"):
         pq = _resolve_pq(args)
     if args.kind == "xi":
@@ -554,15 +579,15 @@ def cmd_experiment(args, config: RunConfig) -> int:
             "evidence_scope": "prefix-only",
         }
     elif args.kind == "eigen":
-        scan = eigenvalue_scan(pq, args.theta, floor=args.floor,
-                               persistence=args.persistence)
+        theta = args.theta if args.theta is not None else Fraction(0)
+        scan = eigenvalue_scan(pq, theta, floor=args.floor, persistence=persistence)
         payload = {"schema": "ar-iet/experiment-eigen/1", **asdict(scan)}
     elif args.kind == "two-measure":
         top = pq.times[-1] if pq.ks else 0
         depth = args.depth if args.depth is not None else top
         if not 0 <= depth <= top:
             raise ConfigError(f"--depth must lie in 0..{top}")
-        report = two_measure_experiment(pq, depth, args.length)
+        report = two_measure_experiment(pq, depth, length)
         payload = {
             "schema": "ar-iet/experiment-two-measure/1",
             "depth": report.depth,
@@ -577,19 +602,20 @@ def cmd_experiment(args, config: RunConfig) -> int:
         }
     else:  # birkhoff
         t = _resolve_triple(args, config)
-        m = build_ar9(t, order=args.order)
+        order = args.order if args.order is not None else FIRST_ORDER
+        m = build_ar9(t, order=order)
         x = _start_point(args, m, config)
-        vector = birkhoff_frequencies(m, x, args.length)
+        vector = birkhoff_frequencies(m, x, length)
         payload = {
             "schema": "ar-iet/experiment-birkhoff/1",
             "triple": t,
-            "order": args.order,
+            "order": order,
             "point": x,
-            "length": args.length,
+            "length": length,
             "counts": vector.counts,
             "frequencies": vector.frequencies,
         }
-        _write_frequency_csv(args.csv, vector.counts, args.length, config)
+        _write_frequency_csv(args.csv, vector.counts, length, config)
     _emit_json(payload, args, config)
     return 0
 
@@ -700,19 +726,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pq_args(p)
     p.add_argument("--triple", type=parse_triple, default=None,
                    help="birkhoff only: system lengths")
-    p.add_argument("--order", type=parse_order, default=FIRST_ORDER)
-    p.add_argument("--theta", type=_fraction_arg, default=Fraction(0),
-                   help="eigen only: candidate eigenvalue exponent")
+    p.add_argument("--order", type=parse_order, default=None,
+                   help="birkhoff only: block order (default first)")
+    p.add_argument("--theta", type=_fraction_arg, default=None,
+                   help="eigen only: candidate eigenvalue exponent (default 0)")
     p.add_argument("--floor", type=_fraction_arg, default=None,
                    help="eigen only: rejection floor (default 1/(2 denominator))")
-    p.add_argument("--persistence", type=int, default=DEFAULT_PERSISTENCE,
-                   help="eigen only: hits needed to reject")
+    p.add_argument("--persistence", type=int, default=None,
+                   help=f"eigen only: hits needed to reject (default {DEFAULT_PERSISTENCE})")
     p.add_argument("--depth", type=int, default=None,
                    help="two-measure only: additive stage of the tower bases")
-    p.add_argument("--length", type=int, default=10_000,
-                   help="orbit length for the frequency experiments")
+    p.add_argument("--length", type=int, default=None,
+                   help=f"two-measure and birkhoff only: orbit length "
+                        f"(default {_DEFAULT_LENGTH})")
     p.add_argument("--point", type=_fraction_arg, default=None, help="birkhoff only")
-    p.add_argument("--csv", default=None)
+    p.add_argument("--csv", default=None, help="birkhoff only: write letter frequencies")
 
     p = sub.add_parser("render", help="emit SVG figures")
     what = p.add_mutually_exclusive_group(required=True)

@@ -27,6 +27,17 @@ every InductionStage is a checked one.  No image of that substitution is
 longer than two letters, so every piece of a checked stage returns within
 two steps; the search stops at RETURN_CAP.
 
+A block of the directing sequence, k - 1 steps of case III closed by one
+of I or II, is also taken as one checked stage (`block_stage`), from the
+stage at the previous multiplicative time: laid out in closed form, and
+checked by pushing each piece along the runs of its known return word, at
+most three, with no search.  A run of one letter stays in its piece when
+its first and last translates do, and its images, an arithmetic
+progression, miss the new domain by floor division, so a block costs the
+same whatever k is.  A block stage is a map, held on the same stage-0
+lattice, not an InductionStage of a chain; a chain rooted at it continues
+additively (`two_measure_experiment`).
+
 The checked stages also code orbits.  Stage k is the first-return map of T
 to its domain B_k, so a point of the stage-k piece of ch reads the stage-k
 return word of ch under T and then lands at its stage-map image.  An orbit
@@ -47,8 +58,10 @@ from fractions import Fraction
 
 from .errors import NotInGasket, ReturnTimeCapExceeded
 from .gasket import Sym, Triple, ar_step
-from .iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _outside, _scaled
-from .words import A3_MEMBERS, A9, _next_heights, sigma9
+from .iet import (
+    _ROLE_LETTERS, ORDER_TAGS, Ar9Map, Lattice, OrderTag, _lay_out, _outside, _scaled,
+)
+from .words import A3_MEMBERS, A9, _mult_factors_a9, _next_heights, sigma9
 
 # The cost of one checked induction stage in steps of the walk under T: on
 # the maps of the twelve 20,000-step orbits of the benchmark's orbit workload
@@ -185,6 +198,31 @@ class StageChain:
         return True
 
 
+def _piece_lengths(abc: Triple) -> tuple[int, ...]:
+    """The piece lengths of the table for the triple abc, in A9 order."""
+    a, b, c = abc
+    return (a - c, c, b, a - b, b, c, b - c, c, c)
+
+
+def _next_map(m: Ar9Map, abc: Triple, case: Sym) -> Ar9Map:
+    """The map one step of `case` below m, laid out on m's lattice from abc,
+    its triple there as integers: the left ends of the three spans of J_a
+    (I_1, the whole middle block I_2 u I_3, and I_4), read off m's pieces,
+    are placed by the table, and the arrangement is checked against it."""
+    lat = m.lattice
+    lefts, at = lat.lefts, lat.letters.index
+    spans = (lefts[at("1")], min(lefts[at("2")], lefts[at("3")]), lefts[at("4")])
+    starts = [0] * 3
+    for start, role in zip(spans, _SPAN_ROLES[case]):
+        starts[role] = start
+    predicted = _PREDICTED[m.order, case]
+    induced = _lay_out(lat.D, abc, starts, predicted.reversed)
+    if induced.order != predicted:
+        raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
+                           f"transition table {predicted}")
+    return induced
+
+
 def induce_step(chain: StageChain, k: int) -> InductionStage:
     """Induce stage k of the chain on J_a of stage k - 1, from its stored
     step, and check that the result is the predicted nine-piece exchange:
@@ -203,29 +241,15 @@ def induce_step(chain: StageChain, k: int) -> InductionStage:
         ar_step(m.triple)  # raises again, in the Fractions of the triple
     lat = m.lattice  # m0's, as every stage's
     abc, case = chain.triples[k], chain.cases[k - 1]
-    a, b, c = abc
-    # the parent's pieces of J_a, read off its lattice: the left ends of the
-    # three spans of J_a (I_1, the whole middle block I_2 u I_3, and I_4),
-    # placed by the table, and the merged regions that the pieces return to
-    lefts, at = lat.lefts, lat.letters.index
-    spans = (lefts[at("1")], min(lefts[at("2")], lefts[at("3")]), lefts[at("4")])
-    starts = [0] * 3
-    for start, role in zip(spans, _SPAN_ROLES[case]):
-        starts[role] = start
+    induced = _next_map(m, abc, case)
+    # the merged regions of J_a that the pieces return to
     regions = tuple(zip(*lat.union(J_A)))
-    predicted = _PREDICTED[m.order, case]
-    induced = _lay_out(lat.D, abc, starts, predicted.reversed)
-    if induced.order != predicted:
-        raise RuntimeError(f"span arrangement {induced.order} disagrees with the "
-                           f"transition table {predicted}")
     # the induced pieces are pushed under T in A9 order and compared with
     # what they land on as integers
     pieces = induced.lattice.by_label()
-    # the piece lengths of the table, in A9 order
-    expected_lengths = (a - c, c, b, a - b, b, c, b - c, c, c)
     words: dict[str, str] = {}
     lengths_ok = endpoints_ok = translations_ok = True
-    for ch, expected in zip(A9, expected_lengths):
+    for ch, expected in zip(A9, _piece_lengths(abc)):
         left, right, offset = pieces[ch]
         landed_left, landed_right, words[ch] = _land(lat, regions, left, right, RETURN_CAP)
         # the builder already refuses an image whose length differs from
@@ -258,6 +282,92 @@ def iterate_induction(chain: StageChain, K: int) -> list[InductionStage]:
             e.detail["at_step"] = k
             raise
     return stages[:K]
+
+
+def _meets(regions, x: int, offset: int, length: int, count: int) -> bool:
+    """True when one of the intervals [x + j offset, x + j offset + length),
+    j = 1..count, meets one of the merged regions [u, v); offset is nonzero.
+    The j that meet [u, v) are those with u - length - x < j offset < v - x,
+    a range of integers settled by floor division."""
+    if offset < 0:  # mirror the line, so that the progression goes right
+        x, offset, regions = -x - length, -offset, [(-v, -u) for u, v in regions]
+    for u, v in regions:
+        first, last = (u - length - x) // offset + 1, (v - x - 1) // offset
+        if first <= last and first <= count and last >= 1:
+            return True
+    return False
+
+
+def block_stage(m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int) -> tuple[Ar9Map, Triple]:
+    """The checked stage at multiplicative time m_n, one block below m, the
+    checked stage at m_(n-1): its map, laid out on m's lattice, and its
+    triple there as integers.  abc is m's triple on its lattice, and block n
+    is k - 1 steps of case III closed by one step of rule.
+
+    The layout takes O(1) steps.  The k - 1 steps of III take (a, b, c) to
+    (a - (k-1)(b+c), b, c); they are all of case III exactly when the last
+    one is, and they keep the arrangement, moving the start of Omega (of
+    Omega'' when the map is reversed) by (k-1)(b+c).  The closing step is
+    laid out by the transition table, as induce_step lays out a stage.
+
+    The check takes O(runs) steps.  Each new piece is pushed under m along
+    its return word, _mult_factors_a9(rule, k), at most 3 runs of one
+    letter each.  A run of e copies of letter l stays in piece l exactly
+    when its first and last translates do, as the piece is an interval; the
+    images inside the run form an arithmetic progression of intervals, which
+    must miss the new domain (_meets) but for the last image of the word,
+    which must be the predicted image.  A failed check raises RuntimeError
+    naming the block and the check, so no map is returned unchecked; a
+    triple that leaves the gasket at the closing step raises NotInGasket in
+    its Fractions.
+    """
+    a, b, c = abc
+    D = m.lattice.D
+
+    def fault(check: str) -> RuntimeError:
+        return RuntimeError(f"block {n} (k = {k}, rule {rule}): {check}")
+
+    a -= (k - 1) * (b + c)
+    if not a > b:
+        raise fault(f"the triple {Triple(*(Fraction(v, D) for v in abc))} does not "
+                    f"take {k - 1} steps of case III")
+    lefts = dict(zip(m.lattice.letters, m.lattice.lefts))
+    starts = [min(lefts[ch] for ch in letters) for letters in _ROLE_LETTERS]
+    starts[2 if m.order.reversed else 0] += (k - 1) * (b + c)
+    m_run = _lay_out(D, Triple(a, b, c), starts, m.order.reversed)
+    try:
+        abc_new, case = ar_step(Triple(a, b, c))
+    except NotInGasket:
+        ar_step(Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D)))  # raises, in Fractions
+    if case is not rule:
+        raise fault(f"the closing step is of case {case}")
+    new = _next_map(m_run, abc_new, rule)
+    pieces, regions = m.lattice.by_label(), new.support
+    factors = _mult_factors_a9(rule, k)
+    new_pieces = new.lattice.by_label()
+    for ch, expected in zip(A9, _piece_lengths(abc_new)):
+        left, right, offset = new_pieces[ch]
+        length = right - left
+        if length != expected:
+            raise fault(f"piece {ch} has length {Fraction(length, D)}, "
+                        f"not {Fraction(expected, D)}")
+        runs = [(letter, e) for letter, e in factors[ch] if e]
+        x = left
+        for i, (letter, e) in enumerate(runs, 1):
+            low, high, step = pieces[letter]
+            if not step:  # no piece of a nine-piece exchange is fixed
+                raise fault(f"piece {letter} of the previous stage has offset 0")
+            last = x + (e - 1) * step
+            if not (low <= x and x + length <= high and low <= last and last + length <= high):
+                raise fault(f"piece {ch} leaves piece {letter} in its run")
+            # every image of the run but the word's last must miss the new domain
+            count = e if i < len(runs) else e - 1
+            if count and _meets(regions, x, step, length, count):
+                raise fault(f"piece {ch} meets the new domain before it returns")
+            x = last + step
+        if x - left != offset:
+            raise fault(f"piece {ch} lands {Fraction(x - left - offset, D)} off its image")
+    return new, abc_new
 
 
 def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:

@@ -102,15 +102,26 @@ def test_every_config_field_round_trips(tmp_path):
         assert text == CONFIG_SAMPLES[f.name]
 
 
-def test_shared_defaults_are_the_library_constants():
-    from ar_iet import analysis, gasket
+def test_shared_defaults_are_the_library_constants(capsys, monkeypatch):
+    from ar_iet import analysis, cli, gasket
 
     config = RunConfig()
     assert config.max_steps == gasket.DEFAULT_MAX_STEPS
     assert config.xi_sum_threshold == analysis.DEFAULT_XI_SUM_THRESHOLD
     assert config.tail_epsilon == analysis.DEFAULT_TAIL_EPSILON
+    # --persistence defaults to None, so that other kinds can refuse it, and
+    # eigen then scans with the library's default
     args = build_parser().parse_args(["experiment", "--eigen", "--ks", "1"])
-    assert args.persistence == analysis.DEFAULT_PERSISTENCE
+    assert args.persistence is None
+    seen = []
+
+    def scan(*args, persistence, **kwargs):
+        seen.append(persistence)
+        return analysis.eigenvalue_scan(*args, persistence=persistence, **kwargs)
+
+    monkeypatch.setattr(cli, "eigenvalue_scan", scan)
+    run_json(capsys, "experiment", "--eigen", "--ks", "1", "--rules", "1")
+    assert seen == [analysis.DEFAULT_PERSISTENCE]
 
 
 def test_config_errors_are_usage_errors(tmp_path, capsys):
@@ -675,6 +686,37 @@ def test_experiment_birkhoff_with_csv(capsys, tmp_path):
     lines = (tmp_path / "b.csv").read_text().splitlines()
     assert lines[0] == "letter,count,frequency,decimal"
     assert len(lines) == len(payload["counts"]) + 1
+
+
+@pytest.mark.parametrize("argv,flag,readers", [
+    (("--two-measure", "--ks", "2,4", "--rules", "11", "--csv", "x.csv"), "csv", "--birkhoff"),
+    (("--two-measure", "--ks", "1,1", "--rules", "11", "--order", "reversed-third"),
+     "order", "--birkhoff"),
+    (("--two-measure", "--ks", "1,1", "--rules", "11", "--theta", "1/2"), "theta", "--eigen"),
+    (("--two-measure", "--ks", "1,1", "--rules", "11", "--point", "1/3"),
+     "point", "--birkhoff"),
+    (("--two-measure", "--ks", "1,1", "--rules", "11", "--triple", "7,4,2"),
+     "triple", "--birkhoff"),
+    (("--birkhoff", "--triple", "7,4,2", "--depth", "3"), "depth", "--two-measure"),
+    (("--birkhoff", "--triple", "7,4,2", "--ks", "1,1"),
+     "ks", "--xi, --twm, --eigen, --two-measure"),
+    (("--birkhoff", "--triple", "7,4,2", "--theta", "1/2"), "theta", "--eigen"),
+    (("--xi", "--ks", "1,1", "--rules", "11", "--order", "second"), "order", "--birkhoff"),
+    (("--xi", "--ks", "1,1", "--rules", "11", "--depth", "1"), "depth", "--two-measure"),
+    (("--xi", "--ks", "1,1", "--rules", "11", "--length", "5"),
+     "length", "--two-measure, --birkhoff"),
+    (("--twm", "--prefix", "111", "--persistence", "3"), "persistence", "--eigen"),
+    (("--eigen", "--prefix", "111", "--floor", "1/2", "--csv", "e.csv"),
+     "csv", "--birkhoff"),
+])
+def test_experiment_refuses_a_flag_its_kind_does_not_read(capsys, tmp_path, argv, flag,
+                                                          readers):
+    # each of these argvs used to exit 0, the flag silently ignored
+    code, out, err = run(capsys, "--output-dir", str(tmp_path), "experiment", *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"ar-iet: --{flag} is read only by experiment {readers}, "
+                   f"not by {argv[0]}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_experiment_requires_quotient_source(capsys):

@@ -10,9 +10,11 @@ import pytest
 from ar_iet import induction
 from ar_iet.errors import NotInGasket, OutOfDomain, ReturnTimeCapExceeded
 from ar_iet.gasket import PartialQuotients, Sym, ar_step, reconstruct_triple, triple
-from ar_iet.iet import ORDER_TAGS, Ar9Map, OrderTag, ar9_from_placements, build_ar9
+from ar_iet.iet import ORDER_TAGS, Ar9Map, Lattice, OrderTag, ar9_from_placements, build_ar9
 from ar_iet.induction import (
     StageChain,
+    _meets,
+    block_stage,
     induce_step,
     iterate_induction,
 )
@@ -384,9 +386,19 @@ def test_induction_builds_no_fraction_views(monkeypatch):
     ar_step(m.triple)
     assert counts  # and the wrappers do count
     assert len(stages) == 510
+    views = {"domain", "image", "offsets", "role_blocks", "triple"}
     for stage in stages:
-        built = {"domain", "image", "offsets", "role_blocks", "triple"} & set(vars(stage.map))
+        built = views & set(vars(stage.map))
         assert not built, (stage.index, built)
+    # the same regime by its 8 blocks, one checked block stage each
+    chain = StageChain(m)
+    counts.clear()
+    block, abc = m, chain.triples[0]
+    for n, k in enumerate(ks, 1):
+        block, abc = block_stage(block, abc, k, I, n)
+        assert not views & set(vars(block)), n
+    assert not counts, counts
+    assert block == stages[-1].map
 
 
 @pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
@@ -525,3 +537,149 @@ def test_stage_maps_match_the_fraction_builder():
             parent = stage.map
     assert compared > 200
     assert reduced > 0
+
+
+# --- block stages: one checked stage per partial quotient ---------------------
+
+def _seeded_blocks(rng: random.Random, order: OrderTag, gapped: bool):
+    """A seeded system and its partial quotients: k <= 9, rules I and II,
+    and a seed triple on a lattice with D > 1."""
+    while True:
+        seed = triple(*sorted((F(rng.randint(1, 60), rng.randint(2, 9)) for _ in range(3)),
+                              reverse=True))
+        if seed.a > seed.b > seed.c:
+            break
+    blocks = rng.randint(1, 5)
+    pq = PartialQuotients(tuple(rng.randint(1, 9) for _ in range(blocks)),
+                          tuple(rng.choice((I, II)) for _ in range(blocks)))
+    gaps = tuple(F(rng.randint(1, 9), rng.randint(2, 7)) for _ in range(2)) if gapped \
+        else (F(0), F(0))
+    return build_ar9(reconstruct_triple(pq.expand(), seed=seed), order, gaps=gaps), pq
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+@pytest.mark.parametrize("gapped", (False, True), ids=("adjacent", "gapped"))
+def test_block_stages_equal_the_additive_stages(order, gapped):
+    # at every multiplicative time the block stage is the additive stage,
+    # map and integer triple
+    rng = random.Random(f"blocks/{order}/{gapped}")
+    for _ in range(10):
+        m, pq = _seeded_blocks(rng, order, gapped)
+        chain = StageChain(m)
+        stages = iterate_induction(chain, pq.times[-1])
+        block, abc = m, chain.triples[0]
+        for n, (k, rule, time) in enumerate(zip(pq.ks, pq.rules, pq.times), 1):
+            block, abc = block_stage(block, abc, k, rule, n)
+            assert block == stages[time - 1].map, (pq, n)
+            assert abc == chain.triples[time], (pq, n)
+
+
+def test_meets_is_the_progression_scan():
+    rng = random.Random("meets")
+    for _ in range(2000):
+        regions = ((0, rng.randint(1, 9)), (rng.randint(12, 20), rng.randint(21, 30)))
+        x, length = rng.randint(-40, 40), rng.randint(1, 5)
+        offset, count = rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6)
+        scan = any(left + length > u and left < v
+                   for left in (x + j * offset for j in range(1, count + 1))
+                   for u, v in regions)
+        assert _meets(regions, x, offset, length, count) == scan
+
+
+def _block_two():
+    """Block 2 of (3, 4, 2) with rules I, II, I on a gapped first-order map:
+    the stage at m_1 and its integer triple."""
+    pq = PartialQuotients((3, 4, 2), (I, II, I))
+    m = build_ar9(reconstruct_triple(pq.expand()), gaps=(F(1, 3), F(2, 5)))
+    chain = StageChain(m)
+    return iterate_induction(chain, 3)[-1].map, chain.triples[3], 4, II
+
+
+def _patched_factors(monkeypatch, change):
+    real = induction._mult_factors_a9
+    monkeypatch.setattr(induction, "_mult_factors_a9",
+                        lambda rule, k: change(real(rule, k)))
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+def test_a_block_word_with_one_exponent_off_by_one_fails(monkeypatch, delta):
+    m, abc, k, rule = _block_two()
+    block_stage(m, abc, k, rule, 2)
+    for ch in A9:
+        for r in range(len(induction._mult_factors_a9(rule, k)[ch])):
+            def change(table, ch=ch, r=r):
+                letter, e = table[ch][r]
+                table[ch][r] = (letter, e + delta)
+                return table
+
+            with monkeypatch.context() as patch:
+                _patched_factors(patch, change)
+                with pytest.raises(RuntimeError, match=r"^block 2 \(k = 4, rule II\): "):
+                    block_stage(m, abc, k, rule, 2)
+
+
+def test_a_run_whose_last_translate_leaves_its_piece_fails(monkeypatch):
+    m, abc, k, rule = _block_two()
+
+    def longer(table):  # rule II: 2 -> 4^k 6, one more 4
+        table["2"][0] = ("4", k + 1)
+        return table
+
+    _patched_factors(monkeypatch, longer)
+    with pytest.raises(RuntimeError, match=r"^block 2 \(k = 4, rule II\): "
+                                           r"piece 2 leaves piece 4 in its run$"):
+        block_stage(m, abc, k, rule, 2)
+
+
+def test_an_early_return_fails(monkeypatch):
+    # a word that runs on past its return: the image it really lands on
+    # meets the new domain before the word ends
+    m, abc, k, rule = _block_two()
+
+    def runs_on(table):
+        table["8"] = table["8"] + [("1", 1)]
+        return table
+
+    _patched_factors(monkeypatch, runs_on)
+    with pytest.raises(RuntimeError, match=r"^block 2 \(k = 4, rule II\): "
+                                           r"piece 8 meets the new domain before it returns$"):
+        block_stage(m, abc, k, rule, 2)
+
+
+@pytest.mark.parametrize("role", (0, 1, 2))
+@pytest.mark.parametrize("unit", (-1, 1))
+def test_a_block_start_moved_by_one_unit_fails(monkeypatch, role, unit):
+    m, abc, k, rule = _block_two()
+    real = induction._lay_out
+
+    def moved(D, t, starts, reversed_):
+        starts = list(starts)
+        starts[role] += unit
+        return real(D, t, starts, reversed_)
+
+    monkeypatch.setattr(induction, "_lay_out", moved)
+    with pytest.raises(RuntimeError, match=r"^block 2 \(k = 4, rule II\): piece \d "):
+        block_stage(m, abc, k, rule, 2)
+
+
+def test_a_piece_offset_of_zero_is_a_fault():
+    # the progression test divides by the offset, so a fixed piece is refused
+    m, abc, k, rule = _block_two()
+    lat = m.lattice
+    i = lat.letters.index("1")  # rule II: 1 -> 1^k 7
+    offsets = lat.offsets[:i] + (0,) + lat.offsets[i + 1:]
+    fixed = Ar9Map(m.order, Lattice(lat.D, lat.lefts, lat.rights, lat.letters, offsets))
+    with pytest.raises(RuntimeError, match=r"^block 2 \(k = 4, rule II\): "
+                                           r"piece 1 of the previous stage has offset 0$"):
+        block_stage(fixed, abc, k, rule, 2)
+
+
+@pytest.mark.parametrize("k,rule,check", [
+    (5, II, r"the triple \(.*\) does not take 4 steps of case III"),
+    (3, II, r"the closing step is of case III"),
+    (4, I, r"the closing step is of case II"),
+])
+def test_a_block_that_disagrees_with_the_triple_fails(k, rule, check):
+    m, abc, _, _ = _block_two()
+    with pytest.raises(RuntimeError, match=rf"^block 2 \(k = {k}, rule {rule}\): {check}$"):
+        block_stage(m, abc, k, rule, 2)

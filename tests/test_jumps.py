@@ -268,7 +268,10 @@ def test_two_measure_refuses_an_empty_orbit_before_inducing(monkeypatch):
     def induce(*args, **kwargs):
         raise AssertionError("a stage was induced")
 
+    # every way to a stage: the additive chain, its single step, and the blocks
     monkeypatch.setattr(analysis, "iterate_induction", induce)
+    monkeypatch.setattr(analysis, "block_stage", induce)
+    monkeypatch.setattr(induction, "induce_step", induce)
     pq = PartialQuotients(tuple(2**k for k in range(1, 9)), (Sym.I,) * 8)
     for n in (0, -1):
         with pytest.raises(ValueError, match="orbit length must be positive"):
@@ -322,9 +325,15 @@ def test_the_chain_holds_each_stage_once(order, gapped):
 
 @pytest.mark.parametrize("depth", [[], ["--depth", "0"]], ids=("depth510", "depth0"))
 def test_each_stage_is_stepped_once(monkeypatch, capsys, depth):
-    # the 510-stage two-measure run: at depth 510 every stage is induced
-    # before jump_stages reads the chain; at depth 0 jump_stages steps the
-    # triples ahead and then induces the stages it picks from those steps
+    # the 510-stage two-measure run: jump_stages steps the triples ahead on
+    # a fresh chain and then induces the stages it picks from those steps;
+    # at depth 510 each block past the deepest multiplicative time it holds
+    # then steps its closing triple once, and no triple inside a block's
+    # run of III is stepped
+    pq = PartialQuotients(tuple(2**n for n in range(1, 9)), (Sym.I,) * 8)
+    plan = StageChain(build_ar9(reconstruct_triple(pq.expand())))
+    jump_stages(plan, 10_000)
+    held = sum(1 for mi in pq.times if mi <= len(plan.stages))
     real, stepped, left = induction.ar_step, [], []
 
     def counting(t):
@@ -343,8 +352,8 @@ def test_each_stage_is_stepped_once(monkeypatch, capsys, depth):
     capsys.readouterr()
     assert len(stepped) == len(set(stepped))
     assert len(left) <= 1
-    if not depth:
-        assert len(stepped) == 510
+    # 7 planned triples and 6 blocks, not 510 triples
+    assert len(stepped) == len(plan.triples) - 1 + (0 if depth else len(pq) - held)
 
 
 def test_a_chain_steps_out_of_the_gasket_once(monkeypatch):

@@ -10,7 +10,10 @@ from ar_iet.gasket import PartialQuotients, Sym, partial_quotients
 from ar_iet.words import (
     A3,
     A9,
+    A9_CLASS,
     Substitution,
+    _mult_factors_a3,
+    _mult_factors_a9,
     factor_complexity,
     heights_by_matrix,
     letter_height,
@@ -236,3 +239,33 @@ def test_tribonacci_complexity_oracles():
     words = stage_words((I,) * 12, "A3", CAP)
     assert factor_complexity(words.values(), 10) == 21
     assert factor_complexity(words.values(), 25) == 51
+
+
+# --- the nine-letter tables over the three-letter ones ------------------------
+
+def _uncommuting(sigma9_of, sigma3_of) -> list[tuple[Sym, str]]:
+    """The (rule, letter) entries where phi3 o sigma9(rule) differs from
+    sigma3(rule) o phi3."""
+    return [(rule, ch) for rule in Sym for ch in A9
+            if project(sigma9_of(rule).table[ch], "A3") != sigma3_of(rule).table[A9_CLASS[ch]]]
+
+
+def _word(factors) -> str:
+    return "".join(letter * e for letter, e in factors)
+
+
+def test_the_nine_letter_tables_project_onto_the_three_letter_ones():
+    # phi3 o sigma9(r) = sigma3(r) o phi3 on all 27 entries
+    assert _uncommuting(sigma9, sigma3) == []
+    # and the block rules that block stages are checked along project the same way
+    for rule in (I, II):
+        for k in range(1, 13):
+            nine, three = _mult_factors_a9(rule, k), _mult_factors_a3(rule, k)
+            for ch in A9:
+                assert project(_word(nine[ch]), "A3") == _word(three[A9_CLASS[ch]]), (rule, k, ch)
+
+
+def test_one_changed_sigma3_entry_breaks_the_commuting_table():
+    changed = Substitution("A3", {**sigma3(I).table, "b": "ca"})
+    assert _uncommuting(sigma9, lambda rule: changed if rule is I else sigma3(rule)) \
+        == [(I, "5"), (I, "6"), (I, "7")]  # the letters of class b
