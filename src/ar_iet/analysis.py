@@ -328,7 +328,10 @@ def two_measure_experiment(pq: PartialQuotients, depth: int, n: int) -> TwoMeasu
         m = chain.stages[times[held] - 1].map if held else m0
         abc = chain.triples[times[held]]
         for i in range(held, N):
-            m, abc = block_stage(m, abc, pq.ks[i], pq.rules[i], i + 1)
+            # a closing step that the plan's look-ahead took is not taken again
+            t = times[i + 1]
+            closing = (chain.triples[t], chain.cases[t - 1]) if t < len(chain.triples) else None
+            m, abc = block_stage(m, abc, pq.ks[i], pq.rules[i], i + 1, closing)
         chain, rest = StageChain(m), depth - times[N]
     stages = iterate_induction(chain, rest)
     stage_map = stages[-1].map if stages else chain.m0

@@ -212,8 +212,16 @@ def _write_frequency_csv(name: str | None, counts: dict[str, int], length: int,
 
 # --- shared argument plumbing -------------------------------------------------
 
+def _refuse_both(args, flag: str, other: str, what: str) -> None:
+    """Two flags that each give the same input are a usage error naming both."""
+    if getattr(args, flag, None) is not None and getattr(args, other, None) is not None:
+        raise ConfigError(f"--{flag} and --{other} both give the {what}; give one of them")
+
+
 def _resolve_triple(args, config: RunConfig) -> Triple:
-    """--triple takes priority; otherwise reconstruct --prefix from the seed."""
+    """The system of --triple, or of --prefix reconstructed from the seed;
+    exactly one of the two is required."""
+    _refuse_both(args, "triple", "prefix", "system")
     if getattr(args, "triple", None) is not None:
         return args.triple
     if getattr(args, "prefix", None) is not None:
@@ -222,6 +230,10 @@ def _resolve_triple(args, config: RunConfig) -> Triple:
 
 
 def _resolve_pq(args) -> PartialQuotients:
+    """The partial quotients of --ks and --rules, or of --prefix; a prefix
+    given with either of the others is a usage error."""
+    _refuse_both(args, "prefix", "ks", "partial quotients")
+    _refuse_both(args, "prefix", "rules", "partial quotients")
     if getattr(args, "ks", None) is not None:
         if getattr(args, "rules", None) is None:
             raise ConfigError("--ks requires --rules")

@@ -298,11 +298,17 @@ def _meets(regions, x: int, offset: int, length: int, count: int) -> bool:
     return False
 
 
-def block_stage(m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int) -> tuple[Ar9Map, Triple]:
+def block_stage(
+    m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int,
+    closing: tuple[Triple, Sym] | None = None,
+) -> tuple[Ar9Map, Triple]:
     """The checked stage at multiplicative time m_n, one block below m, the
     checked stage at m_(n-1): its map, laid out on m's lattice, and its
     triple there as integers.  abc is m's triple on its lattice, and block n
-    is k - 1 steps of case III closed by one step of rule.
+    is k - 1 steps of case III closed by one step of rule.  closing is the
+    closing step's triple and case when a chain on m's lattice already
+    holds them (StageChain.triples[m_n], cases[m_n - 1]); without it the
+    step is taken here.
 
     The layout takes O(1) steps.  The k - 1 steps of III take (a, b, c) to
     (a - (k-1)(b+c), b, c); they are all of case III exactly when the last
@@ -335,10 +341,12 @@ def block_stage(m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int) -> tuple[Ar9M
     starts = [min(lefts[ch] for ch in letters) for letters in _ROLE_LETTERS]
     starts[2 if m.order.reversed else 0] += (k - 1) * (b + c)
     m_run = _lay_out(D, Triple(a, b, c), starts, m.order.reversed)
-    try:
-        abc_new, case = ar_step(Triple(a, b, c))
-    except NotInGasket:
-        ar_step(Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D)))  # raises, in Fractions
+    if closing is None:
+        try:
+            closing = ar_step(Triple(a, b, c))
+        except NotInGasket:
+            ar_step(Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D)))  # raises, in Fractions
+    abc_new, case = closing
     if case is not rule:
         raise fault(f"the closing step is of case {case}")
     new = _next_map(m_run, abc_new, rule)

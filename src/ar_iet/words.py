@@ -257,8 +257,7 @@ _FACTOR_STRIDE = 64
 _FACTOR_MIN_LENGTH = 32
 
 
-@lru_cache(maxsize=2)
-def _factors(words: tuple[str, ...], m: int) -> frozenset[str]:
+def _factors(words: tuple[str, ...], m: int) -> set[str]:
     """The distinct length-m factors of words.
 
     Every window starting in [j, j + stride) lies in the block
@@ -279,7 +278,25 @@ def _factors(words: tuple[str, ...], m: int) -> frozenset[str]:
         blocks = {b[:width] for b in blocks} | {
             b[stride:] for b in blocks if len(b) >= stride + m
         }
-    return frozenset(blocks)
+    return blocks
+
+
+@lru_cache(maxsize=2)
+def _profile(words: tuple[str, ...], m: int) -> tuple[int, ...]:
+    """p(0), ..., p(m) of words, in one descent from the length-m factors.
+
+    The length-n factors are the length-n prefixes of the length-(n + 1)
+    factors together with each word's last n letters: a window w[i : i + n]
+    is either a prefix of w[i : i + n + 1] or the end of w.
+    """
+    level = _factors(words, m)
+    counts = [len(level)]
+    for n in range(m - 1, 0, -1):
+        level = {f[:n] for f in level}
+        level.update(w[-n:] for w in words if len(w) >= n)
+        counts.append(len(level))
+    counts.append(1)
+    return tuple(reversed(counts))
 
 
 def factor_complexity(words: Iterable[str], n: int) -> int:
@@ -289,28 +306,26 @@ def factor_complexity(words: Iterable[str], n: int) -> int:
     factors of the limiting language appear; compare two consecutive stages
     and accept the count only when it has stabilized.
 
-    The length-m factors F_m, for m the least power of two >= max(n, 32),
-    come from _factors: distinct blocks at stride 64, halved and
-    deduplicated down to stride 1.  Stage words repeat long blocks (their
-    complexity is linear), so most blocks are read once however long the
-    words grow.  The length-n factors are then the length-n prefixes of F_m
-    together with the windows that start in the last m - 1 letters of each
-    word.  This is exact: a window w[i : i + n] with i + m <= len(w) is a
-    prefix of w[i : i + m], which is in F_m, and every other window starts
-    after len(w) - m.
+    The answer is entry n of the complexity profile p(0..m), for m the
+    least power of two >= max(n, 32), which _profile computes in one
+    descent.  The length-m factors F_m come from _factors: distinct blocks
+    at stride 64, halved and deduplicated down to stride 1.  Stage words
+    repeat long blocks (their complexity is linear), so most blocks are
+    read once however long the words grow.  Then for n = m - 1 down to 1
+    the length-n factors are the length-n prefixes of the length-(n + 1)
+    factors together with the last n letters of each word at least n long.
+    This is exact: a window w[i : i + n] is a prefix of w[i : i + n + 1]
+    unless it ends w, so by induction each level holds every length-n
+    factor and nothing else.
 
-    F_m is cached for the last two (word set, m) pairs, so a sweep over n
-    reads each word set once, and two stages queried alternately for each
-    n (the stability check above) share it too.  The cache keys on the
+    The profile is cached for the last two (word set, m) pairs, so a sweep
+    over n reads each word set once, and two stages queried alternately for
+    each n (the stability check above) share it too.  The cache keys on the
     words' content and holds references to at most two word sets.
     """
     if n < 0:
         raise ValueError(f"factor length must be nonnegative, got {n}")
     if n == 0:
         return 1
-    words = tuple(words)
     m = max(_FACTOR_MIN_LENGTH, 1 << (n - 1).bit_length())
-    seen = {f[:n] for f in _factors(words, m)}
-    for w in words:
-        seen.update(w[i : i + n] for i in range(max(0, len(w) - m + 1), len(w) - n + 1))
-    return len(seen)
+    return _profile(tuple(words), m)[n]

@@ -719,6 +719,44 @@ def test_experiment_refuses_a_flag_its_kind_does_not_read(capsys, tmp_path, argv
     assert not any(tmp_path.iterdir())
 
 
+SYSTEM = ("--triple", "7,4,2", "--prefix", "1111")
+
+
+@pytest.mark.parametrize("argv,first,second,what", [
+    pytest.param(("gasket", *SYSTEM), "triple", "prefix", "system", id="gasket"),
+    pytest.param(("orbit", *SYSTEM, "--length", "5", "--csv", "o.csv"),
+                 "triple", "prefix", "system", id="orbit"),
+    pytest.param(("induct", *SYSTEM, "--steps", "1"), "triple", "prefix", "system",
+                 id="induct"),
+    pytest.param(("towers", *SYSTEM, "--stage", "1"), "triple", "prefix", "system",
+                 id="towers"),
+    pytest.param(("render", "--layout", *SYSTEM, "--out", "r.svg"),
+                 "triple", "prefix", "system", id="render"),
+    pytest.param(("experiment", "--birkhoff", *SYSTEM, "--length", "5", "--csv", "b.csv"),
+                 "triple", "prefix", "system", id="birkhoff"),
+    *(
+        pytest.param(("experiment", f"--{kind}", "--prefix", "111", *given), "prefix",
+                     flag, "partial quotients", id=f"{kind}-{flag}")
+        for kind in ("xi", "twm", "eigen", "two-measure")
+        for flag, given in (("ks", ("--ks", "1,1", "--rules", "11")),
+                            ("rules", ("--rules", "22")))
+    ),
+])
+def test_two_sources_of_one_input_are_refused(capsys, tmp_path, argv, first, second, what):
+    # each of these argvs used to exit 0, reading one flag and ignoring the other
+    code, out, err = run(capsys, "--output-dir", str(tmp_path), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"ar-iet: --{first} and --{second} both give the {what}; give one of them\n"
+    assert not any(tmp_path.iterdir())
+    # either source alone is read (--rules is one only with --ks)
+    for dropped in (first, second):
+        at = argv.index(f"--{dropped}")
+        alone = argv[:at] + argv[at + 2:]
+        if "--rules" not in alone or "--ks" in alone:
+            code, _, err = run(capsys, "--output-dir", str(tmp_path), *alone)
+            assert code == 0, (alone, err)
+
+
 def test_experiment_requires_quotient_source(capsys):
     code, _, err = run(capsys, "experiment", "--xi")
     assert code == 2

@@ -574,6 +574,29 @@ def test_block_stages_equal_the_additive_stages(order, gapped):
             assert abc == chain.triples[time], (pq, n)
 
 
+def test_a_block_closed_by_a_held_step_is_the_same_stage(monkeypatch):
+    # the closing step that a chain already holds is read, not taken again,
+    # and the stage is checked as before
+    rng = random.Random("blocks/closing")
+    cases = []
+    for order in ORDER_TAGS:
+        m, pq = _seeded_blocks(rng, order, True)
+        chain = StageChain(m)
+        iterate_induction(chain, pq.times[-1])
+        cases.append((m, pq, chain))
+    monkeypatch.setattr(induction, "ar_step", None)
+    for m, pq, chain in cases:
+        block, abc = m, chain.triples[0]
+        for n, (k, rule, time) in enumerate(zip(pq.ks, pq.rules, pq.times), 1):
+            closing = (chain.triples[time], chain.cases[time - 1])
+            if time < pq.times[-1]:  # a triple one step on is not the closing one
+                with pytest.raises(RuntimeError, match=rf"^block {n} \(k = {k}, rule {rule}\): "):
+                    block_stage(block, abc, k, rule, n, (chain.triples[time + 1], rule))
+            block, abc = block_stage(block, abc, k, rule, n, closing)
+            assert block == chain.stages[time - 1].map, (pq, n)
+            assert abc == chain.triples[time], (pq, n)
+
+
 def test_meets_is_the_progression_scan():
     rng = random.Random("meets")
     for _ in range(2000):

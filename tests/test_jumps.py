@@ -25,7 +25,15 @@ from ar_iet import analysis, induction
 from ar_iet.analysis import birkhoff_frequencies, two_measure_experiment
 from ar_iet.cli import main
 from ar_iet.errors import NotInGasket, OutOfDomain
-from ar_iet.gasket import PartialQuotients, Sym, Triple, ar_step, reconstruct_triple, triple
+from ar_iet.gasket import (
+    PartialQuotients,
+    Sym,
+    Triple,
+    ar_step,
+    format_prefix,
+    reconstruct_triple,
+    triple,
+)
 from ar_iet.iet import ORDER_TAGS, Lattice, OrderTag, _scaled, build_ar9, trajectory
 from ar_iet.induction import (
     STAGE_COST,
@@ -323,17 +331,26 @@ def test_the_chain_holds_each_stage_once(order, gapped):
             assert chain.stages[:len(got)] == got
 
 
-@pytest.mark.parametrize("depth", [[], ["--depth", "0"]], ids=("depth510", "depth0"))
-def test_each_stage_is_stepped_once(monkeypatch, capsys, depth):
-    # the 510-stage two-measure run: jump_stages steps the triples ahead on
-    # a fresh chain and then induces the stages it picks from those steps;
-    # at depth 510 each block past the deepest multiplicative time it holds
-    # then steps its closing triple once, and no triple inside a block's
-    # run of III is stepped
-    pq = PartialQuotients(tuple(2**n for n in range(1, 9)), (Sym.I,) * 8)
+DOUBLING = PartialQuotients(tuple(2**n for n in range(1, 9)), (Sym.I,) * 8)
+ODD = PartialQuotients((3, 5, 7, 9), (Sym.I,) * 4)
+
+
+@pytest.mark.parametrize("pq,depth,steps", [
+    (DOUBLING, None, 7 + 6),
+    (DOUBLING, 0, 7),
+    (ODD, None, 8 + 2),
+], ids=("depth510", "depth0", "ks3579"))
+def test_each_stage_is_stepped_once(monkeypatch, capsys, pq, depth, steps):
+    # a two-measure run: jump_stages steps the triples ahead on a fresh chain
+    # and then induces the stages it picks from those steps; each block past
+    # the deepest multiplicative time it holds then takes its closing step,
+    # unless the plan's look-ahead already took it, and no triple inside a
+    # block's run of III is stepped
     plan = StageChain(build_ar9(reconstruct_triple(pq.expand())))
     jump_stages(plan, 10_000)
     held = sum(1 for mi in pq.times if mi <= len(plan.stages))
+    blocks = sum(1 for mi in pq.times if mi <= (pq.times[-1] if depth is None else depth))
+    closings = sum(1 for mi in pq.times[held:blocks] if mi >= len(plan.triples))
     real, stepped, left = induction.ar_step, [], []
 
     def counting(t):
@@ -346,14 +363,15 @@ def test_each_stage_is_stepped_once(monkeypatch, capsys, depth):
         return result
 
     monkeypatch.setattr(induction, "ar_step", counting)
-    ks = ",".join(str(2**n) for n in range(1, 9))
-    argv = ["experiment", "--two-measure", "--ks", ks, "--rules", "1" * 8, "--length", "10000"]
-    assert main(argv + depth) == 0
+    argv = ["experiment", "--two-measure", "--ks", ",".join(map(str, pq.ks)),
+            "--rules", format_prefix(pq.rules), "--length", "10000"]
+    assert main(argv + ([] if depth is None else ["--depth", str(depth)])) == 0
     capsys.readouterr()
     assert len(stepped) == len(set(stepped))
     assert len(left) <= 1
-    # 7 planned triples and 6 blocks, not 510 triples
-    assert len(stepped) == len(plan.triples) - 1 + (0 if depth else len(pq) - held)
+    # the planned triples and one closing step per block past them, not
+    # 510 triples; on the odd blocks the plan holds block 2's closing triple
+    assert len(stepped) == len(plan.triples) - 1 + closings == steps
 
 
 def test_a_chain_steps_out_of_the_gasket_once(monkeypatch):

@@ -227,23 +227,41 @@ def test_factor_complexity_sweep_fills_the_factor_set_once(monkeypatch):
 
     from ar_iet import words as words_module
 
-    fills = []
-    build = words_module._factors.__wrapped__
+    fills, scans = [], []
+    build, scan = words_module._profile.__wrapped__, words_module._factors
 
     def counting(words, m):
         fills.append(m)
         return build(words, m)
 
-    # the same cache bound as the real _factors, around a counting fill
-    cache = functools.lru_cache(**words_module._factors.cache_parameters())
-    monkeypatch.setattr(words_module, "_factors", cache(counting))
+    def counting_scan(words, m):
+        scans.append(m)
+        return scan(words, m)
+
+    # the same cache bound as the real _profile, around a counting fill
+    cache = functools.lru_cache(**words_module._profile.cache_parameters())
+    monkeypatch.setattr(words_module, "_profile", cache(counting))
+    monkeypatch.setattr(words_module, "_factors", counting_scan)
     a3, a9 = _stage_word_sets(14)
     assert [factor_complexity(a3, n) for n in range(1, 21)] == [
         ref_factor_complexity(a3, n) for n in range(1, 21)
     ]
-    assert fills == [32]
+    assert fills == scans == [32]
     # two word sets queried alternately, as a stability check does, share it too
     for n in range(1, 21):
         assert factor_complexity(a9, n) == ref_factor_complexity(a9, n)
         assert factor_complexity(a3, n) == ref_factor_complexity(a3, n)
-    assert fills == [32, 32]
+    assert fills == scans == [32, 32]
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_one_profile_fill_is_the_complexity_at_every_length(m):
+    from ar_iet.words import _profile
+
+    a3, a9 = _stage_word_sets(15)
+    assert min(map(len, a3 + a9)) > m
+    # words shorter than m, down to the empty word, alone and beside stage words
+    short = ["", "a", "abcab" * 5, "aab" * 13, "123456789" * 3]
+    for words in (a3, a9, a3 + short, short, [""], []):
+        profile = _profile.__wrapped__(tuple(words), m)
+        assert profile == tuple(ref_factor_complexity(words, n) for n in range(m + 1))
