@@ -29,9 +29,9 @@ from typing import Iterable, Sequence
 
 from .errors import NotAFactor
 from .gasket import PartialQuotients, Sym, _check_prefix_length, reconstruct_triple
-from .iet import Ar9Map, Interval, build_ar9
+from .iet import Ar9Map, Interval, Lattice, _merge, build_ar9
 from .induction import StageChain, block_stage, iterate_induction, jump_stages, orbit_counts
-from .words import A3_MEMBERS, A9, multiplicative_heights
+from .words import A3, A9, A9_CLASS, multiplicative_heights
 
 DEFAULT_XI_SUM_THRESHOLD = Fraction(2)
 DEFAULT_TAIL_EPSILON = Fraction(1, 100)
@@ -363,44 +363,76 @@ class PreimageReport:
     witnesses: Pieces
 
 
+def _successors(lat: Lattice) -> list[dict[str, tuple]]:
+    """Per piece of lat, by left end: letter -> the pieces of that letter's
+    class whose domain meets the piece's image, each as (left, right,
+    offset, its own successors).  81 comparisons, made once per fresh
+    refinement."""
+    table: list[dict[str, tuple]] = [{} for _ in lat.lefts]
+    pieces = [(left, right, off, A9_CLASS[ch], table[j])
+              for j, (left, right, ch, off) in enumerate(lat.rows())]
+    for left, right, off, _, successors in pieces:
+        lo, hi = left + off, right + off
+        for letter in A3:
+            successors[letter] = tuple((l, r, o, s) for l, r, o, cls, s in pieces
+                                       if cls == letter and l < hi and lo < r)
+    return table
+
+
+# the last refinement that succeeded, (map, target, branches), from which a
+# call on an equal map whose target extends that target resumes; a cylinder
+# depends only on the map's value and the target, so no caller sees another's
+_held: tuple = (None, "", ())
+
+
 def preimage_clusters(m: Ar9Map, target: str) -> PreimageReport:
     """The set of points whose three-letter coding starts with `target`,
-    as merged intervals, via exact backward refinement.
+    as merged intervals, via exact forward refinement.
 
-    Each step is one ordered sweep on the map's integer lattice: the current
-    intervals are cut by the image pieces of the next letter's class, taken in
-    the order of their domain pieces, and translated back.  That pulls them
-    back under T and restricts them to the letter at once.  Each part lies in
-    its piece's domain, so the parts come out sorted and disjoint, and
-    touching ones are joined as they are appended.
+    The refinement runs on the map's integer lattice.  After n letters it
+    holds the nine-letter branches of the cylinder of target[:n], each as
+    (left, right, shift, offset, successors): [left, right) is T^(n-1) of
+    the branch and lies in one piece, shift is the sum of the offsets it
+    has moved by, offset is its piece's offset, and successors lists the
+    pieces of each class that the piece's image meets.  One step to the
+    next letter moves every branch by its offset and cuts the image by the
+    pieces of the letter's class among its successors.  The cylinder is
+    the union of the branches moved back by their shifts, merged.
+
+    The last refinement that succeeded is held, so a call on an equal map
+    whose target extends its target (a ladder of prefixes of one coding)
+    refines only the new letters; any other call starts afresh.
 
     Raises NotAFactor as soon as the refinement empties: the word never occurs.
     """
+    global _held
     if not target or set(target) - set("abc"):
         raise ValueError(f"target must be a nonempty word over abc: {target!r}")
     lat = m.lattice
-    images = {
-        letter: [(left + off, right + off, off) for left, right, ch, off in lat.rows()
-                 if ch in members]
-        for letter, members in A3_MEMBERS.items()
-    }
-    current = lat.union(A3_MEMBERS[target[-1]])
-    for letter in reversed(target[:-1]):
-        parts = []
-        for lo, hi, off in images[letter]:
-            for left, right in current:
-                if left >= hi:
-                    break
-                if right > lo:
-                    left = (lo if left < lo else left) - off
-                    if parts and parts[-1][1] == left:
-                        left = parts.pop()[0]
-                    parts.append((left, (hi if right > hi else right) - off))
-        if not parts:
+    held_map, held_target, branches = _held
+    if held_map == m and target.startswith(held_target):
+        start = len(held_target)
+    else:
+        table, start = _successors(lat), 1
+        branches = [(left, right, 0, off, table[j])
+                    for j, (left, right, ch, off) in enumerate(lat.rows())
+                    if A9_CLASS[ch] == target[0]]
+    for letter in target[start:]:
+        moved = []
+        for left, right, shift, off, successors in branches:
+            left += off
+            right += off
+            for lo, hi, o, s in successors[letter]:
+                if lo < right and left < hi:
+                    moved.append((lo if left < lo else left, hi if right > hi else right,
+                                  shift + off, o, s))
+        if not moved:
             raise NotAFactor(f"{target!r} is not a factor of the coding language",
                              target=target)
-        current = parts
-    witnesses = tuple(lat.interval(left, right) for left, right in current)
+        branches = moved
+    _held = (m, target, branches)
+    witnesses = tuple(lat.interval(left, right) for left, right
+                      in _merge((l - shift, r - shift) for l, r, shift, _, _ in branches))
     return PreimageReport(
         target=target, depth=len(target), count=len(witnesses), witnesses=witnesses
     )

@@ -390,7 +390,8 @@ def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
       is |X| / |B_k|, and |B_k| / |X| = (a_k + b_k + c_k) / (a + b + c).
 
     k is chosen from the chain's triples and heights alone, stepped ahead of
-    its induced stages as far as the choice needs; k = 0, the walk, costs
+    its induced stages while a later stage could still cost less than the
+    best so far (_least_cost_past); k = 0, the walk, costs
     1 + n, and a triple that leaves the gasket caps k.  The triples are
     integers on m0's lattice and the costs are compared times a + b + c, so
     the Kac term is exact.  A negative n raises ValueError.
@@ -402,9 +403,13 @@ def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
     size = sum(triples[0])
     best, best_cost = 0, (n + 1) * size  # the walk: h_max(0) = 1 and B_0 = X
     k = 0
-    # h_max grows by at least 1 per stage, so every stage past k costs at
-    # least this much; stop before stepping a triple that cannot pay off
-    while (max(k + 1 - held, 0) * STAGE_COST + max(heights[k]) + 1) * size < best_cost:
+    while True:
+        abc, h = triples[k], max(heights[k])
+        # stop before stepping a triple that cannot pay off: stage k + 1, its
+        # sum a, is the one to beat the best unless later stages save more
+        if ((max(k + 1 - held, 0) * STAGE_COST + h + 1) * size + n * abc.a >= best_cost
+                and _least_cost_past(k, held, size, h, abc, n) >= best_cost):
+            break
         k += 1
         if k == len(triples) and not chain.step():
             break
@@ -412,6 +417,22 @@ def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
         if cost < best_cost:
             best, best_cost = k, cost
     return iterate_induction(chain, best)
+
+
+def _least_cost_past(k: int, held: int, size: int, h: int, abc: Triple, n: int) -> int:
+    """A lower bound, times size, on the cost that jump_stages gives each
+    stage k + t, t >= 1, from stage k's h_max h and triple abc.  h_max
+    grows by at least 1 per stage.  Stage k + 1's sum is a, and each later
+    step lowers the sum by b + c of the triple it steps, which never grows
+    (at stage k + 1 it is a - a', and a' >= a - b - c), so the sum at stage
+    k + t is at least a + b + c - t (b + c).  The bound is convex in t, so
+    its least value lies at t = 1 or next to one of its two kinks: where the
+    held stages end, and where the bound on the sum reaches 0."""
+    a, b, c = abc
+    d = b + c
+    total = a + d
+    return min([(max(k + t - held, 0) * STAGE_COST + h + t) * size + n * max(total - t * d, 0)
+                for t in (1, held - k, total // d, total // d + 1) if t >= 1])
 
 
 def orbit_route(

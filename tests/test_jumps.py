@@ -38,6 +38,7 @@ from ar_iet.iet import ORDER_TAGS, Lattice, OrderTag, _scaled, build_ar9, trajec
 from ar_iet.induction import (
     STAGE_COST,
     StageChain,
+    _least_cost_past,
     iterate_induction,
     jump_stages,
     orbit_counts,
@@ -166,17 +167,98 @@ def test_jump_stage_minimizes_the_estimated_cost():
     assert all(ref_jump_stage(reconstruct_triple((s,) * 30), 752) == 0 for s in Sym)
 
 
+def lookahead_stage(chain, n):
+    """The stage that the cost rule picks by the earlier look-ahead, which
+    stepped on while the next stage's cost without its Kac term could beat
+    the best: how many stages it picks, and the chain it stepped."""
+    held, triples, heights = len(chain.stages), chain.triples, chain.heights
+    size = sum(triples[0])
+    best, best_cost, k = 0, (n + 1) * size, 0
+    while (max(k + 1 - held, 0) * STAGE_COST + max(heights[k]) + 1) * size < best_cost:
+        k += 1
+        if k == len(triples) and not chain.step():
+            break
+        cost = (max(k - held, 0) * STAGE_COST + max(heights[k])) * size + n * sum(triples[k])
+        if cost < best_cost:
+            best, best_cost = k, cost
+    return best, chain
+
+
+def test_the_look_ahead_picks_the_stage_the_earlier_one_picked():
+    # the random prefixes above, the six systems with stages held, TRAJ02, a
+    # triple that leaves the gasket and the two-measure regime of 510 stages
+    rng = random.Random("jump-stage")
+    maps = [build_ar9(reconstruct_triple(tuple(Sym(rng.randint(1, 3))
+                                               for _ in range(rng.randint(1, 40)))))
+            for _ in range(40)]
+    maps += [system(order, gapped)[0] for order, gapped in CASES]
+    maps += [build_ar9(*TRAJ02[:2]), build_ar9(triple(7, 4, 2)),
+             build_ar9(reconstruct_triple(DOUBLING.expand()))]
+    for m in maps:
+        for held in (0, 1):
+            for n in (0, 1, 753, 2_000, 20_000, 10**6, 10**9):
+                chain, ref = StageChain(m), StageChain(m)
+                iterate_induction(chain, held)
+                iterate_induction(ref, held)
+                k, ref = lookahead_stage(ref, n)
+                assert len(jump_stages(chain, n)) == k, (m.triple, held, n)
+                assert len(chain.triples) <= len(ref.triples)
+
+
+def test_the_look_ahead_bound_is_its_least_value_and_a_lower_bound():
+    # the bound at every t, evaluated one by one, against its closed form;
+    # and no later stage of the chain costs less than it
+    rng = random.Random("look-ahead-bound")
+    for _ in range(30):
+        prefix = tuple(x for _ in range(rng.randint(1, 4))
+                       for x in (Sym(rng.randint(1, 2)), *(Sym.III,) * rng.randint(0, 12)))
+        chain = StageChain(build_ar9(reconstruct_triple(prefix)))
+        while chain.step():
+            pass
+        size = sum(chain.triples[0])
+        for held in (0, 3, 12):
+            for n in (10, 10**3, 10**5, 10**8):
+                costs = [(max(k - held, 0) * STAGE_COST + max(hv)) * size + n * sum(t)
+                         for k, (t, hv) in enumerate(zip(chain.triples, chain.heights))]
+                for k, (t, hv) in enumerate(zip(chain.triples[:-1], chain.heights)):
+                    got = _least_cost_past(k, held, size, max(hv), t, n)
+                    d = t.b + t.c
+                    assert got == min(
+                        (max(k + j - held, 0) * STAGE_COST + max(hv) + j) * size
+                        + n * max(sum(t) - j * d, 0) for j in range(1, sum(t) // d + 3))
+                    assert got <= min(costs[k + 1:]), (prefix, held, n, k)
+
+
+def test_a_long_run_of_iii_is_not_stepped_ahead(monkeypatch):
+    # each step of (10^12, 2, 1) saves 3 / |X| of a jump per orbit step, and
+    # the earlier look-ahead stepped 199,600 triples here before walking
+    real, calls = induction.ar_step, []
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(induction, "ar_step", counting)
+    assert jump_stages(StageChain(build_ar9(triple(10**12, 2, 1))), 10**8) == []
+    assert len(calls) <= 10
+
+
 def test_orbits_shorter_than_one_stage_step_no_triple(monkeypatch):
     # the check --coding orbits and the preimage ladders are this short
     def ar_step(t):
         raise AssertionError("the triple was stepped")
 
     m = build_ar9(reconstruct_triple((Sym.I, Sym.II, Sym.III) * 10))
+    # stage 1 costs STAGE_COST + h_max >= 2 and saves at most n (b + c) / |X|
+    # jumps, and no later stage saves more per step: below this length no
+    # stage can pay off, and the triple is stepped from the next length on
+    a, b, c = m.triple
+    longest = (STAGE_COST + 1) * (a + b + c) // (b + c)
     monkeypatch.setattr(induction, "ar_step", ar_step)
-    for n in (0, 1, 500, STAGE_COST + 1):
+    for n in (0, 1, 500, STAGE_COST + 1, longest):
         assert jump_stages(StageChain(m), n) == []
     with pytest.raises(AssertionError):
-        jump_stages(StageChain(m), STAGE_COST + 2)
+        jump_stages(StageChain(m), longest + 1)
 
 
 def test_jump_stage_is_capped_where_the_triple_leaves_the_gasket():
@@ -333,13 +415,16 @@ def test_the_chain_holds_each_stage_once(order, gapped):
 
 DOUBLING = PartialQuotients(tuple(2**n for n in range(1, 9)), (Sym.I,) * 8)
 ODD = PartialQuotients((3, 5, 7, 9), (Sym.I,) * 4)
+# the plan induces stages 1..4 and steps triple 5, block 4's closing triple
+SHORT = PartialQuotients((2, 1, 1, 1), (Sym.I,) * 4)
 
 
 @pytest.mark.parametrize("pq,depth,steps", [
-    (DOUBLING, None, 7 + 6),
-    (DOUBLING, 0, 7),
-    (ODD, None, 8 + 2),
-], ids=("depth510", "depth0", "ks3579"))
+    (DOUBLING, None, 6 + 6),
+    (DOUBLING, 0, 6),
+    (ODD, None, 3 + 3),
+    (SHORT, None, 5 + 0),
+], ids=("depth510", "depth0", "ks3579", "ks2111"))
 def test_each_stage_is_stepped_once(monkeypatch, capsys, pq, depth, steps):
     # a two-measure run: jump_stages steps the triples ahead on a fresh chain
     # and then induces the stages it picks from those steps; each block past
@@ -370,7 +455,7 @@ def test_each_stage_is_stepped_once(monkeypatch, capsys, pq, depth, steps):
     assert len(stepped) == len(set(stepped))
     assert len(left) <= 1
     # the planned triples and one closing step per block past them, not
-    # 510 triples; on the odd blocks the plan holds block 2's closing triple
+    # 510 triples; on the short blocks the plan holds block 4's closing triple
     assert len(stepped) == len(plan.triples) - 1 + closings == steps
 
 

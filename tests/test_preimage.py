@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from ar_iet import analysis
 from ar_iet.analysis import preimage_clusters
 from ar_iet.errors import NotAFactor
 from ar_iet.gasket import Sym, reconstruct_triple
@@ -129,12 +130,89 @@ def test_preimage_matches_fraction_reference_at_bench_depth(order, gapped):
         crossing += sum(crosses_a_piece_boundary(m, w) for w in witnesses)
     assert crossing
     # one letter changed halfway: already the 25 letters around it are no
-    # factor, so the refinement empties long before it reaches the first letter
+    # factor, so the refinement empties within 13 letters of the change
     i = len(word) // 2
     target = word[:i] + rng.choice([ch for ch in A3 if ch != word[i]]) + word[i + 1:]
     assert not assert_same_as_reference(m, target)
     with pytest.raises(NotAFactor):
         ref_preimage_clusters(m, target[i - 12:i + 13])
+
+
+# --- resuming from the last refinement --------------------------------------------
+
+def coding(rng, m, n):
+    piece = m.domain[rng.choice(A9)]
+    return trajectory(m, piece.left + piece.length * F(rng.randrange(1, 997), 997), n, "three")
+
+
+def test_ladders_on_two_maps_interleaved():
+    (rng, m), (rng2, m2) = system(*CASES[0]), system(*CASES[7])
+    # the same triple in another arrangement, with gaps, codes the same
+    # language: each prefix is a factor of both, with other cylinders
+    moved = build_ar9(m.triple, ORDER_TAGS[4], (F(1, 3), F(2)))
+    word = coding(rng, m, 500)
+    words = [(m, word), (m2, coding(rng2, m2, 500)), (moved, word)]
+    for n in BENCH_LADDER:
+        for each, target in words:
+            assert assert_same_as_reference(each, target[:n])
+
+
+def test_targets_that_do_not_extend_the_held_one():
+    rng, m = system(*CASES[3])
+    word, other = coding(rng, m, 500), coding(rng, m, 500)
+    # another coding, then a shorter prefix of the first, then a longer one
+    for target in (word[:100], other[:100], other[:200], word[:200], word[:50],
+                   word[:25], word[:500], word[:500], other[:350]):
+        assert assert_same_as_reference(m, target)
+
+
+def test_an_equal_map_resumes_and_reads_the_same(monkeypatch):
+    (rng, m), (_, twin) = system(*CASES[10]), system(*CASES[10])
+    assert twin == m and twin is not m
+    word = coding(rng, m, 500)
+    builds = count_builds(monkeypatch)
+    for n, each in zip(BENCH_LADDER, (m, twin) * 3):
+        assert assert_same_as_reference(each, word[:n])
+    assert builds == [m.lattice]
+
+
+def test_a_ladder_continues_after_a_non_factor():
+    rng, m = system(*CASES[5])
+    word = coding(rng, m, 500)
+    assert assert_same_as_reference(m, word[:100])
+    # one letter changed: the 25 letters around it are already no factor
+    bad = word[:150] + rng.choice([ch for ch in A3 if ch != word[150]]) + word[151:200]
+    assert not assert_same_as_reference(m, bad)
+    assert not assert_same_as_reference(m, bad + "a")
+    for n in BENCH_LADDER[2:]:
+        assert assert_same_as_reference(m, word[:n])
+
+
+def count_builds(monkeypatch):
+    """Start from no held refinement and record the lattice of every
+    successor table built from then on."""
+    builds, build = [], analysis._successors
+
+    def counting(lat):
+        builds.append(lat)
+        return build(lat)
+
+    monkeypatch.setattr(analysis, "_successors", counting)
+    monkeypatch.setattr(analysis, "_held", (None, "", ()))
+    return builds
+
+
+def test_a_ladder_builds_the_successor_table_once(monkeypatch):
+    rng, m = system(*CASES[1])
+    word, other = coding(rng, m, 500), coding(rng, m, 500)
+    builds = count_builds(monkeypatch)
+    for n in BENCH_LADDER:
+        assert assert_same_as_reference(m, word[:n])
+    # the reference calls preimage_clusters once per rung
+    assert builds == [m.lattice]
+    # a fresh target that does not extend the ladder's builds it once more
+    assert assert_same_as_reference(m, other[:25])
+    assert builds == [m.lattice] * 2
 
 
 # --- factor complexity ---------------------------------------------------------
