@@ -120,7 +120,7 @@ def load_config(path: str | None) -> RunConfig:
         config.validate()
         return config
     types = get_type_hints(RunConfig)
-    overrides = {}
+    overrides, first = {}, {}
     for lineno, line in _commented_lines(path, f"config {path}"):
         key, sep, value = line.partition("=")
         if not sep:
@@ -128,6 +128,10 @@ def load_config(path: str | None) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is given again, first on "
+                              f"line {first[key]}; give it once")
+        first[key] = lineno
         try:
             overrides[key] = _PARSERS[types[key]](value)
         except (ValueError, ZeroDivisionError) as e:

@@ -172,7 +172,8 @@ class StageChain:
     ar_step), the case of that step (cases[k - 1]), its class heights
     (heights[k]) and, once induced, its checked InductionStage
     (stages[k - 1]).  Triples and heights may run ahead of the induced
-    stages: jump_stages reads them before it induces.
+    stages; jump_stages prices stage k + 1 from stage k's and steps a
+    triple only to advance to it.
     """
 
     def __init__(self, m0: Ar9Map):
@@ -298,17 +299,11 @@ def _meets(regions, x: int, offset: int, length: int, count: int) -> bool:
     return False
 
 
-def block_stage(
-    m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int,
-    closing: tuple[Triple, Sym] | None = None,
-) -> tuple[Ar9Map, Triple]:
+def block_stage(m: Ar9Map, abc: Triple, k: int, rule: Sym, n: int) -> tuple[Ar9Map, Triple]:
     """The checked stage at multiplicative time m_n, one block below m, the
     checked stage at m_(n-1): its map, laid out on m's lattice, and its
     triple there as integers.  abc is m's triple on its lattice, and block n
-    is k - 1 steps of case III closed by one step of rule.  closing is the
-    closing step's triple and case when a chain on m's lattice already
-    holds them (StageChain.triples[m_n], cases[m_n - 1]); without it the
-    step is taken here.
+    is k - 1 steps of case III closed by one step of rule.
 
     The layout takes O(1) steps.  The k - 1 steps of III take (a, b, c) to
     (a - (k-1)(b+c), b, c); they are all of case III exactly when the last
@@ -341,12 +336,10 @@ def block_stage(
     starts = [min(lefts[ch] for ch in letters) for letters in _ROLE_LETTERS]
     starts[2 if m.order.reversed else 0] += (k - 1) * (b + c)
     m_run = _lay_out(D, Triple(a, b, c), starts, m.order.reversed)
-    if closing is None:
-        try:
-            closing = ar_step(Triple(a, b, c))
-        except NotInGasket:
-            ar_step(Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D)))  # raises, in Fractions
-    abc_new, case = closing
+    try:
+        abc_new, case = ar_step(Triple(a, b, c))
+    except NotInGasket:
+        ar_step(Triple(Fraction(a, D), Fraction(b, D), Fraction(c, D)))  # raises, in Fractions
     if case is not rule:
         raise fault(f"the closing step is of case {case}")
     new = _next_map(m_run, abc_new, rule)
@@ -389,9 +382,14 @@ def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
     * n |B_k| / |X| jumps, since by Kac's lemma the mean return time to B_k
       is |X| / |B_k|, and |B_k| / |X| = (a_k + b_k + c_k) / (a + b + c).
 
-    k is chosen from the chain's triples and heights alone, stepped ahead of
-    its induced stages while a later stage could still cost less than the
-    best so far (_least_cost_past); k = 0, the walk, costs
+    Stage k + 1's cost is priced from stage k before the triple is stepped:
+    a step takes the sum to a and h_max to h_a + max(h_b, h_c).  The cost
+    is convex in k, as no term's increments fall: the stage term's go from
+    0 to STAGE_COST where the held stages end; h_max's, h_a + max(h_b, h_c)
+    - h_max <= h_a, is followed by h_a + min(h_b, h_c) after I or II and by
+    h_a after III; and the sum falls by b + c, which never grows.  So the
+    first stage whose successor costs no less is the least k of least cost,
+    and a triple is stepped only to advance to it.  k = 0, the walk, costs
     1 + n, and a triple that leaves the gasket caps k.  The triples are
     integers on m0's lattice and the costs are compared times a + b + c, so
     the Kac term is exact.  A negative n raises ValueError.
@@ -401,38 +399,13 @@ def jump_stages(chain: StageChain, n: int) -> list[InductionStage]:
     held, triples, heights = len(chain.stages), chain.triples, chain.heights
     # every cost below is times size, so that n |B_k| / |X| is n sum(triples[k])
     size = sum(triples[0])
-    best, best_cost = 0, (n + 1) * size  # the walk: h_max(0) = 1 and B_0 = X
-    k = 0
+    k, cost = 0, (n + 1) * size  # the walk: h_max(0) = 1 and B_0 = X
     while True:
-        abc, h = triples[k], max(heights[k])
-        # stop before stepping a triple that cannot pay off: stage k + 1, its
-        # sum a, is the one to beat the best unless later stages save more
-        if ((max(k + 1 - held, 0) * STAGE_COST + h + 1) * size + n * abc.a >= best_cost
-                and _least_cost_past(k, held, size, h, abc, n) >= best_cost):
-            break
-        k += 1
-        if k == len(triples) and not chain.step():
-            break
-        cost = (max(k - held, 0) * STAGE_COST + max(heights[k])) * size + n * sum(triples[k])
-        if cost < best_cost:
-            best, best_cost = k, cost
-    return iterate_induction(chain, best)
-
-
-def _least_cost_past(k: int, held: int, size: int, h: int, abc: Triple, n: int) -> int:
-    """A lower bound, times size, on the cost that jump_stages gives each
-    stage k + t, t >= 1, from stage k's h_max h and triple abc.  h_max
-    grows by at least 1 per stage.  Stage k + 1's sum is a, and each later
-    step lowers the sum by b + c of the triple it steps, which never grows
-    (at stage k + 1 it is a - a', and a' >= a - b - c), so the sum at stage
-    k + t is at least a + b + c - t (b + c).  The bound is convex in t, so
-    its least value lies at t = 1 or next to one of its two kinks: where the
-    held stages end, and where the bound on the sum reaches 0."""
-    a, b, c = abc
-    d = b + c
-    total = a + d
-    return min([(max(k + t - held, 0) * STAGE_COST + h + t) * size + n * max(total - t * d, 0)
-                for t in (1, held - k, total // d, total // d + 1) if t >= 1])
+        h_a, h_b, h_c = heights[k]
+        after = (max(k + 1 - held, 0) * STAGE_COST + h_a + max(h_b, h_c)) * size + n * triples[k].a
+        if after >= cost or (k + 1 == len(triples) and not chain.step()):
+            return iterate_induction(chain, k)
+        k, cost = k + 1, after
 
 
 def orbit_route(

@@ -135,6 +135,23 @@ def test_config_errors_are_usage_errors(tmp_path, capsys):
         assert "ar-iet:" in err
 
 
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import ar_iet.cli as cli
+
+    def trajectory(*args):
+        raise AssertionError("the orbit was walked")
+
+    # the second word_cap would let the orbit run; neither value is kept
+    monkeypatch.setattr(cli, "trajectory", trajectory)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("word_cap = 5\n# a comment\nmax_steps = 9\nword_cap = 100\n")
+    code, out, err = run(capsys, "--config", str(cfg), "orbit", "--triple", "7,4,2",
+                         "--point", "6", "--length", "50")
+    assert (code, out) == (2, "")
+    assert err == (f"ar-iet: {cfg}:4: key 'word_cap' is given again, first on line 1; "
+                   "give it once\n")
+
+
 # --- gasket ------------------------------------------------------------------
 
 def test_gasket_two_steps_with_tie_exit(capsys):

@@ -38,11 +38,11 @@ from ar_iet.iet import ORDER_TAGS, Lattice, OrderTag, _scaled, build_ar9, trajec
 from ar_iet.induction import (
     STAGE_COST,
     StageChain,
-    _least_cost_past,
     iterate_induction,
     jump_stages,
     orbit_counts,
     orbit_route,
+    orbit_routes,
 )
 from ar_iet.towers import tower_families
 from ar_iet.words import A9, Substitution, heights_by_matrix, letter_height, project, sigma9
@@ -139,6 +139,46 @@ def test_jumps_raise_the_errors_of_the_walk(order, gapped):
                 assert_same_error(got.value, want)
 
 
+@pytest.mark.parametrize("order,gapped", CASES, ids=IDS)
+def test_routes_through_one_plan_are_each_orbits_own_route(order, gapped):
+    m, points = system(order, gapped)
+    stages = jump_stages(StageChain(m), LONG[0])
+    rng = random.Random(f"routes/{order}/{gapped}")
+    orbits = [(x, n) for x in points for n in (0, rng.randint(1, 50), rng.randint(1_000, LONG[0]))]
+    rng.shuffle(orbits)
+    routes = list(orbit_routes(m, stages, orbits))
+    assert len(routes) == len(orbits)
+    for (x, n), route in zip(orbits, routes):
+        assert list(route) == list(orbit_route(m, stages, x, n)), n
+
+
+@pytest.mark.parametrize("order", ORDER_TAGS, ids=str)
+def test_a_routed_point_in_a_gap_raises_when_its_route_is_read(order):
+    m, points = system(order, True)
+    stages = jump_stages(StageChain(m), LONG[0])
+    support = sorted(m.role_blocks)
+    gaps = [left.right for left, right in zip(support, support[1:]) if left.right < right.left]
+    assert len(gaps) == 2
+    x, n = points[0], 1_000
+    routes = orbit_routes(m, stages, [(x, n), (gaps[0], n), (gaps[1], 0), (x, n)])
+    assert "".join(next(routes)) == walked(m, x, n)
+    gap = next(routes)  # yielded; it raises only once it is read
+    with pytest.raises(OutOfDomain) as got:
+        next(gap)
+    assert_same_error(got.value, walked(m, gaps[0], n))
+    assert got.value.level == 0
+    assert list(next(routes)) == []
+    assert "".join(next(routes)) == walked(m, x, n)
+
+
+def test_a_negative_routed_length_raises_before_any_route():
+    m, points = system(ORDER_TAGS[0], False)
+    stages = jump_stages(StageChain(m), LONG[0])
+    routes = orbit_routes(m, stages, [(points[0], 5), (points[1], 0), (points[2], -1)])
+    with pytest.raises(ValueError, match="^orbit length must be nonnegative, got -1$"):
+        next(routes)
+
+
 def ref_jump_stage(t, n, held=0):
     """The k of least cost by the cost rule, every k evaluated, stages
     1..held free; ties go to the smallest k."""
@@ -205,28 +245,34 @@ def test_the_look_ahead_picks_the_stage_the_earlier_one_picked():
                 assert len(chain.triples) <= len(ref.triples)
 
 
-def test_the_look_ahead_bound_is_its_least_value_and_a_lower_bound():
-    # the bound at every t, evaluated one by one, against its closed form;
-    # and no later stage of the chain costs less than it
-    rng = random.Random("look-ahead-bound")
+def test_the_cost_is_convex_and_priced_one_stage_ahead():
+    # h_max's increments never fall and the sum's drops never grow, so the
+    # cost is convex in k; stage k + 1's cost, priced from stage k's triple
+    # and heights as jump_stages prices it, is the cost read at k + 1
+    rng = random.Random("convex-cost")
     for _ in range(30):
         prefix = tuple(x for _ in range(rng.randint(1, 4))
-                       for x in (Sym(rng.randint(1, 2)), *(Sym.III,) * rng.randint(0, 12)))
+                       for x in (Sym(rng.randint(1, 3)), *(Sym.III,) * rng.randint(0, 12)))
         chain = StageChain(build_ar9(reconstruct_triple(prefix)))
         while chain.step():
             pass
-        size = sum(chain.triples[0])
+        triples, heights = chain.triples, chain.heights
+        rises = [max(h1) - max(h0) for h0, h1 in zip(heights, heights[1:])]
+        drops = [sum(t0) - sum(t1) for t0, t1 in zip(triples, triples[1:])]
+        assert rises == sorted(rises) and drops == sorted(drops, reverse=True), prefix
+        size = sum(triples[0])
         for held in (0, 3, 12):
             for n in (10, 10**3, 10**5, 10**8):
                 costs = [(max(k - held, 0) * STAGE_COST + max(hv)) * size + n * sum(t)
-                         for k, (t, hv) in enumerate(zip(chain.triples, chain.heights))]
-                for k, (t, hv) in enumerate(zip(chain.triples[:-1], chain.heights)):
-                    got = _least_cost_past(k, held, size, max(hv), t, n)
-                    d = t.b + t.c
-                    assert got == min(
-                        (max(k + j - held, 0) * STAGE_COST + max(hv) + j) * size
-                        + n * max(sum(t) - j * d, 0) for j in range(1, sum(t) // d + 3))
-                    assert got <= min(costs[k + 1:]), (prefix, held, n, k)
+                         for k, (t, hv) in enumerate(zip(triples, heights))]
+                for k, (t, (h_a, h_b, h_c)) in enumerate(zip(triples[:-1], heights)):
+                    priced = (max(k + 1 - held, 0) * STAGE_COST + h_a + max(h_b, h_c)) * size
+                    assert priced + n * t.a == costs[k + 1], (prefix, held, n, k)
+                # a fresh chain is stepped only to the stage it picks
+                plan = StageChain(build_ar9(reconstruct_triple(prefix)))
+                iterate_induction(plan, min(held, len(triples) - 1))
+                picked = len(jump_stages(plan, n))
+                assert len(plan.triples) == max(picked, len(plan.stages)) + 1
 
 
 def test_a_long_run_of_iii_is_not_stepped_ahead(monkeypatch):
@@ -259,6 +305,26 @@ def test_orbits_shorter_than_one_stage_step_no_triple(monkeypatch):
         assert jump_stages(StageChain(m), n) == []
     with pytest.raises(AssertionError):
         jump_stages(StageChain(m), longest + 1)
+
+
+def test_a_tie_in_cost_goes_to_the_lesser_stage(monkeypatch):
+    # times |X|, stage 1 costs (STAGE_COST + 2) |X| + n a and the walk
+    # (n + 1) |X|: at this n they are equal, and the walk is kept with no
+    # triple stepped
+    a, b, c = 10, 2, 1
+    n, rest = divmod((STAGE_COST + 1) * (a + b + c), b + c)
+    assert rest == 0
+    m = build_ar9(triple(a, b, c))
+    assert ref_jump_stage(m.triple, n) == 0 < ref_jump_stage(m.triple, n + 1)
+    real, calls = induction.ar_step, []
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(induction, "ar_step", counting)
+    assert jump_stages(StageChain(m), n) == [] and calls == []
+    assert len(jump_stages(StageChain(m), n + 1)) == ref_jump_stage(m.triple, n + 1)
 
 
 def test_jump_stage_is_capped_where_the_triple_leaves_the_gasket():
@@ -415,7 +481,8 @@ def test_the_chain_holds_each_stage_once(order, gapped):
 
 DOUBLING = PartialQuotients(tuple(2**n for n in range(1, 9)), (Sym.I,) * 8)
 ODD = PartialQuotients((3, 5, 7, 9), (Sym.I,) * 4)
-# the plan induces stages 1..4 and steps triple 5, block 4's closing triple
+# the plan induces stages 1..4 and steps no triple past them, so block 4
+# takes its own closing step
 SHORT = PartialQuotients((2, 1, 1, 1), (Sym.I,) * 4)
 
 
@@ -426,16 +493,16 @@ SHORT = PartialQuotients((2, 1, 1, 1), (Sym.I,) * 4)
     (SHORT, None, 5 + 0),
 ], ids=("depth510", "depth0", "ks3579", "ks2111"))
 def test_each_stage_is_stepped_once(monkeypatch, capsys, pq, depth, steps):
-    # a two-measure run: jump_stages steps the triples ahead on a fresh chain
-    # and then induces the stages it picks from those steps; each block past
-    # the deepest multiplicative time it holds then takes its closing step,
-    # unless the plan's look-ahead already took it, and no triple inside a
-    # block's run of III is stepped
+    # a two-measure run: jump_stages steps the triples on a fresh chain only
+    # up to the stage it picks, and then induces the stages from those steps;
+    # each block past the deepest multiplicative time it holds then takes its
+    # closing step, and no triple inside a block's run of III is stepped
     plan = StageChain(build_ar9(reconstruct_triple(pq.expand())))
     jump_stages(plan, 10_000)
+    assert len(plan.triples) == len(plan.stages) + 1
     held = sum(1 for mi in pq.times if mi <= len(plan.stages))
     blocks = sum(1 for mi in pq.times if mi <= (pq.times[-1] if depth is None else depth))
-    closings = sum(1 for mi in pq.times[held:blocks] if mi >= len(plan.triples))
+    closings = max(blocks - held, 0)
     real, stepped, left = induction.ar_step, [], []
 
     def counting(t):
@@ -455,7 +522,7 @@ def test_each_stage_is_stepped_once(monkeypatch, capsys, pq, depth, steps):
     assert len(stepped) == len(set(stepped))
     assert len(left) <= 1
     # the planned triples and one closing step per block past them, not
-    # 510 triples; on the short blocks the plan holds block 4's closing triple
+    # 510 triples
     assert len(stepped) == len(plan.triples) - 1 + closings == steps
 
 
