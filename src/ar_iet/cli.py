@@ -19,9 +19,11 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import random
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -181,19 +183,27 @@ def _every_digit():
 
 
 def _emit_json(payload: dict, args, config: RunConfig) -> None:
-    """Print the payload after its --emit copy: a failed write prints nothing."""
-    text = _json_text(_encoded(payload))
+    """Print the payload as it is encoded, chunk by chunk, so its indented
+    text is never held whole.  With --emit the chunks go to the file, which
+    is then copied to stdout: a failed write prints nothing."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    chunks = itertools.chain(encoder.iterencode(_encoded(payload)), ("\n",))
     name = getattr(args, "emit", None)
-    if name:
-        _write_file(name, text, config)
-    sys.stdout.write(text)
+    if not name:
+        sys.stdout.writelines(chunks)
+        return
+    with _write_file(name, chunks, config).open() as fh:
+        sys.stdout.writelines(fh)
 
 
-def _write_file(name: str, text: str, config: RunConfig) -> Path:
+def _write_file(name: str, chunks: Iterable[str], config: RunConfig) -> Path:
+    """Write the chunks to name under the output directory; a failed write
+    is a usage error."""
     path = Path(config.output_dir) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.writelines(chunks)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
     return path
@@ -211,7 +221,7 @@ def _write_frequency_csv(name: str | None, counts: dict[str, int], length: int,
     for letter in sorted(counts):
         freq = Fraction(counts[letter], length)
         writer.writerow([letter, counts[letter], freq, f"{float(freq):.12g}"])
-    _write_file(name, buffer.getvalue(), config)
+    _write_file(name, (buffer.getvalue(),), config)
 
 
 # --- shared argument plumbing -------------------------------------------------
@@ -648,7 +658,7 @@ def cmd_render(args, config: RunConfig) -> int:
     else:
         text = svg.render_towers(*_towers(chain, stage, stage, config))
     if args.out:
-        path = _write_file(args.out, text, config)
+        path = _write_file(args.out, (text,), config)
         sys.stdout.write(f"{path}\n")
     else:
         sys.stdout.write(text)

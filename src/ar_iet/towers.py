@@ -11,8 +11,11 @@ the geometric towers back to the substitutive words.
 Grouping bases by projected letter (1-4 -> a, 5-7 -> b, 8-9 -> c) gives
 three coarser towers whose levels are unions of at most three, two, and one
 intervals respectively.  They are not built: `level_component_counts`
-counts, column by column, the member right ends that meet another member's
-left end, and keeps only the counts.
+counts the member right ends that meet another member's left end, and
+keeps only the counts.  Each class holds one adjacent pair (2|3, 5|6,
+8|9); when the pair touches as whole columns every row has a touch, and
+when row 0 then has exactly one, the class counts its members less one
+without reading another row.  Any other class is counted column by column.
 
 Every tower of a family lives on one lattice, (1/D)Z of the stage-0 map
 (`base_map`), which holds every stage of its chain; a family on a finer
@@ -200,14 +203,16 @@ def partition_check(f: TowerFamily) -> PartitionReport:
     # Nonempty levels tile the support exactly when their indicators sum to
     # the support's: when the level left ends and the support's right ends
     # are, as a multiset, the level right ends and the support's left ends.
-    # In a tiling neither side holds a value twice, so sets of full size
-    # decide it in one hashing pass, and the levels add up to the support.
+    # In a tiling neither side holds a value twice, so one set decides it:
+    # the first side's size values, all distinct, are cleared by the
+    # second side's size values exactly when they are those values, each
+    # once; the levels then add up to the support.
     size = len(support) + sum(len(t.lefts) for t in towers)
     opened = set(chain((r for _, r in support), *(t.lefts for t in towers)))
-    closed = set(chain((l for l, _ in support), *(t.rights for t in towers)))
-    if all(t.width > 0 for t in towers) and len(opened) == len(closed) == size \
-            and opened == closed:
-        return PartitionReport(True, expected, expected)
+    if all(t.width > 0 for t in towers) and len(opened) == size:
+        opened.difference_update(chain((l for l, _ in support), *(t.rights for t in towers)))
+        if not opened:
+            return PartitionReport(True, expected, expected)
     # not a tiling, or some levels are empty: the sorted sweep decides and
     # names the first defect
     total = Fraction(sum(t.width * len(t.lefts) for t in towers), lat.D)
@@ -241,6 +246,8 @@ def adjacency_check(f: TowerFamily) -> AdjacencyReport:
     for lo, hi in ADJACENT_PAIRS:
         t_lo, t_hi = f.nine[lo], f.nine[hi]
         on_left, on_right = (t_hi, t_lo) if reversed_ else (t_lo, t_hi)
+        if on_left.rights == on_right.lefts:
+            continue
         for j in compress(count(), map(ne, on_left.rights, on_right.lefts)):
             l_lo, l_hi = t_lo.lefts[j], t_hi.lefts[j]
             violations.append(
@@ -273,11 +280,23 @@ def level_component_counts(f: TowerFamily) -> dict[str, int]:
 
     So level j of the members, the images of disjoint bases under the
     injective T^j, are disjoint intervals of width > 0.
+
+    Each class holds one pair of ADJACENT_PAIRS, and the least touch count
+    is settled from it when it can be: if one tower of the pair has right
+    ends equal to the other's left ends as whole columns, every row has a
+    touch; if row 0 then has exactly one, the least count is 1 and the
+    answer is the member count less one.  Any other class, one with no
+    rows among them, is counted column by column.
     """
     _even(f)
     counts = {}
     for letter, members in A3_MEMBERS.items():
         towers = [f.nine[ch] for ch in members]
+        t_lo, t_hi = (f.nine[ch] for pair in ADJACENT_PAIRS if pair[0] in members for ch in pair)
+        if towers[0].lefts and (t_lo.rights == t_hi.lefts or t_hi.rights == t_lo.lefts) \
+                and sum(p.rights[0] == q.lefts[0] for p, q in permutations(towers, 2)) == 1:
+            counts[letter] = len(towers) - 1
+            continue
         touches = [map(eq, p.rights, q.lefts) for p, q in permutations(towers, 2)]
         counts[letter] = len(towers) - min(map(sum, zip(*touches)))
     return counts

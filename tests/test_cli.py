@@ -1,5 +1,6 @@
 """End-to-end tests of the ar-iet command line."""
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -813,6 +815,54 @@ def test_emit_writes_stdout_copy(capsys, tmp_path):
                        "--triple", "13,7,4", "--emit", "g.json")
     on_disk = json.loads((tmp_path / "g.json").read_text())
     assert on_disk == payload
+
+
+class CountingSink:
+    """A stdout that keeps only the count and the digest of what is written
+    to it, so the printed text is never held."""
+
+    def __init__(self):
+        self.size, self.digest = 0, hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.digest.update(text.encode())
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+# 3,000 blocks k_n = n: --xi prints every partial sum, about 8 MB
+_XI_3000 = ("experiment", "--xi", "--ks", ",".join(map(str, range(1, 3_001))),
+            "--rules", "1" * 3_000)
+
+
+def test_json_output_is_streamed_not_held(monkeypatch, tmp_path):
+    printed = CountingSink()
+    monkeypatch.setattr(sys, "stdout", printed)
+    tracemalloc.start()
+    try:
+        code = main(list(_XI_3000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and printed.size > 7_000_000
+    # the payload and its encoded values are held, the indented text is not:
+    # held whole, it alone would add one more printed size
+    assert peak < 2.5 * printed.size
+    # with --emit the file is written first, then copied to stdout
+    emitted = CountingSink()
+    monkeypatch.setattr(sys, "stdout", emitted)
+    assert main(["--output-dir", str(tmp_path), *_XI_3000, "--emit", "xi.json"]) == 0
+    on_disk = (tmp_path / "xi.json").read_bytes()
+    assert (emitted.size, emitted.digest.digest()) == (printed.size, printed.digest.digest())
+    assert (len(on_disk), hashlib.sha256(on_disk).digest()) == (printed.size,
+                                                                 printed.digest.digest())
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from ar_iet.gasket import Sym, reconstruct_triple, triple
 from ar_iet.iet import ORDER_TAGS, Interval, Lattice, _merge, build_ar9
 from ar_iet.induction import StageChain, iterate_induction
 from ar_iet.towers import (
+    ADJACENT_PAIRS,
+    PartitionReport,
     adjacency_check,
     level_component_counts,
     locate,
@@ -457,6 +461,149 @@ def test_stage0_component_counts_first_order_adjacent():
     counts = level_component_counts(f)
     # adjacent blocks: J_a merges to [6,20); J_b = [20,26) u [0,2); J_c = [2,6)
     assert counts == {"a": 1, "b": 2, "c": 1}
+
+
+# --- the component counts' fast path against the column count -----------------
+
+def column_component_counts(f):
+    """Every row counted on every ordered member pair, column by column: the
+    count the fast path must equal on any family, real or mutated."""
+    if f.uneven:
+        raise ValueError(f.uneven)
+    counts = {}
+    for letter, members in A3_MEMBERS.items():
+        towers = [f.nine[ch] for ch in members]
+        touches = [map(operator.eq, p.rights, q.lefts)
+                   for p, q in itertools.permutations(towers, 2)]
+        counts[letter] = len(towers) - min(map(sum, zip(*touches)))
+    return counts
+
+
+def outcome(count, f):
+    """What count returns on f, or the type and text of what it raises."""
+    try:
+        return count(f)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def settled_by_pair(f, letter):
+    """Whether the class's adjacent pair touches as whole columns and row 0
+    has exactly one touch: the classes the fast path answers."""
+    members = A3_MEMBERS[letter]
+    towers = [f.nine[ch] for ch in members]
+    [(p, q)] = [(f.nine[lo], f.nine[hi]) for lo, hi in ADJACENT_PAIRS if lo in members]
+    return bool(towers[0].lefts) and (p.rights == q.lefts or q.rights == p.lefts) and sum(
+        s.rights[0] == t.lefts[0] for s, t in itertools.permutations(towers, 2)) == 1
+
+
+def seeded_families(order, gapped):
+    """The families of stages 0..8 of two seeded random 10-letter prefixes."""
+    rng = random.Random(f"fast-components/{order}/{gapped}")
+    for _ in range(2):
+        prefix = tuple(rng.choice((I, II, III)) for _ in range(10))
+        gaps = (F(rng.randint(1, 9), rng.randint(2, 12)),
+                F(rng.randint(1, 9), rng.randint(2, 12))) if gapped else (F(0), F(0))
+        chain = StageChain(build_ar9(reconstruct_triple(prefix), order, gaps))
+        iterate_induction(chain, 8)
+        yield from tower_families(chain, 0, 8)
+
+
+def mutants(f, rng, n):
+    """n copies of f, each with one member level moved by one lattice unit
+    or by its tower's width, either way."""
+    for _ in range(n):
+        ch = rng.choice(A9)
+        t = f.nine[ch]
+        lefts = list(t.lefts)
+        lefts[rng.randrange(t.height)] += rng.choice((1, -1, t.width, -t.width))
+        yield dataclasses.replace(f, nine={**f.nine, ch: dataclasses.replace(t, lefts=tuple(lefts))})
+
+
+@pytest.mark.parametrize("order,gapped", CASES,
+                         ids=[f"{o}-{'gapped' if g else 'adjacent'}" for o, g in CASES])
+def test_fast_component_counts_equal_the_column_count(monkeypatch, order, gapped):
+    import ar_iet.towers as towers
+
+    # eq is read by the column count alone: each of its calls is one
+    # comparison of a class the fast path did not settle
+    compared = []
+
+    def counting_eq(x, y):
+        compared.append(1)
+        return x == y
+
+    monkeypatch.setattr(towers, "eq", counting_eq)
+    rng = random.Random(f"mutants/{order}/{gapped}")
+    taken = {"fast": 0, "columns": 0}
+    for f in seeded_families(order, gapped):
+        assert level_component_counts(f) == column_component_counts(f) \
+            == ref_component_counts(f), f.stage
+        for g in (f, *mutants(f, rng, 4)):
+            compared.clear()
+            assert outcome(level_component_counts, g) == outcome(column_component_counts, g)
+            columns = [letter for letter in A3_MEMBERS if not settled_by_pair(g, letter)]
+            taken["fast"] += 3 - len(columns)
+            taken["columns"] += len(columns)
+            # each counted class compares every ordered member pair on every row
+            assert len(compared) == sum(
+                g.nine[members[0]].height * len(members) * (len(members) - 1)
+                for members in map(A3_MEMBERS.__getitem__, columns))
+    # both paths are taken on every order, gapped or not
+    assert taken["fast"] > 0 and taken["columns"] > 0, taken
+
+
+def test_component_counts_of_members_of_height_zero_raise_as_the_columns():
+    _, _, f = family_for((I, II, I), 3)
+    for letter, members in A3_MEMBERS.items():
+        empty = dataclasses.replace(f, nine={
+            **f.nine, **{ch: dataclasses.replace(f.nine[ch], lefts=()) for ch in members}})
+        raised = outcome(column_component_counts, empty)
+        assert raised[0] is ValueError
+        assert outcome(level_component_counts, empty) == raised, letter
+
+
+def test_partition_check_refuses_right_ends_that_coincide():
+    # tower 2 widened by tower 3's width: every left end is still distinct,
+    # but at each level the right ends of 2 and 3 coincide
+    _, _, f = family_for((I, I), 2)
+    p, q = f.nine["2"], f.nine["3"]
+    wide = dataclasses.replace(p, width=p.width + q.width)
+    g = dataclasses.replace(f, nine={**f.nine, "2": wide})
+    lefts = [left for t in g.nine.values() for left in t.lefts]
+    assert len(set(lefts)) == len(lefts)
+    assert set(wide.rights) == set(q.rights)
+    report = partition_check(g)
+    assert report == PartitionReport(False, F(56), F(48), "levels [0,3) and [1,3) overlap")
+
+
+def test_partition_check_refuses_a_level_laid_twice():
+    # level 0 of tower 1 laid again: both sides hold the same set of ends,
+    # but one value twice, so only the count tells this from a tiling
+    _, _, f = family_for((I, I), 2)
+    t = f.nine["1"]
+    twice = dataclasses.replace(t, lefts=(*t.lefts, t.lefts[0]))
+    report = partition_check(dataclasses.replace(f, nine={**f.nine, "1": twice}))
+    assert report == PartitionReport(False, F(51), F(48), "levels [34,37) and [34,37) overlap")
+
+
+def test_adjacency_check_names_a_pair_apart_at_the_last_level_only():
+    _, _, f = family_for((I, I), 2)
+    t = f.nine["3"]
+    lefts = list(t.lefts)
+    lefts[-1] += 1
+    g = dataclasses.replace(f, nine={**f.nine, "3": dataclasses.replace(t, lefts=tuple(lefts))})
+    assert g.nine["2"].rights[:-1] == g.nine["3"].lefts[:-1]
+    assert adjacency_check(g).violations == (
+        "level 3 of towers 2,3: [6,7) vs [8,10) not adjacent with 2 leftmost",)
+    # and the last of 19 levels of 8|9, moved onto its partner
+    _, _, f = family_for((I, II, I, I, II), 5)
+    t = f.nine["9"]
+    lefts = list(t.lefts)
+    lefts[-1] -= t.width
+    g = dataclasses.replace(f, nine={**f.nine, "9": dataclasses.replace(t, lefts=tuple(lefts))})
+    assert adjacency_check(g).violations == (
+        "level 18 of towers 8,9: [250,251) vs [250,251) not adjacent with 8 leftmost",)
 
 
 def signature_points():
