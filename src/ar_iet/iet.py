@@ -27,7 +27,10 @@ over the blocks, checking the triple on its integers and building Fractions
 only for the errors it raises.  A rational point x is read as its cell
 floor(xD) on the map's own lattice, which lies in the piece that holds x,
 and is moved by one integer lookup: its piece found by one bisection, and
-one Fraction built for its image.
+its image built, reduced by one gcd, by `_fraction`, the one constructor of
+every point and interval a lattice hands out.  The glued layout's support
+is one interval [0, end), so `glue_point` checks a point with one integer
+bound.
 """
 from __future__ import annotations
 
@@ -144,6 +147,23 @@ def _merge(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """n / d, for integers n and d > 0, reduced by one gcd.
+
+    `Fraction(n, d)` checks its arguments' types and signs in Python before
+    it reduces them, and that costs about as much again as the gcd on a
+    path that builds one Fraction per point step.  Here the reduced pair is
+    written straight into the two slots, `_numerator` and `_denominator`,
+    that `fractions.Fraction` keeps in CPython 3.10 to 3.13; this is the one
+    function that relies on that private layout.
+    """
+    g = math.gcd(n, d)
+    f = object.__new__(Fraction)
+    f._numerator = n // g
+    f._denominator = d // g
+    return f
+
+
 def _outside(x: Fraction) -> OutOfDomain:
     """The error for the rational x, which lies in a gap or outside the domain."""
     return OutOfDomain(f"{x} lies in a gap or outside the domain", point=str(x))
@@ -198,7 +218,7 @@ class Lattice:
                       in zip(self.lefts, self.rights, self.letters) if ch in letters)
 
     def interval(self, left: int, right: int) -> Interval:
-        return Interval(Fraction(left, self.D), Fraction(right, self.D))
+        return Interval(_fraction(left, self.D), _fraction(right, self.D))
 
     def find(self, k: int) -> int | None:
         """The index of the piece that holds k; None when k lies in a gap or
@@ -212,23 +232,21 @@ class Lattice:
         p, q = x.as_integer_ratio()
         return p * self.D // q
 
-    def locate(self, x: Fraction) -> int | None:
-        """The index of the piece that holds the rational x; None in a gap."""
-        return self.find(self.cell(x))
-
     def step(self, x: Fraction, period: int | None = None) -> tuple[Fraction, str | int] | None:
         """x moved by the offset of the piece that holds it, reduced mod
         period / D on a circle of integer period, and the piece's label;
         None when x lies in a gap or outside the domain.  x is read as its
-        cell, inline, as p D is reused for its image, the one Fraction built."""
+        cell and its piece found, inline, as p D is reused for its image."""
         p, q = x.as_integer_ratio()
         n = p * self.D
         k = n // q
-        i = self.find(k if period is None else k % period)
-        if i is None:
+        if period is not None:
+            k %= period
+        i = bisect_right(self.lefts, k) - 1
+        if i < 0 or k >= self.rights[i]:
             return None
         n += self.offsets[i] * q
-        return Fraction(n if period is None else n % (period * q), q * self.D), self.letters[i]
+        return _fraction(n if period is None else n % (period * q), q * self.D), self.letters[i]
 
     def push(self, left: int, right: int) -> tuple[str, int]:
         """Letter and offset of the piece that holds [left, right).
@@ -327,11 +345,14 @@ class Ar9Map:
         return self.lattice.union(A9)
 
     @cached_property
-    def _glued(self) -> bool:
-        """True when the blocks sit in first order, origin 0, with no gaps:
-        the layout the gluing leaves in place."""
+    def _glued_end(self) -> int | None:
+        """The right end of the support [0, end) on the lattice when the
+        blocks sit in first order, origin 0, with no gaps: the layout the
+        gluing leaves in place; None in any other layout."""
         support = self.support
-        return self.order == FIRST_ORDER and len(support) == 1 and support[0][0] == 0
+        if self.order == FIRST_ORDER and len(support) == 1 and support[0][0] == 0:
+            return support[0][1]
+        return None
 
 
 def _scaled(D: int, values: Sequence[Fraction]) -> list[int]:
@@ -549,7 +570,7 @@ def build_ar6_canonical(t: Triple) -> Ar6Map:
 
 def first_order_adjacent(m: Ar9Map) -> bool:
     """True when the blocks sit in first order, origin 0, with no gaps."""
-    return m._glued
+    return m._glued_end is not None
 
 
 def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
@@ -558,10 +579,12 @@ def glue_point(m: Ar9Map, x: Fraction) -> Fraction:
     Defined for first-order adjacent maps, where the gluing is the identity;
     kept explicit so conjugacy checks read as two genuine routes.
     """
-    if not m._glued:
+    end = m._glued_end
+    if end is None:
         raise ValueError("gluing requires the first-order adjacent layout")
-    # the layout has no gaps, so this raises only outside the support
-    if m.lattice.locate(x) is None:
+    # the pieces tile [0, end), so x lies in one exactly when 0 <= xD < end
+    p, q = x.as_integer_ratio()
+    if not 0 <= p * m.lattice.D < end * q:
         raise _outside(x)
     return x
 
